@@ -71,12 +71,26 @@ Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
   RLB_REQUIRE(a.cols() == b.rows(), "matmul shape mismatch");
+  // Row-compressed index of b's non-zeros: row k's are entries
+  // start[k]..start[k+1] of (col, val).
+  std::vector<std::size_t> start(b.rows() + 1, 0);
+  std::vector<std::size_t> col;
+  Vector val;
+  for (std::size_t k = 0; k < b.rows(); ++k) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      if (b(k, j) == 0.0) continue;
+      col.push_back(j);
+      val.push_back(b(k, j));
+    }
+    start[k + 1] = col.size();
+  }
   Matrix c(a.rows(), b.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const double aik = a(i, k);
       if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
+      for (std::size_t e = start[k]; e < start[k + 1]; ++e)
+        c(i, col[e]) += aik * val[e];
     }
   }
   return c;

@@ -1,7 +1,9 @@
 // Dense row-major matrix of doubles with the operations the QBD engine
 // needs. Deliberately dependency-free: the matrices in this project are a
-// few hundred to a few thousand rows, so a straightforward O(n^3) dense
-// implementation is both sufficient and easy to audit.
+// few hundred to a few thousand rows, stored densely. The QBD blocks are
+// mostly zeros, so the product and the LU kernels (lu.h) skip exact zeros.
+// Each entry still receives the dense loops' other operations in the same
+// order, so non-zero results are bit-identical to a dense implementation's.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +60,10 @@ Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix lhs, double s);
 Matrix operator*(double s, Matrix rhs);
 
-/// Dense matrix product (ikj loop order, cache friendly).
+/// Matrix product that skips the zero entries of both operands, using a
+/// row-compressed index of b built once per call. Each c(i,j) sums its
+/// non-zero terms a(i,k)·b(k,j) in ascending k, as the dense ikj loop does;
+/// a skipped term is an exact zero and would not change the sum.
 Matrix operator*(const Matrix& a, const Matrix& b);
 
 /// Row-vector times matrix: returns x^T A as a vector.

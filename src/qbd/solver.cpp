@@ -30,10 +30,10 @@ BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
   Matrix mt(n, n, 0.0);  // M transposed
   const auto put_block_t = [&](const Matrix& blk, std::size_t row0,
                                std::size_t col0) {
-    // Block sits at (row0, col0) of M; transpose into mt.
+    // Block sits at (row0, col0) of M; transpose its non-zeros into mt.
     for (std::size_t i = 0; i < blk.rows(); ++i)
       for (std::size_t j = 0; j < blk.cols(); ++j)
-        mt(col0 + j, row0 + i) = blk(i, j);
+        if (blk(i, j) != 0.0) mt(col0 + j, row0 + i) = blk(i, j);
   };
   put_block_t(b.B00, 0, 0);
   put_block_t(b.B01, 0, nb);
@@ -50,7 +50,7 @@ BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
   Vector rhs(n, 0.0);
   rhs[0] = 1.0;
 
-  const Vector x = linalg::solve(mt, std::move(rhs));
+  const Vector x = linalg::Lu(std::move(mt)).solve(std::move(rhs));
   BoundaryResult out;
   out.pi_b.assign(x.begin(), x.begin() + nb);
   out.pi0.assign(x.begin() + nb, x.begin() + nb + m);

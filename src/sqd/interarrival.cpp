@@ -98,7 +98,7 @@ double DeterministicInterarrival::mean() const { return value_; }
 double DeterministicInterarrival::beta(int k, double mu) const {
   RLB_REQUIRE(k >= 0, "k >= 0");
   const double x = mu * value_;
-  return std::exp(k * std::log(x) - std::lgamma(k + 1.0) - x);
+  return std::exp(k * std::log(x) - util::log_gamma(k + 1.0) - x);
 }
 
 std::string DeterministicInterarrival::name() const { return "deterministic"; }

@@ -19,9 +19,14 @@ double binomial(int n, int k) {
   return result;
 }
 
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 double log_binomial(int n, int k) {
   RLB_REQUIRE(0 <= k && k <= n, "log_binomial domain");
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0);
 }
 
 std::uint64_t binomial_u64(int n, int k) {

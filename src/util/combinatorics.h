@@ -15,7 +15,12 @@ namespace rlb::util {
 /// multiply (k multiplies); exact whenever the value fits in 2^53.
 double binomial(int n, int k);
 
-/// log C(n, k) via lgamma. Requires 0 <= k <= n.
+/// log |Gamma(x)|, the value std::lgamma returns, via the reentrant
+/// lgamma_r: std::lgamma also writes the global `signgam`, which makes
+/// concurrent callers race.
+double log_gamma(double x);
+
+/// log C(n, k) via log_gamma. Requires 0 <= k <= n.
 double log_binomial(int n, int k);
 
 /// Exact C(n, k) in 64 bits; throws std::overflow_error if it does not fit.

@@ -1,5 +1,9 @@
 #include "sqd/blocks_builder.h"
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "qbd/drift.h"
@@ -145,6 +149,50 @@ TEST(BlocksBuilder, UpperHasSmallerStabilityMargin) {
     const auto dl = rlb::qbd::drift_condition(ql.A0, ql.A1, ql.A2);
     const auto du = rlb::qbd::drift_condition(qu.A0, qu.A1, qu.A2);
     EXPECT_LT(du.down - du.up, dl.down - dl.up) << "T=" << t;
+  }
+}
+
+bool same_bits(const rlb::linalg::Matrix& x, const rlb::linalg::Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.data().size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const rlb::qbd::Blocks& x, const rlb::qbd::Blocks& y) {
+  return same_bits(x.B00, y.B00) && same_bits(x.B01, y.B01) &&
+         same_bits(x.B10, y.B10) && same_bits(x.A0, y.A0) &&
+         same_bits(x.A1, y.A1) && same_bits(x.A2, y.A2);
+}
+
+TEST(BlocksBuilder, ConcurrentBuildsMatchSerialBitwise) {
+  // Block assembly evaluates log-gamma through the transition law; the
+  // builds must not share state (std::lgamma writes the global signgam).
+  std::vector<BoundModel> models;
+  for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper})
+    for (int n : {3, 6})
+      for (double rho : {0.5, 0.9})
+        models.emplace_back(Params{n, 2, rho, 1.0}, 3, kind);
+  std::vector<BoundQbd> serial;
+  for (const BoundModel& m : models) serial.push_back(build_bound_qbd(m));
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<BoundQbd>> built(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r)
+        for (const BoundModel& m : models)
+          built[t].push_back(build_bound_qbd(m));
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(built[t].size(), kRounds * models.size());
+    for (std::size_t i = 0; i < built[t].size(); ++i)
+      EXPECT_TRUE(same_bits(built[t][i].blocks,
+                            serial[i % models.size()].blocks))
+          << "thread " << t << ", build " << i;
   }
 }
 

@@ -1,6 +1,12 @@
 #include "linalg/matrix.h"
 
+#include <cstring>
+#include <initializer_list>
+#include <utility>
+
 #include <gtest/gtest.h>
+
+#include "sim/rng.h"
 
 namespace {
 
@@ -55,6 +61,74 @@ TEST(Matrix, MultiplyByIdentity) {
   const Matrix r = a * Matrix::identity(2);
   for (std::size_t i = 0; i < 2; ++i)
     for (std::size_t j = 0; j < 2; ++j) EXPECT_DOUBLE_EQ(r(i, j), a(i, j));
+}
+
+/// The dense ikj product the sparse kernel replaced: skips zero a(i,k)
+/// only, and adds every b(k,j) term, zero or not.
+Matrix reference_product(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      if (a(i, k) == 0.0) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += a(i, k) * b(k, j);
+    }
+  return c;
+}
+
+/// Entries in [-1, 1) present with probability `density`; rows and columns
+/// listed in `zero_rows` / `zero_cols` stay zero.
+Matrix random_matrix(std::size_t r, std::size_t c, double density,
+                     rlb::sim::Rng& rng,
+                     std::initializer_list<std::size_t> zero_rows = {},
+                     std::initializer_list<std::size_t> zero_cols = {}) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < r; ++i)
+    for (std::size_t j = 0; j < c; ++j)
+      if (rng.next_double() < density) m(i, j) = rng.next_double() * 2 - 1;
+  for (const std::size_t i : zero_rows)
+    for (std::size_t j = 0; j < c; ++j) m(i, j) = 0.0;
+  for (const std::size_t j : zero_cols)
+    for (std::size_t i = 0; i < r; ++i) m(i, j) = 0.0;
+  return m;
+}
+
+void expect_same_bits(const Matrix& x, const Matrix& y) {
+  ASSERT_EQ(x.rows(), y.rows());
+  ASSERT_EQ(x.cols(), y.cols());
+  EXPECT_EQ(std::memcmp(x.data().data(), y.data().data(),
+                        x.data().size() * sizeof(double)),
+            0);
+}
+
+TEST(Matrix, SparseProductMatchesDenseReferenceBitwise) {
+  rlb::sim::Rng rng(5);
+  for (const double density : {0.02, 0.1, 0.25, 1.0}) {
+    // Square, rectangular both ways, vector shapes.
+    const std::pair<std::size_t, std::size_t> shapes[][2] = {
+        {{40, 40}, {40, 40}}, {{17, 33}, {33, 8}}, {{8, 33}, {33, 29}},
+        {{1, 50}, {50, 1}},   {{50, 1}, {1, 50}},  {{1, 12}, {12, 30}},
+        {{30, 12}, {12, 1}}};
+    for (const auto& s : shapes) {
+      const Matrix a = random_matrix(s[0].first, s[0].second, density, rng);
+      const Matrix b = random_matrix(s[1].first, s[1].second, density, rng);
+      expect_same_bits(a * b, reference_product(a, b));
+    }
+  }
+}
+
+TEST(Matrix, SparseProductWithZeroRowsAndColumns) {
+  rlb::sim::Rng rng(6);
+  // Zero rows and columns of a, of b, and of both; all-zero operands.
+  const Matrix a = random_matrix(20, 15, 0.3, rng, {0, 7, 19}, {2, 14});
+  const Matrix b = random_matrix(15, 25, 0.3, rng, {0, 2, 9}, {0, 24});
+  const Matrix dense_a = random_matrix(20, 15, 1.0, rng);
+  const Matrix dense_b = random_matrix(15, 25, 1.0, rng);
+  expect_same_bits(a * b, reference_product(a, b));
+  expect_same_bits(dense_a * b, reference_product(dense_a, b));
+  expect_same_bits(a * dense_b, reference_product(a, dense_b));
+  const Matrix zero_a(20, 15), zero_b(15, 25);
+  expect_same_bits(zero_a * dense_b, Matrix(20, 25));
+  expect_same_bits(dense_a * zero_b, Matrix(20, 25));
 }
 
 TEST(Matrix, Transpose) {
