@@ -1,17 +1,11 @@
-// Scenario "fleet_scaling" — the compressed-state engine at fleet scale:
+// Scenario "fleet_scaling" — the histogram-state engine at fleet scale:
 // sweep the server count N geometrically (default 10^3 .. 10^6) at fixed
-// load rho and measure the paper's policies through the compact
-// histogram engine (sim/compact_cluster.h). The point of the table is
-// the COST column: with --time=1 each cell reports wall-clock ns per
-// job, which stays ~flat in N for sq(d), jiq and histogram-jsq because
-// every per-event operation on the compact engine is O(1). The legacy
-// per-server engine pays O(N) per idle-server arrival, which is exactly
-// what locks it out of the million-server regime.
-//
-// A second table cross-checks the two engines at small N: the same
-// seeds through engine=legacy and engine=compact must agree BIT-FOR-BIT
-// (the equivalence contract; tests/test_compact_cluster.cpp pins it per
-// policy, this table demonstrates it end to end).
+// load rho and measure the paper's policies through the cluster engine
+// (sim/compact_cluster.h). The point of the table is the COST column:
+// with --time=1 each cell reports wall-clock ns per job, which grows only
+// with the O(log N) departure heap and the cache misses of a larger
+// fleet, because every dispatch and directory update is O(1) for sq(d),
+// jiq and histogram-jsq.
 //
 // Timing note: the ns/job column (--time=1) measures wall-clock and is
 // therefore NOT deterministic and NOT thread-invariant; use
@@ -60,9 +54,6 @@ ScenarioOutput run(ScenarioContext& ctx) {
       static_cast<std::uint64_t>(ctx.cli().get_int("seed", 97'531));
   const bool time = ctx.cli().get_int("time", 0) != 0;
   const int time_reps = static_cast<int>(ctx.cli().get_int("time-reps", 3));
-  const int cross_n = static_cast<int>(ctx.cli().get_int("crosscheck-n", 256));
-  const auto cross_jobs = static_cast<std::uint64_t>(
-      ctx.cli().get_int("crosscheck-jobs", 100'000));
 
   RLB_REQUIRE(nmin >= 1 && nmax >= nmin, "need 1 <= nmin <= nmax");
   RLB_REQUIRE(nstep >= 2, "nstep is a multiplier; need nstep >= 2");
@@ -165,93 +156,22 @@ ScenarioOutput run(ScenarioContext& ctx) {
     scaling.add_row(std::move(row));
   }
   out.note(time ? "Mean sojourn time per policy, then wall-clock ns per job "
-                  "(flat in n on the compact engine; non-deterministic, "
-                  "use --threads=1)."
+                  "(non-deterministic, use --threads=1)."
                 : "Mean sojourn time per policy; pass --time=1 for "
                   "wall-clock ns/job columns.");
-
-  // Engine cross-check at small N: legacy and compact must agree exactly
-  // for every policy that carries the bit-identity contract. (jsq-h is
-  // excluded on purpose: it is statistically equivalent to jsq but
-  // consumes a different random stream, so its sample paths differ.)
-  const auto make_check_policy = [&](std::size_t t) -> std::unique_ptr<Policy> {
-    switch (t) {
-      case 0:
-        return std::make_unique<SqdPolicy>(cross_n, d);
-      case 1:
-        return std::make_unique<JiqPolicy>(cross_n);
-      case 2:
-        return std::make_unique<JsqPolicy>();
-      default:
-        return std::make_unique<JbtPolicy>(cross_n, d, 3);
-    }
-  };
-  constexpr std::size_t kCheckPolicies = 4;
-  // Check values: [0] legacy delay, [1] compact delay, [2] identical 0/1.
-  // The policy NAME is reconstructed from the task index at row-assembly
-  // time (policy construction is free), so the record stays numeric.
-  const auto checks = ctx.map_cells(
-      kCheckPolicies,
-      [&](std::size_t t) {
-        auto key = ctx.cell_key("fleet_scaling",
-                                rlb::engine::cell_seed(seed, 1'000 + t));
-        key.set("table", "crosscheck");
-        key.set("n", cross_n);
-        key.set("jobs", cross_jobs);
-        key.set("rho", rho);
-        key.set("d", d);
-        key.set("task", static_cast<std::uint64_t>(t));
-        return key;
-      },
-      [&](std::size_t t, const rlb::engine::CellRecord*) {
-        ClusterConfig cfg;
-        cfg.servers = cross_n;
-        cfg.jobs = cross_jobs;
-        cfg.warmup = cross_jobs / 10;
-        cfg.seed = rlb::engine::cell_seed(seed, 1'000 + t);
-        cfg.replicas = ctx.replicas();
-        const auto arr = make_exponential(rho * cross_n);
-        const auto svc = make_exponential(1.0);
-        const auto policy = make_check_policy(t);
-        cfg.engine = ClusterEngine::kLegacy;
-        const auto legacy =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        cfg.engine = ClusterEngine::kCompact;
-        const auto compact =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        const bool same = legacy.mean_sojourn == compact.mean_sojourn &&
-                          legacy.mean_wait == compact.mean_wait &&
-                          legacy.p99_sojourn == compact.p99_sojourn &&
-                          legacy.utilization == compact.utilization &&
-                          legacy.sim_time == compact.sim_time;
-        rlb::engine::CellRecord rec;
-        rec.values = {legacy.mean_sojourn, compact.mean_sojourn,
-                      same ? 1.0 : 0.0};
-        return rec;
-      });
-  auto& cross = out.add_table(
-      "crosscheck", {"policy", "legacy delay", "compact delay", "identical"});
-  for (std::size_t t = 0; t < kCheckPolicies; ++t)
-    cross.add_row({make_check_policy(t)->name(),
-                   rlb::util::fmt(checks[t].values[0], 6),
-                   rlb::util::fmt(checks[t].values[1], 6),
-                   checks[t].values[2] != 0.0 ? "yes" : "no"});
-  out.note("Same seeds through engine=legacy and engine=compact at n = " +
-           std::to_string(cross_n) +
-           "; every column must match bit-for-bit.");
 
   out.postamble =
       "Reading: delay per policy is flat in n (mean-field regime: the "
       "fleet's behavior\nconverges as n grows), and with --time=1 the "
-      "ns/job columns stay ~flat too — the\ncompact engine's per-event "
-      "cost does not grow with the fleet.";
+      "ns/job columns grow only slowly — every\ndispatch and directory "
+      "update is O(1); only the departure heap is O(log n).";
   return out;
 }
 
 const rlb::engine::ScenarioRegistrar reg{{
     "fleet_scaling",
     "Compact-engine fleet sweep to n = 10^6: delay and per-job cost vs "
-    "fleet size, plus a legacy-vs-compact bit-identity cross-check",
+    "fleet size",
     {{"nmin", "smallest fleet size", "1000"},
      {"nmax", "largest fleet size", "1000000"},
      {"nstep", "fleet-size multiplier between rows", "10"},
@@ -261,9 +181,7 @@ const rlb::engine::ScenarioRegistrar reg{{
      {"seed", "base RNG seed; per-row seeds are derived from it", "97531"},
      {"time", "1: add wall-clock ns/job columns (non-deterministic)", "0"},
      {"time-reps",
-      "repetitions per cell for --time=1; reports the min ns/job", "3"},
-     {"crosscheck-n", "fleet size for the engine cross-check", "256"},
-     {"crosscheck-jobs", "jobs for the engine cross-check", "100000"}},
+      "repetitions per cell for --time=1; reports the min ns/job", "3"}},
     run}};
 
 }  // namespace

@@ -1,16 +1,13 @@
 // Experiment E12 — microbenchmarks (google-benchmark) for the numerical
 // kernels and simulators: LU solve, logarithmic reduction, QBD boundary
-// solve, fast simulator throughput, and the cluster-DES hot paths the
-// compact engine rebuilt — legacy vs compact event loop, calendar queue
-// vs binary heap, histogram-directory sampling, and replica-stats
-// merging. CI runs this binary with --benchmark_format=json and uploads
-// the result as the BENCH_6.json artifact; baselines/BENCH_6.json is a
-// committed reference run (numbers are machine-specific — compare
-// shapes, not absolutes).
+// solve, fast simulator throughput, and the cluster-DES hot paths — the
+// engine's event loop, its departure heap, histogram-directory sampling,
+// and replica-stats merging. CI runs this binary with
+// --benchmark_format=json and uploads the result as the BENCH_6.json
+// artifact; baselines/BENCH_6.json is a committed reference run (numbers
+// are machine-specific — compare shapes, not absolutes).
 #include <benchmark/benchmark.h>
 
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "linalg/lu.h"
@@ -96,16 +93,14 @@ void BM_FastSimulatorThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FastSimulatorThroughput)->Arg(10)->Arg(100);
 
-/// Legacy vs compact cluster DES on the same workload: items/s is jobs
-/// per second, so the legacy engine's O(N) per-idle-arrival cost shows
-/// up as falling throughput with n while the compact engine stays flat.
-void cluster_throughput(benchmark::State& state, rlb::sim::ClusterEngine e) {
+/// The cluster DES on sq(2) at rho 0.9: items/s is jobs per second, flat
+/// in n but for the O(log n) departure heap and cache misses.
+void BM_CompactClusterThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   rlb::sim::ClusterConfig cfg;
   cfg.servers = n;
   cfg.jobs = 100'000;
   cfg.warmup = 1'000;
-  cfg.engine = e;
   rlb::sim::SqdPolicy policy(n, 2);
   const auto arr = rlb::sim::make_exponential(0.9 * n);
   const auto svc = rlb::sim::make_exponential(1.0);
@@ -115,15 +110,6 @@ void cluster_throughput(benchmark::State& state, rlb::sim::ClusterEngine e) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(cfg.jobs));
-}
-
-void BM_ClusterDesThroughput(benchmark::State& state) {
-  cluster_throughput(state, rlb::sim::ClusterEngine::kLegacy);
-}
-BENCHMARK(BM_ClusterDesThroughput)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_CompactClusterThroughput(benchmark::State& state) {
-  cluster_throughput(state, rlb::sim::ClusterEngine::kCompact);
 }
 BENCHMARK(BM_CompactClusterThroughput)
     ->Arg(10)
@@ -145,9 +131,8 @@ void BM_DistinctSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_DistinctSampling)->Arg(2)->Arg(10)->Arg(50);
 
-/// The hold-model event-queue pattern the cluster engines execute: pop
-/// the minimum, push a later event, queue size steady at `n`. O(1)
-/// amortized for the calendar, O(log n) for the heap.
+/// The hold-model event-queue pattern the cluster engine executes: pop
+/// the minimum, push a later event, queue size steady at `n`; O(log n).
 void BM_CalendarQueueHold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   rlb::sim::Rng rng(7);
@@ -162,23 +147,6 @@ void BM_CalendarQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CalendarQueueHold)->Arg(100)->Arg(10000)->Arg(1000000);
-
-void BM_BinaryHeapHold(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  rlb::sim::Rng rng(7);
-  using Event = std::pair<double, std::int32_t>;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
-  for (int i = 0; i < n; ++i)
-    heap.emplace(rng.next_double() * n, static_cast<std::int32_t>(i));
-  for (auto _ : state) {
-    const auto [t, id] = heap.top();
-    heap.pop();
-    heap.emplace(t + 1.0 + rng.next_double(), id);
-    benchmark::DoNotOptimize(heap.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BinaryHeapHold)->Arg(100)->Arg(10000)->Arg(1000000);
 
 /// The compact engine's per-event state update: one level move plus one
 /// uniform within-level sample, independent of the fleet size.

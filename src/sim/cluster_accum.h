@@ -1,9 +1,9 @@
-// Raw per-replica statistics of one cluster-DES replica, shared by the
-// legacy per-server engine (cluster_sim.cpp) and the compact
-// histogram-state engine (compact_cluster.*). Replica accumulators are
-// merged in replica-index order before any derived quantity
-// (utilization, quantiles, CIs) is computed, which is what keeps results
-// bit-identical for every thread budget.
+// Raw per-replica statistics of one cluster-DES replica, filled by the
+// cluster engine (compact_cluster.*) and, in the tests, by its per-server
+// reference oracle (tests/reference_cluster_engine.h). Replica
+// accumulators are merged in replica-index order before any derived
+// quantity (utilization, quantiles, CIs) is computed, which is what keeps
+// results bit-identical for every thread budget.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,7 @@ struct ClusterAccum {
   std::uint64_t sla_violations = 0;
   double sla_threshold = 0.0;  // copied from the config by the engine
 
-  /// Arm the windowed recorders; engines call this before their event
+  /// Arm the windowed recorders; the engine calls this before its event
   /// loop when cfg.window_width > 0.
   void enable_windows(double width, std::size_t capacity,
                       std::uint64_t seed) {
@@ -40,11 +40,11 @@ struct ClusterAccum {
     windowed_p99.emplace(width, capacity, seed);
   }
 
-  /// Record one departure at absolute replica time `now`. BOTH engines
-  /// route every departure through this single helper — any change to
-  /// what a departure records must be made here, which is what keeps the
-  /// legacy and compact event loops statement-identical in their
-  /// statistics. `measured` is the engines' done.index >= warmup test;
+  /// Record one departure at absolute replica time `now`. The engine and
+  /// the test oracle route every departure through this single helper —
+  /// any change to what a departure records must be made here, which is
+  /// what keeps the two event loops statement-identical in their
+  /// statistics. `measured` is the engine's done.index >= warmup test;
   /// windowed recording deliberately covers warmup departures too (the
   /// windows describe the transient), while everything else — including
   /// SLA counting — sees measured jobs only.

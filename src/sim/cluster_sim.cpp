@@ -1,10 +1,7 @@
 #include "sim/cluster_sim.h"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
-#include <queue>
-#include <vector>
+#include <string>
 
 #include "sim/cluster_accum.h"
 #include "sim/compact_cluster.h"
@@ -15,187 +12,6 @@
 namespace rlb::sim {
 
 namespace {
-
-struct Job {
-  std::uint64_t index = 0;
-  double arrival_time = 0.0;
-  double service_time = 0.0;
-};
-
-/// One replica's event loop: `jobs` arrivals with `warmup` discarded,
-/// everything seeded from `seed`. The engine itself is the policy-visible
-/// cluster state.
-class Engine final : public ClusterState {
- public:
-  Engine(const ClusterConfig& cfg, std::uint64_t jobs, std::uint64_t warmup,
-         std::uint64_t batch, std::uint64_t seed, Policy& policy,
-         ArrivalProcess& arrivals, const Distribution& service)
-      : cfg_(cfg),
-        jobs_(jobs),
-        warmup_(warmup),
-        batch_(batch),
-        seed_(seed),
-        policy_(policy),
-        arrivals_(arrivals),
-        service_(service),
-        rng_(seed),
-        rack_mode_(cfg.topology.racks > 1 &&
-                   (cfg.topology.penalized() || policy.locality_aware())),
-        per_rack_(cfg.topology.servers_per_rack(cfg.servers)),
-        queues_(cfg.servers),
-        completion_(cfg.servers, 0.0),
-        queued_work_(cfg.servers, 0.0) {
-    // Every server starts idle; the I-queue begins in server-index order.
-    idle_queue_.reserve(cfg.servers);
-    for (int s = 0; s < cfg.servers; ++s) idle_queue_.push_back(s);
-  }
-
-  int servers() const override { return cfg_.servers; }
-
-  int queue_length(int server) const override {
-    return static_cast<int>(queues_[server].size());
-  }
-
-  double remaining_work(int server) const override {
-    const auto& q = queues_[server];
-    if (q.empty()) return 0.0;
-    return (completion_[server] - now_) + queued_work_[server];
-  }
-
-  // The dispatcher's JIQ I-queue: servers in the order they became idle.
-  int idle_servers() const override {
-    return static_cast<int>(idle_queue_.size());
-  }
-
-  int idle_server(int i) const override { return idle_queue_[i]; }
-
-  ClusterAccum run() {
-    ClusterAccum acc;
-    acc.sojourn_ci = BatchMeans(batch_);
-    acc.sojourn_quantiles = ReservoirQuantiles(
-        cfg_.quantile_reservoir, seed_ ^ cfg_.quantile_seed_salt);
-    acc.sla_threshold = cfg_.sla_threshold;
-    if (cfg_.window_width > 0.0)
-      acc.enable_windows(cfg_.window_width, cfg_.window_reservoir,
-                         seed_ ^ cfg_.window_seed_salt);
-
-    double next_arrival = arrivals_.next(rng_);
-    std::uint64_t arrivals = 0;
-    std::uint64_t departures = 0;
-
-    double measure_start = -1.0;
-    std::uint64_t in_system = 0;
-
-    const auto advance_to = [&](double t) {
-      if (measure_start >= 0.0) {
-        acc.area_jobs += static_cast<double>(in_system) * (t - now_);
-        acc.busy_area += static_cast<double>(busy_servers_) * (t - now_);
-      }
-      now_ = t;
-    };
-
-    while (departures < jobs_) {
-      const bool have_arrival = arrivals < jobs_;
-      const bool arrival_next =
-          have_arrival &&
-          (departure_heap_.empty() ||
-           next_arrival <= departure_heap_.top().first);
-
-      if (arrival_next) {
-        advance_to(next_arrival);
-        if (arrivals == warmup_ && measure_start < 0.0)
-          measure_start = now_;
-        Job job{arrivals, now_, service_.sample(rng_)};
-        // Home rack: one draw per arrival, taken right after the service
-        // sample. Skipped entirely when the topology is unobservable, so
-        // those runs stay bit-identical to the topology-blind engine
-        // (the compact engine mirrors this statement for statement).
-        int home = 0;
-        if (rack_mode_)
-          home = static_cast<int>(rng_.uniform_int(
-              static_cast<std::uint64_t>(cfg_.topology.racks)));
-        ++arrivals;
-        ++in_system;
-        const int s = rack_mode_ ? policy_.select(*this, home, rng_)
-                                 : policy_.select(*this, rng_);
-        RLB_ASSERT(s >= 0 && s < cfg_.servers, "policy picked a bad server");
-        if (!cfg_.server_speeds.empty())
-          job.service_time /= cfg_.server_speeds[s];
-        if (rack_mode_ && s / per_rack_ != home)
-          job.service_time = cfg_.topology.penalize(job.service_time);
-        auto& q = queues_[s];
-        if (q.empty()) {
-          completion_[s] = now_ + job.service_time;
-          departure_heap_.emplace(completion_[s], s);
-          ++busy_servers_;
-          retire_idle(s);
-        } else {
-          queued_work_[s] += job.service_time;
-        }
-        q.push_back(job);
-        next_arrival = now_ + arrivals_.next(rng_);
-      } else {
-        RLB_ASSERT(!departure_heap_.empty(), "no events left");
-        const auto [t, s] = departure_heap_.top();
-        departure_heap_.pop();
-        advance_to(t);
-        auto& q = queues_[s];
-        RLB_ASSERT(!q.empty(), "departure from empty server");
-        const Job done = q.front();
-        q.pop_front();
-        ++departures;
-        --in_system;
-        acc.record_departure(now_, done.arrival_time, done.service_time,
-                             done.index >= warmup_);
-        if (!q.empty()) {
-          const Job& next = q.front();
-          queued_work_[s] -= next.service_time;
-          completion_[s] = now_ + next.service_time;
-          departure_heap_.emplace(completion_[s], s);
-        } else {
-          --busy_servers_;
-          idle_queue_.push_back(s);
-        }
-      }
-    }
-
-    acc.window = now_ - std::max(measure_start, 0.0);
-    acc.sim_time = now_;
-    return acc;
-  }
-
- private:
-  using Event = std::pair<double, int>;  // (time, server)
-
-  void retire_idle(int s) {
-    // O(N) erase; N is small and JIQ-style policies take the front anyway.
-    const auto it = std::find(idle_queue_.begin(), idle_queue_.end(), s);
-    RLB_ASSERT(it != idle_queue_.end(), "busy server missing from I-queue");
-    idle_queue_.erase(it);
-  }
-
-  const ClusterConfig& cfg_;
-  std::uint64_t jobs_;
-  std::uint64_t warmup_;
-  std::uint64_t batch_;
-  std::uint64_t seed_;
-  Policy& policy_;
-  ArrivalProcess& arrivals_;
-  const Distribution& service_;
-  Rng rng_;
-  /// Topology observable this run (sim/topology.h gating rule).
-  bool rack_mode_;
-  int per_rack_;
-
-  std::vector<std::deque<Job>> queues_;
-  std::vector<double> completion_;
-  std::vector<double> queued_work_;
-  std::vector<int> idle_queue_;  ///< idle servers, first-idle first
-  std::priority_queue<Event, std::vector<Event>, std::greater<>>
-      departure_heap_;
-  double now_ = 0.0;
-  int busy_servers_ = 0;
-};
 
 void validate_config(const ClusterConfig& cfg, const Policy& policy) {
   RLB_REQUIRE(cfg.servers >= 1, "need at least one server");
@@ -213,9 +29,6 @@ void validate_config(const ClusterConfig& cfg, const Policy& policy) {
               "window reservoir needs capacity >= 1");
   RLB_REQUIRE(std::isfinite(cfg.sla_threshold) && cfg.sla_threshold >= 0.0,
               "SLA threshold must be finite and non-negative (0 = off)");
-  RLB_REQUIRE(cfg.engine != ClusterEngine::kCompact || policy.symmetric(),
-              "the compact engine only runs symmetric policies; use "
-              "kLegacy or kAuto for identity-aware policies");
   cfg.topology.validate(cfg.servers);
   const int req = policy.required_racks();
   RLB_REQUIRE(req == 0 || req == cfg.topology.racks,
@@ -224,21 +37,8 @@ void validate_config(const ClusterConfig& cfg, const Policy& policy) {
                   std::to_string(cfg.topology.racks));
 }
 
-/// True when this run should execute on the compact histogram engine.
-bool use_compact_engine(const ClusterConfig& cfg, const Policy& policy) {
-  switch (cfg.engine) {
-    case ClusterEngine::kLegacy:
-      return false;
-    case ClusterEngine::kCompact:
-      return true;
-    case ClusterEngine::kAuto:
-      return policy.symmetric();
-  }
-  return false;
-}
-
 /// One replica: fresh clones of the mutable policy / arrival state, so a
-/// single replica matches the legacy reset()-then-run.
+/// single replica matches a reset()-then-run.
 ClusterAccum run_one_replica(const ClusterConfig& cfg, Policy& policy,
                              ArrivalProcess& arrivals,
                              const Distribution& service, std::uint64_t jobs,
@@ -248,13 +48,8 @@ ClusterAccum run_one_replica(const ClusterConfig& cfg, Policy& policy,
   const auto replica_arrivals = arrivals.clone();
   replica_policy->reset();
   replica_arrivals->reset();
-  if (use_compact_engine(cfg, policy)) {
-    CompactClusterEngine engine(cfg, jobs, warmup, batch, seed,
-                                *replica_policy, *replica_arrivals, service);
-    return engine.run();
-  }
-  Engine engine(cfg, jobs, warmup, batch, seed, *replica_policy,
-                *replica_arrivals, service);
+  CompactClusterEngine engine(cfg, jobs, warmup, batch, seed,
+                              *replica_policy, *replica_arrivals, service);
   return engine.run();
 }
 

@@ -1,7 +1,8 @@
 // Event-driven simulation of a dispatch cluster: one arrival stream, a
 // dispatch policy, N FIFO servers with i.i.d. service times. Tracks every
 // job individually, so it supports arbitrary interarrival and service
-// distributions (unlike the fast jump-chain simulator).
+// distributions (unlike the fast jump-chain simulator). Each replica runs
+// on the histogram-state engine of sim/compact_cluster.h.
 #pragma once
 
 #include <cstddef>
@@ -17,20 +18,6 @@
 #include "util/thread_budget.h"
 
 namespace rlb::sim {
-
-/// Which event-loop engine executes each replica.
-///
-/// Both engines are bit-identical for symmetric policies (same seeds ->
-/// same numbers, pinned by tests/test_compact_cluster.cpp); they differ
-/// only in cost. Legacy keeps per-server job deques and pays O(N) for an
-/// arrival to an idle server; compact keeps the queue-length histogram
-/// (sim/compact_cluster.h) and pays O(1) per event, which is what makes
-/// N = 10^6 fleets simulable (the fleet_scaling scenario).
-enum class ClusterEngine {
-  kAuto,     ///< compact when policy.symmetric(), legacy otherwise
-  kLegacy,   ///< per-server state; required by identity-aware policies
-  kCompact,  ///< histogram state; rejects non-symmetric policies
-};
 
 struct ClusterConfig {
   int servers = 1;
@@ -53,13 +40,9 @@ struct ClusterConfig {
   /// for the example studies.
   std::vector<double> server_speeds;
 
-  /// Engine selection; kAuto picks per policy and is right for almost
-  /// every caller. kCompact with a non-symmetric policy is rejected.
-  ClusterEngine engine = ClusterEngine::kAuto;
-
   /// Rack topology (sim/topology.h, docs/TOPOLOGY.md). The default —
   /// one rack, no penalty — is the paper's symmetric model and runs
-  /// bit-identically to the pre-topology engines. When the topology is
+  /// bit-identically to a topology-blind run. When the topology is
   /// OBSERVABLE (racks > 1 with a cross-rack penalty or a locality-aware
   /// policy) each arrival draws a uniform home rack right after its
   /// service-time sample, the policy's rack-aware select runs, and

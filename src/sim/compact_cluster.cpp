@@ -23,14 +23,27 @@ CompactClusterEngine::CompactClusterEngine(
       rack_mode_(cfg.topology.racks > 1 &&
                  (cfg.topology.penalized() || policy.locality_aware())),
       per_rack_(cfg.topology.servers_per_rack(cfg.servers)),
+      symmetric_(policy.symmetric()),
       dir_(cfg.servers),
       slot_(cfg.servers) {
-  RLB_REQUIRE(policy.symmetric(),
-              "compact engine requires a symmetric policy");
   // Per-rack idle FIFOs only when a locality-aware policy will consult
-  // them; blind runs (even penalized ones) skip the maintenance cost.
-  if (cfg.topology.racks > 1 && policy.locality_aware())
-    dir_.arm_racks(cfg.topology.racks);
+  // them — at any rack count, one rack included; blind runs (even
+  // penalized ones) skip the maintenance cost.
+  if (policy.locality_aware()) dir_.arm_racks(cfg.topology.racks);
+}
+
+double CompactClusterEngine::remaining_work(int server) const {
+  if (dir_.level_of(server) == 0) return 0.0;
+  const ServerSlot& q = slot_[server];
+  return (q.completion - now_) + q.queued_work;
+}
+
+int CompactClusterEngine::idle_server(int i) const {
+  RLB_REQUIRE(i >= 0 && i < dir_.idle_count(),
+              "idle_server index out of range");
+  int s = dir_.idle_head();
+  for (; i > 0; --i) s = dir_.idle_next(s);
+  return s;
 }
 
 std::int32_t CompactClusterEngine::acquire_slot() {
@@ -56,8 +69,11 @@ void CompactClusterEngine::push_job(int server, const Job& job) {
     q.head = job;
     q.next = -1;
     q.tail = -1;
+    q.completion = now_ + job.service_time;
+    calendar_.push(q.completion, server);
     return;
   }
+  q.queued_work += job.service_time;
   const std::int32_t slot = acquire_slot();
   pool_[slot].job = job;
   pool_[slot].next = -1;
@@ -72,8 +88,7 @@ CompactClusterEngine::Job CompactClusterEngine::pop_job(int server) {
   ServerSlot& q = slot_[server];
   const Job done = q.head;
   if (q.next >= 0) {
-    // Promote the first queued job into the inline slot; its service
-    // time seeds the next departure event right after this return.
+    // Promote the first queued job into the inline slot and start it.
     const std::int32_t promoted = q.next;
     const PoolRec rec = pool_[promoted];
     if (rec.next >= 0) util::prefetch(&pool_[rec.next]);
@@ -81,17 +96,21 @@ CompactClusterEngine::Job CompactClusterEngine::pop_job(int server) {
     q.next = rec.next;
     if (rec.next < 0) q.tail = -1;
     release_slot(promoted);
+    q.queued_work -= q.head.service_time;
+    q.completion = now_ + q.head.service_time;
+    calendar_.push(q.completion, server);
   }
   return done;
 }
 
 ClusterAccum CompactClusterEngine::run() {
-  // Statement-for-statement mirror of the legacy Engine::run — the RNG
-  // draw order, event ordering, and statistics accumulation order below
-  // must not drift from cluster_sim.cpp, or the engines stop being
-  // bit-identical and the equivalence tests fail. The prefetch calls are
-  // layout hints only: they stage the cache lines the NEXT event will
-  // touch while the current one finishes, and never change any decision.
+  // The RNG draw order, event ordering, and statistics accumulation
+  // order below are the model's specification: the test oracle
+  // (tests/reference_cluster_engine.h) follows them statement for
+  // statement, and the equivalence tests fail if either drifts. The
+  // prefetch calls are layout hints only: they stage the cache lines the
+  // NEXT event will touch while the current one finishes, and never
+  // change any decision.
   ClusterAccum acc;
   acc.sojourn_ci = BatchMeans(batch_);
   acc.sojourn_quantiles = ReservoirQuantiles(cfg_.quantile_reservoir,
@@ -131,27 +150,27 @@ ClusterAccum CompactClusterEngine::run() {
       job.index = arrivals;
       job.arrival_time = now_;
       job.service_time = service_.sample(rng_);
-      // Home-rack draw: mirrors the legacy engine's position exactly —
-      // right after the service sample, before the policy's draws.
+      // Home rack: one draw per arrival, right after the service sample
+      // and before the policy's draws. Skipped entirely when the topology
+      // is unobservable, so those runs stay bit-identical to a
+      // topology-blind run.
       int home = 0;
       if (rack_mode_)
         home = static_cast<int>(rng_.uniform_int(
             static_cast<std::uint64_t>(cfg_.topology.racks)));
       ++arrivals;
       ++in_system;
-      // If the chosen server turns out idle, the departure lands in this
-      // bucket; start loading it before the policy's polling misses.
-      calendar_.prefetch_slot(now_ + job.service_time);
-      const int s = rack_mode_ ? policy_.select_direct(dir_, home, rng_)
-                               : policy_.select_direct(dir_, rng_);
+      const int s =
+          symmetric_ ? (rack_mode_ ? policy_.select_direct(dir_, home, rng_)
+                                   : policy_.select_direct(dir_, rng_))
+                     : (rack_mode_ ? policy_.select(*this, home, rng_)
+                                   : policy_.select(*this, rng_));
       RLB_ASSERT(s >= 0 && s < cfg_.servers, "policy picked a bad server");
       util::prefetch(&slot_[s]);
       if (!cfg_.server_speeds.empty())
         job.service_time /= cfg_.server_speeds[s];
       if (rack_mode_ && s / per_rack_ != home)
         job.service_time = cfg_.topology.penalize(job.service_time);
-      if (dir_.level_of(s) == 0)
-        calendar_.push(now_ + job.service_time, s);
       push_job(s, job);
       dir_.increment(s);
       next_arrival = now_ + arrivals_.next(rng_);
@@ -165,13 +184,10 @@ ClusterAccum CompactClusterEngine::run() {
       --in_system;
       acc.record_departure(now_, done.arrival_time, done.service_time,
                            done.index >= warmup_);
-      if (dir_.level_of(s) > 0)
-        calendar_.push(now_ + slot_[s].head.service_time, s);
     }
 
-    // Stage the next event's state: the calendar's top names the next
-    // departure's server (and leaves its bucket hot for the coming
-    // min_time/pop scan); under JIQ the idle-FIFO head names the next
+    // Stage the next event's state: the heap's top names the next
+    // departure's server; under JIQ the idle-FIFO head names the next
     // arrival's server before that arrival is even drawn.
     if (!calendar_.empty()) {
       const std::int32_t ns = calendar_.top().second;

@@ -12,8 +12,7 @@ LevelDirectory::LevelDirectory(int servers) : n_(servers) {
   }
   count_ = {static_cast<std::int32_t>(n_)};
   offset_ = {0};
-  // All servers start idle, queued in server-index order — the same
-  // initial I-queue the legacy engine builds.
+  // All servers start idle, queued in server-index order.
   for (int s = 0; s < n_; ++s) {
     rec_[s].idle_next = s + 1 < n_ ? s + 1 : -1;
     rec_[s].idle_prev = s - 1;

@@ -1,7 +1,7 @@
 // The queue-length histogram with O(1) updates and O(1) uniform sampling
-// within a level — the state behind the compact cluster engine
+// within a level — the state behind the cluster engine
 // (sim/compact_cluster.h) and the concrete type the symmetric policies'
-// fast dispatch path (Policy::select_direct) compiles against.
+// dispatch path (Policy::select_direct) compiles against.
 //
 // Memory layout: the per-server hot fields — queue length, position in
 // the by-level permutation, and the intrusive idle-FIFO links — live in
@@ -14,15 +14,13 @@
 // (block starts, block sizes) stay separate: they are indexed by queue
 // length, tiny under any stable load, and effectively cache-resident.
 //
-// The class is `final` and implements QueueHistogramView, so calls
-// through a concrete `const LevelDirectory&` devirtualize and inline;
-// only the generic QueueHistogramView path pays virtual dispatch.
+// The class is `final` and has no virtual functions, so every accessor
+// inlines into the policies' dispatch code.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/policy.h"
 #include "sim/rng.h"
 #include "util/prefetch.h"
 #include "util/require.h"
@@ -33,28 +31,45 @@ namespace rlb::sim {
 /// blocks, one block per queue length; moving a server between adjacent
 /// levels is a swap-to-boundary plus two counter updates. Level-0 servers
 /// are additionally threaded onto an intrusive doubly-linked FIFO in
-/// became-idle order (server-index order at time zero), reproducing the
-/// legacy dispatcher's I-queue contract for JIQ — but with O(1) removal
-/// where the legacy vector pays an O(N) ordered erase.
-class LevelDirectory final : public QueueHistogramView {
+/// became-idle order (server-index order at time zero): the dispatcher's
+/// I-queue that JIQ reads, with O(1) removal from the middle.
+class LevelDirectory final {
  public:
   explicit LevelDirectory(int servers);
 
-  [[nodiscard]] int servers() const override { return n_; }
-  [[nodiscard]] int max_level() const override { return max_level_; }
-  [[nodiscard]] int count_at(int level) const override {
+  [[nodiscard]] int servers() const { return n_; }
+
+  /// Largest queue length currently held by any server (0 when all idle).
+  [[nodiscard]] int max_level() const { return max_level_; }
+
+  /// Number of servers with queue length EXACTLY `level`; 0 for levels
+  /// above max_level().
+  [[nodiscard]] int count_at(int level) const {
     RLB_REQUIRE(level >= 0, "queue-length level must be non-negative");
     return level < static_cast<int>(count_.size()) ? count_[level] : 0;
   }
-  [[nodiscard]] int idle_count() const override { return count_[0]; }
-  [[nodiscard]] int idle_head() const override { return idle_head_; }
-  [[nodiscard]] int level_of(int server) const override {
-    return rec_[server].level;
+
+  /// Number of idle servers, == count_at(0).
+  [[nodiscard]] int idle_count() const { return count_[0]; }
+
+  /// The idle server that has been idle the longest, -1 when none. The
+  /// I-queue is first-idle-first-out — servers enter at the tail the
+  /// moment their queue empties and leave when a job is dispatched to
+  /// them — and holds the servers in index order at time zero.
+  [[nodiscard]] int idle_head() const { return idle_head_; }
+
+  /// The idle server queued right behind idle `server` in the I-queue,
+  /// -1 at the tail. Walking idle_head() then idle_next() visits the
+  /// idle servers first-idle-first-out.
+  [[nodiscard]] int idle_next(int server) const {
+    return rec_[server].idle_next;
   }
+
+  [[nodiscard]] int level_of(int server) const { return rec_[server].level; }
 
   /// Uniform among the count_at(level) servers at `level` (must be
   /// non-empty); exactly one uniform_int draw.
-  [[nodiscard]] int sample_at_level(int level, Rng& rng) const override {
+  [[nodiscard]] int sample_at_level(int level, Rng& rng) const {
     const int c = count_at(level);
     RLB_REQUIRE(c > 0, "sample_at_level on an empty level");
     return by_level_[offset_[level] +
@@ -62,15 +77,14 @@ class LevelDirectory final : public QueueHistogramView {
                          rng.uniform_int(static_cast<std::uint64_t>(c)))];
   }
 
-  /// O(1) per-rack idle head once arm_racks has run: the slice
-  /// [begin, end) must then be exactly one rack. Unarmed directories fall
-  /// back to the base class's index-order scan. The per-rack FIFOs are
-  /// maintained by the same idle_remove/idle_append calls as the global
-  /// one, so their order is the global I-queue order restricted to the
-  /// rack — first-idle-first-out, server-index order at time zero,
-  /// matching the legacy engine's I-queue slice bit-for-bit.
-  [[nodiscard]] int rack_idle_head(int begin, int end) const override {
-    if (racks_ == 0) return QueueHistogramView::rack_idle_head(begin, end);
+  /// The longest-idle server of the rack [begin, end), -1 when that rack
+  /// has none; O(1). Requires arm_racks, and the slice must be exactly
+  /// one armed rack. The per-rack FIFOs are maintained by the same
+  /// idle_remove/idle_append calls as the global one, so their order is
+  /// the global I-queue order restricted to the rack — first-idle-first-
+  /// out, server-index order at time zero.
+  [[nodiscard]] int rack_idle_head(int begin, int end) const {
+    RLB_REQUIRE(racks_ != 0, "rack_idle_head requires arm_racks");
     RLB_REQUIRE(begin % per_rack_ == 0 && end - begin == per_rack_,
                 "rack_idle_head slice must be one armed rack");
     return rack_head_[begin / per_rack_];
@@ -79,7 +93,7 @@ class LevelDirectory final : public QueueHistogramView {
   /// Thread the level-0 servers onto one idle FIFO per rack (side arrays;
   /// the packed ServerRec stays 16 bytes). Must be called in the initial
   /// all-idle state, before any increment — the per-rack FIFOs then track
-  /// every idle transition. Engines arm this only for locality-aware
+  /// every idle transition. The engine arms this only for locality-aware
   /// policies; blind runs never pay the extra FIFO maintenance.
   void arm_racks(int racks);
 

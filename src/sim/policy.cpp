@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "sim/level_directory.h"
 #include "util/require.h"
@@ -16,9 +15,9 @@ namespace {
 /// (reservoir style: one uniform_int draw per tie encountered). Shared by
 /// SqdPolicy and JbtPolicy's shortest fallback so their tie-breaking —
 /// and RNG consumption — can never diverge. Templated on the
-/// queue-length accessor so the ClusterState, QueueHistogramView, and
-/// concrete LevelDirectory paths run the exact same draws (the
-/// bit-identity contract between the legacy and compact engines).
+/// queue-length accessor so the ClusterState and LevelDirectory paths run
+/// the exact same draws (the bit-identity contract between select and
+/// select_direct).
 template <typename LenFn>
 int shortest_polled_by(const std::vector<int>& polled, Rng& rng,
                        LenFn&& len_of) {
@@ -68,73 +67,56 @@ int jsq_scan_by(int servers, Rng& rng, LenFn&& len_of) {
 }
 
 /// Prefetch the packed records of the polled servers before the
-/// tie-break scan reads them, so the d loads overlap. Only the concrete
-/// directory has addressable per-server records; the virtual view (and
-/// test doubles behind it) take the no-op branch.
-template <typename View>
-void prefetch_polled(const View& view, const std::vector<int>& polled) {
-  if constexpr (std::is_same_v<View, LevelDirectory>) {
-    for (int s : polled) view.prefetch_server(s);
-  } else {
-    (void)view;
-    (void)polled;
-  }
+/// tie-break scan reads them, so the d loads overlap.
+void prefetch_polled(const LevelDirectory& dir,
+                     const std::vector<int>& polled) {
+  for (int s : polled) dir.prefetch_server(s);
 }
 
-/// SQ(d)'s dispatch over any histogram-shaped view: poll, prefetch,
-/// shortest with reservoir ties. One template so select_symmetric and
-/// select_direct cannot drift apart.
-template <typename View>
-int sqd_dispatch(const View& view, DistinctSampler& sampler, int d,
+/// SQ(d)'s dispatch over the directory: poll, prefetch, shortest with
+/// reservoir ties.
+int sqd_dispatch(const LevelDirectory& dir, DistinctSampler& sampler, int d,
                  std::vector<int>& polled, Rng& rng) {
   sampler.sample(d, rng, polled);
-  prefetch_polled(view, polled);
+  prefetch_polled(dir, polled);
   return shortest_polled_by(polled, rng,
-                            [&](int s) { return view.level_of(s); });
+                            [&](int s) { return dir.level_of(s); });
 }
 
-/// The minimum occupied queue length of a histogram view: 0 when any
-/// server is idle, else the smallest level with a nonzero count. O(1)
-/// expected — queue lengths are tiny under any stable load.
-template <typename View>
-int min_occupied_level(const View& view) {
-  if (view.idle_count() > 0) return 0;
-  for (int k = 1; k <= view.max_level(); ++k)
-    if (view.count_at(k) > 0) return k;
-  return view.max_level();
+/// The minimum occupied queue length: 0 when any server is idle, else the
+/// smallest level with a nonzero count. O(1) expected — queue lengths are
+/// tiny under any stable load.
+int min_occupied_level(const LevelDirectory& dir) {
+  if (dir.idle_count() > 0) return 0;
+  for (int k = 1; k <= dir.max_level(); ++k)
+    if (dir.count_at(k) > 0) return k;
+  return dir.max_level();
 }
 
-/// JBT(d)'s dispatch over any histogram-shaped view; see sqd_dispatch.
-template <typename View>
-int jbt_dispatch(const View& view, DistinctSampler& sampler, int d,
+/// JBT(d)'s dispatch over the directory; see sqd_dispatch.
+int jbt_dispatch(const LevelDirectory& dir, DistinctSampler& sampler, int d,
                  int threshold, JbtPolicy::Fallback fallback,
                  std::vector<int>& polled, std::vector<int>& below,
                  Rng& rng) {
   sampler.sample(d, rng, polled);
-  prefetch_polled(view, polled);
+  prefetch_polled(dir, polled);
   below.clear();
   for (int s : polled)
-    if (view.level_of(s) < threshold) below.push_back(s);
+    if (dir.level_of(s) < threshold) below.push_back(s);
   if (!below.empty()) return below[rng.uniform_int(below.size())];
   if (fallback == JbtPolicy::Fallback::Random)
     return polled[rng.uniform_int(polled.size())];
   return shortest_polled_by(polled, rng,
-                            [&](int s) { return view.level_of(s); });
+                            [&](int s) { return dir.level_of(s); });
 }
 
 }  // namespace
 
-int Policy::select_symmetric(const QueueHistogramView&, Rng&) {
+int Policy::select_direct(const LevelDirectory&, Rng&) {
   RLB_ASSERT(false, "policy '" + name() +
-                        "' has no symmetric dispatch (symmetric() is "
-                        "false); run it on the legacy engine");
+                        "' has no histogram dispatch (symmetric() is "
+                        "false); the engine must call select");
   return -1;
-}
-
-int Policy::select_direct(const LevelDirectory& dir, Rng& rng) {
-  // LevelDirectory is-a QueueHistogramView, so any policy with only the
-  // generic symmetric path still runs (paying virtual dispatch).
-  return select_symmetric(dir, rng);
 }
 
 int ClusterState::idle_servers() const {
@@ -156,7 +138,7 @@ int ClusterState::idle_server(int i) const {
 
 int ClusterState::rack_idle_head(int begin, int end) const {
   // Walk the idle view in its own order, so an engine exposing true
-  // became-idle FIFO order (cluster_sim's I-queue) yields the rack's
+  // became-idle FIFO order (the cluster engine's I-queue) yields the rack's
   // longest-idle server, and the default index-order scan stays the
   // per-rack analogue of idle_server(0).
   const int idle = idle_servers();
@@ -164,12 +146,6 @@ int ClusterState::rack_idle_head(int begin, int end) const {
     const int s = idle_server(i);
     if (s >= begin && s < end) return s;
   }
-  return -1;
-}
-
-int QueueHistogramView::rack_idle_head(int begin, int end) const {
-  for (int s = begin; s < end; ++s)
-    if (level_of(s) == 0) return s;
   return -1;
 }
 
@@ -184,10 +160,6 @@ int SqdPolicy::select(const ClusterState& cluster, Rng& rng) {
   return shortest_polled(cluster, polled_, rng);
 }
 
-int SqdPolicy::select_symmetric(const QueueHistogramView& view, Rng& rng) {
-  return sqd_dispatch(view, sampler_, d_, polled_, rng);
-}
-
 int SqdPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
   return sqd_dispatch(dir, sampler_, d_, polled_, rng);
 }
@@ -199,20 +171,15 @@ int JsqPolicy::select(const ClusterState& cluster, Rng& rng) {
                      [&](int s) { return cluster.queue_length(s); });
 }
 
-int JsqPolicy::select_symmetric(const QueueHistogramView& view, Rng& rng) {
-  return jsq_scan_by(view.servers(), rng,
-                     [&](int s) { return view.level_of(s); });
-}
-
 int JsqPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
   return jsq_scan_by(dir.servers(), rng,
                      [&](int s) { return dir.level_of(s); });
 }
 
 int HistogramJsqPolicy::select(const ClusterState& cluster, Rng& rng) {
-  // Legacy-engine path: same distribution as select_symmetric (uniform
-  // among the servers at the minimum queue length) computed by scan —
-  // min level, count of minima, then the j-th minimum with one draw.
+  // Per-server path: same distribution as select_direct (uniform among
+  // the servers at the minimum queue length) computed by scan — min
+  // level, count of minima, then the j-th minimum with one draw.
   int min_len = cluster.queue_length(0);
   for (int s = 1; s < cluster.servers(); ++s)
     min_len = std::min(min_len, cluster.queue_length(s));
@@ -227,11 +194,6 @@ int HistogramJsqPolicy::select(const ClusterState& cluster, Rng& rng) {
   }
   RLB_ASSERT(false, "histogram-jsq scan lost its minimum");
   return -1;
-}
-
-int HistogramJsqPolicy::select_symmetric(const QueueHistogramView& view,
-                                         Rng& rng) {
-  return view.sample_at_level(min_occupied_level(view), rng);
 }
 
 int HistogramJsqPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
@@ -249,11 +211,6 @@ JiqPolicy::JiqPolicy(int n, int fallback_d) : fallback_(n, fallback_d) {}
 int JiqPolicy::select(const ClusterState& cluster, Rng& rng) {
   if (cluster.idle_servers() > 0) return cluster.idle_server(0);
   return fallback_.select(cluster, rng);
-}
-
-int JiqPolicy::select_symmetric(const QueueHistogramView& view, Rng& rng) {
-  if (view.idle_count() > 0) return view.idle_head();
-  return fallback_.select_symmetric(view, rng);
 }
 
 int JiqPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
@@ -284,11 +241,6 @@ int JbtPolicy::select(const ClusterState& cluster, Rng& rng) {
   return shortest_polled(cluster, polled_, rng);
 }
 
-int JbtPolicy::select_symmetric(const QueueHistogramView& view, Rng& rng) {
-  return jbt_dispatch(view, sampler_, d_, threshold_, fallback_, polled_,
-                      below_, rng);
-}
-
 int JbtPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
   return jbt_dispatch(dir, sampler_, d_, threshold_, fallback_, polled_,
                       below_, rng);
@@ -317,9 +269,9 @@ RackLocalSqdPolicy::RackLocalSqdPolicy(int n, int racks, int d,
 /// Rack-local SQ(d) over any queue-length accessor: poll the home rack,
 /// spill to a cross-rack poll only when every local polled queue is at
 /// least spill_threshold_ long, and only move for a STRICT improvement.
-/// One template (like sqd_dispatch) so the ClusterState, histogram-view,
-/// and concrete-directory paths consume identical RNG draws — the
-/// engines' bit-identity contract extends to the rack variants.
+/// One template so the ClusterState and directory paths consume
+/// identical RNG draws — the bit-identity contract extends to the rack
+/// variants.
 template <typename LenFn>
 int RackLocalSqdPolicy::dispatch(int home_rack, Rng& rng, LenFn&& len_of) {
   const int base = home_rack * per_rack_;
@@ -346,16 +298,6 @@ int RackLocalSqdPolicy::select(const ClusterState& cluster, int home_rack,
                                Rng& rng) {
   return dispatch(home_rack, rng,
                   [&](int s) { return cluster.queue_length(s); });
-}
-
-int RackLocalSqdPolicy::select_symmetric(const QueueHistogramView& view,
-                                         Rng& rng) {
-  return select_symmetric(view, 0, rng);
-}
-
-int RackLocalSqdPolicy::select_symmetric(const QueueHistogramView& view,
-                                         int home_rack, Rng& rng) {
-  return dispatch(home_rack, rng, [&](int s) { return view.level_of(s); });
 }
 
 int RackLocalSqdPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
@@ -393,22 +335,9 @@ int RackJiqPolicy::select(const ClusterState& cluster, int home_rack,
   if (local >= 0) return local;
   // Steal the globally longest-idle server (necessarily cross-rack: the
   // home rack has no idle server) — the first-idle-first-out contract
-  // holds across the steal in both engines.
+  // holds across the steal on both dispatch paths.
   if (cluster.idle_servers() > 0) return cluster.idle_server(0);
   return fallback_.select(cluster, home_rack, rng);
-}
-
-int RackJiqPolicy::select_symmetric(const QueueHistogramView& view, Rng& rng) {
-  return select_symmetric(view, 0, rng);
-}
-
-int RackJiqPolicy::select_symmetric(const QueueHistogramView& view,
-                                    int home_rack, Rng& rng) {
-  const int base = home_rack * per_rack_;
-  const int local = view.rack_idle_head(base, base + per_rack_);
-  if (local >= 0) return local;
-  if (view.idle_count() > 0) return view.idle_head();
-  return fallback_.select_symmetric(view, home_rack, rng);
 }
 
 int RackJiqPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {

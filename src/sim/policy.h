@@ -16,9 +16,10 @@
 
 namespace rlb::sim {
 
-class LevelDirectory;  // sim/level_directory.h — the compact engine's state
+class LevelDirectory;  // sim/level_directory.h — the engine's histogram
 
-/// Read-only view of the cluster that policies may inspect.
+/// Read-only per-server view of the cluster, for identity-aware policies
+/// (round-robin, least-work-left) and test doubles.
 class ClusterState {
  public:
   virtual ~ClusterState() = default;
@@ -33,78 +34,16 @@ class ClusterState {
 
   /// The i-th idle server, 0 <= i < idle_servers(). Index 0 is the head
   /// of the dispatcher's idle queue — first-idle-first-out where the
-  /// simulator tracks becoming-idle order (cluster_sim does), server-index
-  /// order in the default scan.
+  /// simulator tracks becoming-idle order (the cluster engine does),
+  /// server-index order in the default scan.
   [[nodiscard]] virtual int idle_server(int i) const;
 
   /// The longest-idle server with index in [begin, end) — a rack's slice
   /// of the dispatcher's I-queue — or -1 when no server in the range is
   /// idle. The default walks the idle view in its order, so it inherits
   /// whatever ordering idle_server provides (true first-idle-first-out in
-  /// cluster_sim, index order in the default scan). Per-rack JIQ
+  /// the cluster engine, index order in the default scan). Per-rack JIQ
   /// dispatches through this.
-  [[nodiscard]] virtual int rack_idle_head(int begin, int end) const;
-};
-
-/// Compressed cluster state for SYMMETRIC (exchangeable) policies: the
-/// queue-length histogram — how many servers sit at each queue length —
-/// instead of per-server queues. This is the mean-field representation
-/// (the fraction of servers with >= k jobs is the paper's s_k), and it is
-/// what lets the compact engine keep the per-job dispatch cost
-/// independent of the fleet size N.
-///
-/// Server indices still appear in the interface, but only as opaque,
-/// exchangeable handles: `level_of` exists so sampling policies (SQ(d),
-/// JBT) can poll the levels of d uniformly drawn handles with exactly the
-/// legacy engine's random streams, and `sample_at_level` draws a uniform
-/// handle among the servers at one level in O(1). Nothing else about a
-/// server — remaining work, job identities, position — is visible, which
-/// is precisely why the engine behind this view can compress its state.
-///
-/// Every aggregate query is O(1); `level_of` and `sample_at_level` are
-/// O(1) as well (the engine keeps a by-level directory).
-class QueueHistogramView {
- public:
-  virtual ~QueueHistogramView() = default;
-
-  [[nodiscard]] virtual int servers() const = 0;
-
-  /// Largest queue length currently held by any server (0 when all idle).
-  [[nodiscard]] virtual int max_level() const = 0;
-
-  /// Number of servers with queue length EXACTLY `level`; 0 for levels
-  /// above max_level().
-  [[nodiscard]] virtual int count_at(int level) const = 0;
-
-  /// Number of idle servers, == count_at(0), in O(1).
-  [[nodiscard]] virtual int idle_count() const = 0;
-
-  /// The idle server that has been idle the longest, -1 when none.
-  ///
-  /// Ordering contract (identical to ClusterState::idle_server(0), which
-  /// this replaces on the compressed path): the dispatcher's I-queue is
-  /// first-idle-first-out — servers enter at the tail the moment their
-  /// queue empties and leave when a job is dispatched to them — and at
-  /// time zero, when every server is idle, the queue holds the servers
-  /// in server-index order. JIQ's "join the longest-idle server" is
-  /// therefore bit-identical across the legacy and compact engines.
-  [[nodiscard]] virtual int idle_head() const = 0;
-
-  /// Queue length of one server handle, O(1).
-  [[nodiscard]] virtual int level_of(int server) const = 0;
-
-  /// A uniformly random server among the count_at(level) servers at
-  /// `level` (which must be > 0 servers), consuming exactly one
-  /// uniform_int draw. O(1): this is the histogram's replacement for
-  /// "scan all N servers and tie-break among the minima".
-  [[nodiscard]] virtual int sample_at_level(int level, Rng& rng) const = 0;
-
-  /// The longest-idle server with index in [begin, end), -1 when that
-  /// slice holds no idle server. The default scans level_of in index
-  /// order (test doubles); the compact engine's LevelDirectory overrides
-  /// it with O(1) per-rack idle FIFOs whose order matches the legacy
-  /// I-queue exactly (first-idle-first-out, index order at time zero) —
-  /// the per-rack analogue of the idle_head() ordering contract.
   [[nodiscard]] virtual int rack_idle_head(int begin, int end) const;
 };
 
@@ -121,39 +60,32 @@ class Policy {
 
   /// Capability flag: true when the policy's decision depends on the
   /// cluster only through exchangeable queue-length information, i.e. it
-  /// implements select_symmetric. Symmetric policies are eligible for the
-  /// compact (histogram-state) engine; identity-aware policies
-  /// (round-robin, least-work-left) return false and keep the legacy
-  /// per-server ClusterState path.
+  /// implements select_direct. The engine dispatches symmetric policies
+  /// through select_direct and the rest (round-robin, least-work-left)
+  /// through select on its per-server ClusterState view.
   [[nodiscard]] virtual bool symmetric() const { return false; }
 
-  /// Choose the server for an arriving job from compressed state. Only
-  /// called when symmetric() is true; the default throws. For the
-  /// paper's policies the implementation consumes the SAME random draws
-  /// as select() on an identical cluster, so a simulation is
-  /// bit-identical on either engine (the equivalence tests pin this).
-  [[nodiscard]] virtual int select_symmetric(const QueueHistogramView& view,
-                                             Rng& rng);
-
-  /// select_symmetric specialized to the compact engine's concrete
-  /// LevelDirectory. Same decision, same random draws, bit-identical
-  /// result — but the directory accessors devirtualize and inline
-  /// (LevelDirectory is final), so the per-event path pays ONE virtual
-  /// call (this one) instead of one per polled server. The default
-  /// forwards to select_symmetric; the paper's policies override it.
+  /// Choose the server for an arriving job from the engine's queue-length
+  /// histogram. Only called when symmetric() is true; the default throws.
+  /// The directory's accessors inline (LevelDirectory is final), so the
+  /// per-event path pays ONE virtual call (this one). For the paper's
+  /// policies the implementation consumes the SAME random draws as
+  /// select() on an identical cluster, so both paths reach the same
+  /// server (the oracle equivalence tests pin this).
   [[nodiscard]] virtual int select_direct(const LevelDirectory& dir,
                                           Rng& rng);
 
   /// Layout hint, queried once per run, never per event: true when the
   /// policy dispatches to the idle-FIFO head whenever one exists (JIQ).
-  /// Engines that stage memory between events use it to prefetch the
+  /// The engine stages memory between events and uses it to prefetch the
   /// head server's state before the next arrival is even drawn; it never
   /// affects which server is selected.
   [[nodiscard]] virtual bool dispatches_to_idle_head() const { return false; }
 
   /// Capability flag: true when the policy's decision depends on the
-  /// arriving job's home rack (docs/TOPOLOGY.md). Engines running a
-  /// racked topology draw one home rack per arrival and route the
+  /// arriving job's home rack (docs/TOPOLOGY.md). The engine arms the
+  /// directory's per-rack idle FIFOs for such a policy, and under a
+  /// racked topology draws one home rack per arrival and routes the
   /// dispatch through the rack-aware select overloads below.
   [[nodiscard]] virtual bool locality_aware() const { return false; }
 
@@ -163,8 +95,8 @@ class Policy {
   /// otherwise silently corrupt the policy's rack arithmetic.
   [[nodiscard]] virtual int required_racks() const { return 0; }
 
-  /// Rack-aware select variants, one per engine path. Engines call these
-  /// (instead of the overloads above) whenever the run's topology is
+  /// Rack-aware select variants, one per dispatch path. The engine calls
+  /// these (instead of the overloads above) whenever the run's topology is
   /// observable — racks > 1 with a penalty or a locality-aware policy —
   /// passing the arriving job's home rack. The defaults forward to the
   /// topology-blind overloads, so blind policies under a penalized
@@ -174,11 +106,6 @@ class Policy {
                                    Rng& rng) {
     (void)home_rack;
     return select(cluster, rng);
-  }
-  [[nodiscard]] virtual int select_symmetric(const QueueHistogramView& view,
-                                             int home_rack, Rng& rng) {
-    (void)home_rack;
-    return select_symmetric(view, rng);
   }
   [[nodiscard]] virtual int select_direct(const LevelDirectory& dir,
                                           int home_rack, Rng& rng) {
@@ -194,7 +121,6 @@ class SqdPolicy final : public Policy {
   SqdPolicy(int n, int d);
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Policy> clone() const override {
@@ -208,15 +134,14 @@ class SqdPolicy final : public Policy {
 };
 
 /// JSQ = SQ(N), implemented with a full scan (no sampling overhead).
-/// select_symmetric runs the same scan over levels — bit-identical with
-/// the legacy path but still O(N) per arrival (JSQ inherently consumes
-/// full-fleet information). For O(1) JSQ dispatch at fleet scale, use
+/// select_direct runs the same scan over levels — bit-identical with
+/// select but still O(N) per arrival (JSQ inherently consumes full-fleet
+/// information). For O(1) JSQ dispatch at fleet scale, use
 /// HistogramJsqPolicy.
 class JsqPolicy final : public Policy {
  public:
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   [[nodiscard]] std::string name() const override { return "jsq"; }
   [[nodiscard]] std::unique_ptr<Policy> clone() const override {
@@ -226,7 +151,7 @@ class JsqPolicy final : public Policy {
 
 /// JSQ through the histogram: join a uniformly random server among those
 /// at the minimum occupied queue length, in O(1) via
-/// QueueHistogramView::sample_at_level. The selected server is
+/// LevelDirectory::sample_at_level. The selected server is
 /// distributed EXACTLY like JsqPolicy's scan (uniform among the minima),
 /// but with one RNG draw instead of one per tie — so the two are
 /// statistically interchangeable while their sample paths differ. This is
@@ -235,7 +160,6 @@ class HistogramJsqPolicy final : public Policy {
  public:
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   [[nodiscard]] std::string name() const override { return "jsq-h"; }
   [[nodiscard]] std::unique_ptr<Policy> clone() const override {
@@ -266,7 +190,6 @@ class JiqPolicy final : public Policy {
   explicit JiqPolicy(int n, int fallback_d = 1);
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   [[nodiscard]] bool dispatches_to_idle_head() const override { return true; }
   [[nodiscard]] std::string name() const override;
@@ -293,7 +216,6 @@ class JbtPolicy final : public Policy {
             Fallback fallback = Fallback::Shortest);
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::unique_ptr<Policy> clone() const override {
@@ -330,9 +252,6 @@ class RackLocalSqdPolicy final : public Policy {
   int select(const ClusterState& cluster, Rng& rng) override;
   int select(const ClusterState& cluster, int home_rack, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
-  int select_symmetric(const QueueHistogramView& view, int home_rack,
-                       Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, int home_rack,
                     Rng& rng) override;
@@ -361,8 +280,8 @@ class RackLocalSqdPolicy final : public Policy {
 /// idle FIFO per rack and sends each arrival to its HOME rack's head.
 /// When the home rack has no idle server the policy STEALS the
 /// longest-idle server anywhere — the global I-queue head, preserving
-/// the first-idle-first-out contract across the steal (both engines
-/// agree on the steal order bit-for-bit; the lockstep audit test pins
+/// the first-idle-first-out contract across the steal (both dispatch
+/// paths agree on the steal order bit-for-bit; the oracle audit test pins
 /// it). When no server in the cluster is idle at all, the arrival falls
 /// back to rack-local SQ(fallback_d) polling.
 ///
@@ -376,9 +295,6 @@ class RackJiqPolicy final : public Policy {
   int select(const ClusterState& cluster, Rng& rng) override;
   int select(const ClusterState& cluster, int home_rack, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
-  int select_symmetric(const QueueHistogramView& view, Rng& rng) override;
-  int select_symmetric(const QueueHistogramView& view, int home_rack,
-                       Rng& rng) override;
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
   int select_direct(const LevelDirectory& dir, int home_rack,
                     Rng& rng) override;

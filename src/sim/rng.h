@@ -43,8 +43,7 @@ class Rng {
 /// at n = 10^6, and every policy clone owns one); instead the sampler
 /// exploits that the permutation is the identity at the start of every
 /// call, so only the <= 2d slots the partial shuffle touches need
-/// tracking. Same draws, same outputs as the materialized version —
-/// bit-identity across the engines is unaffected.
+/// tracking. Same draws, same outputs as the materialized version.
 class DistinctSampler {
  public:
   explicit DistinctSampler(int n);

@@ -94,13 +94,6 @@ class BatchMeans {
   /// stop a run that has no interval yet.
   [[nodiscard]] double half_width_or_infinity(double confidence) const;
 
-  /// Deprecated spelling of half_width(0.95): the implicit level made the
-  /// statistics contract ambiguous once --confidence became a knob.
-  [[deprecated("use half_width(confidence)")]] [[nodiscard]] double
-  ci95_halfwidth() const {
-    return half_width(0.95);
-  }
-
   /// Checkpoint / restore (exact round trip; see BatchMeansState).
   [[nodiscard]] BatchMeansState state() const;
   static BatchMeans from_state(const BatchMeansState& s);
@@ -155,12 +148,6 @@ class WeightedBatchMeans {
 /// else throws — the tables are the documented statistics contract
 /// (docs/PRECISION.md), not an approximation surface.
 double t_quantile(double confidence, std::uint64_t df);
-
-/// Deprecated spelling of t_quantile(0.95, df).
-[[deprecated("use t_quantile(confidence, df)")]] inline double t_quantile_95(
-    std::uint64_t df) {
-  return t_quantile(0.95, df);
-}
 
 /// Checkpoint of a ReservoirQuantiles: the retained sample, the stream
 /// count it represents, and the sampler's RNG state, so a restored

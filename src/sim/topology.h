@@ -7,12 +7,12 @@
 // deviation from the symmetric model: R equal racks and a cross-rack
 // penalty, expressed as added latency, a service-capacity factor, or
 // both. The paper's bounds are exactly the racks == 1 / zero-penalty
-// limit, which the engines reproduce BIT-FOR-BIT (no rack arithmetic,
+// limit, which the engine reproduces BIT-FOR-BIT (no rack arithmetic,
 // no extra RNG draws — tests pin this).
 //
 // Penalty semantics: each arrival carries a HOME rack, drawn uniformly
 // by the engine (one uniform_int draw per arrival, taken right after the
-// service-time sample so both engines stay in lockstep). A job
+// service-time sample; the test oracle draws it at the same point). A job
 // dispatched to a server outside its home rack is served as
 //
 //   service_time  =  service_time / cross_capacity + cross_latency
@@ -24,7 +24,7 @@
 // Rack-local dispatch is never penalized.
 //
 // The home-rack draw is skipped entirely — preserving bit-identity with
-// the topology-blind engines — unless the run can observe it: racks > 1
+// a topology-blind run — unless the run can observe it: racks > 1
 // AND (the penalty is non-zero OR the policy is locality-aware).
 #pragma once
 

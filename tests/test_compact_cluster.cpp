@@ -1,6 +1,8 @@
 #include "sim/compact_cluster.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -9,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_cluster_engine.h"
 #include "sim/cluster_sim.h"
+#include "sim/replica.h"
 #include "sqd/exact_reference.h"
 #include "util/thread_budget.h"
 
@@ -120,7 +124,7 @@ TEST(LevelDirectory, RandomizedStressMatchesReferenceModel) {
   // check, against a naive reference (a level array plus an idle deque),
   // every observable the public API exposes — per-server levels, counts,
   // block partition, max level, and the FULL idle-FIFO order, head to
-  // tail, via increment/decrement round trips on a probe copy.
+  // tail, walked through idle_next and drained at the end.
   const int n = 64;
   LevelDirectory dir(n);
   std::vector<int> ref_level(n, 0);
@@ -160,6 +164,11 @@ TEST(LevelDirectory, RandomizedStressMatchesReferenceModel) {
         ASSERT_EQ(dir.level_of(dir.at(k, i)), k);
     }
     ASSERT_EQ(total, n);
+    // The whole I-queue, head to tail, through idle_next.
+    std::vector<int> fifo;
+    for (int v = dir.idle_head(); v >= 0; v = dir.idle_next(v))
+      fifo.push_back(v);
+    ASSERT_EQ(fifo, std::vector<int>(ref_idle.begin(), ref_idle.end()));
   }
 
   // Drain the idle FIFO by busying its head repeatedly: the heads must
@@ -202,16 +211,23 @@ TEST(LevelDirectory, ArmedRackFifosTrackBecameIdleOrderPerRack) {
   EXPECT_EQ(dir.idle_head(), 3);  // global FIFO unaffected: 3 idled first
 }
 
-TEST(LevelDirectory, ArmRacksValidatesAndUnarmedFallsBack) {
+TEST(LevelDirectory, ArmRacksValidatesAndUnarmedRefuses) {
   LevelDirectory dir(6);
   EXPECT_THROW(dir.arm_racks(4), std::invalid_argument);  // 6 % 4 != 0
   EXPECT_THROW(dir.arm_racks(0), std::invalid_argument);
   dir.increment(0);
   EXPECT_THROW(dir.arm_racks(2), std::invalid_argument);  // not all idle
-  // Unarmed directories answer through the base index-order scan.
+  // An unarmed directory has no per-rack FIFOs to answer from.
   EXPECT_EQ(dir.racks(), 0);
-  EXPECT_EQ(dir.rack_idle_head(0, 3), 1);
-  EXPECT_EQ(dir.rack_idle_head(3, 6), 3);
+  EXPECT_THROW(static_cast<void>(dir.rack_idle_head(0, 3)),
+               std::invalid_argument);
+  // One rack is the whole I-queue.
+  LevelDirectory one(4);
+  one.arm_racks(1);
+  for (int s : {0, 1}) one.increment(s);
+  one.decrement(0);
+  EXPECT_EQ(one.rack_idle_head(0, 4), one.idle_head());
+  EXPECT_EQ(one.rack_idle_head(0, 4), 2);
 }
 
 TEST(LevelDirectory, RandomizedRackFifosMatchReferenceModel) {
@@ -248,18 +264,132 @@ TEST(LevelDirectory, RandomizedRackFifosMatchReferenceModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: compact must be bit-identical to legacy.
+// Engine equivalence: CompactClusterEngine must be bit-identical to the
+// per-server oracle (reference_cluster_engine.h), replica by replica.
 
-ClusterResult run_with_engine(ClusterEngine engine, Policy& policy, int n,
-                              int replicas = 1, int threads = 1,
-                              std::uint64_t jobs = 60'000) {
+/// The bit pattern of a double: equality here is bitwise, stricter than
+/// == (which equates -0.0 and 0.0).
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+void expect_same_moments(const MomentsState& a, const MomentsState& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.count, b.count) << label;
+  EXPECT_EQ(bits(a.mean), bits(b.mean)) << label;
+  EXPECT_EQ(bits(a.m2), bits(b.m2)) << label;
+  EXPECT_EQ(bits(a.min), bits(b.min)) << label;
+  EXPECT_EQ(bits(a.max), bits(b.max)) << label;
+}
+
+/// Every raw statistic a replica accumulates, compared bitwise.
+void expect_identical(const ClusterAccum& a, const ClusterAccum& b,
+                      const std::string& label) {
+  expect_same_moments(a.sojourn_stats.state(), b.sojourn_stats.state(),
+                      label + " sojourn");
+  expect_same_moments(a.wait_stats.state(), b.wait_stats.state(),
+                      label + " wait");
+  const BatchMeansState ca = a.sojourn_ci.state();
+  const BatchMeansState cb = b.sojourn_ci.state();
+  EXPECT_EQ(ca.batch_size, cb.batch_size) << label;
+  EXPECT_EQ(ca.in_batch, cb.in_batch) << label;
+  EXPECT_EQ(bits(ca.batch_sum), bits(cb.batch_sum)) << label;
+  expect_same_moments(ca.batch_means, cb.batch_means, label + " batches");
+  const ReservoirState qa = a.sojourn_quantiles.state();
+  const ReservoirState qb = b.sojourn_quantiles.state();
+  EXPECT_EQ(qa.seen, qb.seen) << label;
+  EXPECT_EQ(qa.rng_state, qb.rng_state) << label;
+  ASSERT_EQ(qa.sample.size(), qb.sample.size()) << label;
+  for (std::size_t i = 0; i < qa.sample.size(); ++i)
+    ASSERT_EQ(bits(qa.sample[i]), bits(qb.sample[i])) << label << " " << i;
+  EXPECT_EQ(bits(a.area_jobs), bits(b.area_jobs)) << label;
+  EXPECT_EQ(bits(a.busy_area), bits(b.busy_area)) << label;
+  EXPECT_EQ(bits(a.window), bits(b.window)) << label;
+  EXPECT_EQ(bits(a.sim_time), bits(b.sim_time)) << label;
+  EXPECT_EQ(a.sla_violations, b.sla_violations) << label;
+  ASSERT_EQ(a.windowed_sojourn.has_value(), b.windowed_sojourn.has_value())
+      << label;
+  if (!a.windowed_sojourn) return;
+  ASSERT_EQ(a.windowed_sojourn->windows(), b.windowed_sojourn->windows())
+      << label;
+  for (std::size_t w = 0; w < a.windowed_sojourn->windows(); ++w) {
+    expect_same_moments(a.windowed_sojourn->window(w).state(),
+                        b.windowed_sojourn->window(w).state(),
+                        label + " window " + std::to_string(w));
+    ASSERT_EQ(a.windowed_p99->count(w), b.windowed_p99->count(w)) << label;
+    if (a.windowed_p99->count(w) > 0) {
+      EXPECT_EQ(bits(a.windowed_p99->quantile(w, 0.99)),
+                bits(b.windowed_p99->quantile(w, 0.99)))
+          << label << " window " << w;
+    }
+  }
+}
+
+/// One replica on `Engine`, set up exactly as simulate_cluster sets one
+/// up: fresh, reset clones of the policy and the arrival process.
+template <typename Engine>
+ClusterAccum run_replica(const ClusterConfig& cfg, const Policy& policy,
+                         const ArrivalProcess& arrivals,
+                         const Distribution& service, std::uint64_t jobs,
+                         std::uint64_t warmup, std::uint64_t batch,
+                         std::uint64_t seed) {
+  const auto replica_policy = policy.clone();
+  const auto replica_arrivals = arrivals.clone();
+  replica_policy->reset();
+  replica_arrivals->reset();
+  Engine engine(cfg, jobs, warmup, batch, seed, *replica_policy,
+                *replica_arrivals, service);
+  return engine.run();
+}
+
+/// Runs every replica of cfg's replica plan (jobs, warmup and seed split
+/// as simulate_cluster splits them) on the oracle and on the engine, and
+/// compares each pair bitwise.
+void expect_engines_agree(const ClusterConfig& cfg, const Policy& policy,
+                          const ArrivalProcess& arrivals,
+                          const Distribution& service,
+                          const std::string& label) {
+  const ReplicaPlan plan =
+      ReplicaPlan::split(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
+  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  for (int r = 0; r < plan.replicas; ++r) {
+    const std::uint64_t seed = replica_seed(plan.base_seed, r);
+    const ClusterAccum oracle = run_replica<ReferenceClusterEngine>(
+        cfg, policy, arrivals, service, plan.jobs_per_replica, plan.warmup,
+        batch, seed);
+    const ClusterAccum engine = run_replica<CompactClusterEngine>(
+        cfg, policy, arrivals, service, plan.jobs_per_replica, plan.warmup,
+        batch, seed);
+    expect_identical(oracle, engine, label + " replica " + std::to_string(r));
+  }
+}
+
+ClusterConfig base_config(int n, std::uint64_t jobs = 60'000) {
   ClusterConfig cfg;
   cfg.servers = n;
   cfg.jobs = jobs;
   cfg.warmup = jobs / 10;
   cfg.seed = 4242;
+  return cfg;
+}
+
+/// Poisson arrivals at load rho, Exp(1) service, through both engines.
+void expect_engines_agree_mm(const ClusterConfig& cfg, const Policy& policy,
+                             double rho, const std::string& label) {
+  const auto arr = make_exponential(rho * cfg.servers);
+  const auto svc = make_exponential(1.0);
+  RenewalArrivals arrivals(*arr);
+  expect_engines_agree(cfg, policy, arrivals, *svc, label);
+}
+
+/// The engine through the public entry point (validation, replica
+/// sharding, the thread budget).
+ClusterResult run_cluster(Policy& policy, int n, int replicas = 1,
+                          int threads = 1, std::uint64_t jobs = 60'000) {
+  ClusterConfig cfg = base_config(n, jobs);
   cfg.replicas = replicas;
-  cfg.engine = engine;
   const auto arr = make_exponential(0.9 * n);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
@@ -268,19 +398,23 @@ ClusterResult run_with_engine(ClusterEngine engine, Policy& policy, int n,
 
 void expect_identical(const ClusterResult& a, const ClusterResult& b,
                       const std::string& label) {
-  EXPECT_DOUBLE_EQ(a.mean_sojourn, b.mean_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.mean_wait, b.mean_wait) << label;
-  EXPECT_DOUBLE_EQ(a.ci95_sojourn, b.ci95_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.mean_jobs_in_system, b.mean_jobs_in_system) << label;
-  EXPECT_DOUBLE_EQ(a.utilization, b.utilization) << label;
-  EXPECT_DOUBLE_EQ(a.p50_sojourn, b.p50_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.p95_sojourn, b.p95_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.p99_sojourn, b.p99_sojourn) << label;
+  EXPECT_EQ(bits(a.mean_sojourn), bits(b.mean_sojourn)) << label;
+  EXPECT_EQ(bits(a.mean_wait), bits(b.mean_wait)) << label;
+  EXPECT_EQ(bits(a.ci95_sojourn), bits(b.ci95_sojourn)) << label;
+  EXPECT_EQ(bits(a.mean_jobs_in_system), bits(b.mean_jobs_in_system))
+      << label;
+  EXPECT_EQ(bits(a.utilization), bits(b.utilization)) << label;
+  EXPECT_EQ(bits(a.p50_sojourn), bits(b.p50_sojourn)) << label;
+  EXPECT_EQ(bits(a.p95_sojourn), bits(b.p95_sojourn)) << label;
+  EXPECT_EQ(bits(a.p99_sojourn), bits(b.p99_sojourn)) << label;
   EXPECT_EQ(a.jobs_measured, b.jobs_measured) << label;
-  EXPECT_DOUBLE_EQ(a.sim_time, b.sim_time) << label;
+  EXPECT_EQ(bits(a.sim_time), bits(b.sim_time)) << label;
 }
 
-std::vector<std::unique_ptr<Policy>> symmetric_policies(int n) {
+/// Every built-in topology-blind policy: the symmetric ones, which the
+/// engine dispatches through select_direct, and the identity-aware
+/// round-robin and least-work, which it dispatches through select.
+std::vector<std::unique_ptr<Policy>> blind_policies(int n) {
   std::vector<std::unique_ptr<Policy>> out;
   out.push_back(std::make_unique<SqdPolicy>(n, 1));
   out.push_back(std::make_unique<SqdPolicy>(n, 2));
@@ -289,68 +423,83 @@ std::vector<std::unique_ptr<Policy>> symmetric_policies(int n) {
   out.push_back(std::make_unique<JbtPolicy>(n, 2, 3));
   out.push_back(
       std::make_unique<JbtPolicy>(n, 2, 3, JbtPolicy::Fallback::Random));
+  out.push_back(std::make_unique<RoundRobinPolicy>());
+  out.push_back(std::make_unique<LeastWorkLeftPolicy>());
   return out;
 }
 
 TEST(CompactCluster, BitIdenticalToLegacyForSymmetricPolicies) {
   const int n = 8;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy = run_with_engine(ClusterEngine::kLegacy, *policy, n);
-    const auto compact = run_with_engine(ClusterEngine::kCompact, *policy, n);
-    expect_identical(legacy, compact, policy->name());
-  }
+  for (const auto& policy : blind_policies(n))
+    expect_engines_agree_mm(base_config(n), *policy, 0.9, policy->name());
 }
 
 TEST(CompactCluster, BitIdenticalToLegacyAtLargerFleet) {
   // Re-pin the equivalence at a fleet large enough that the packed
-  // directory's blocks span many cache lines and the calendar resizes
-  // through several doublings — sizes where a layout bug that preserves
+  // directory's blocks span many cache lines and the event heap is
+  // several levels deep — sizes where a layout bug that preserves
   // small-n behavior would surface.
   const int n = 96;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy =
-        run_with_engine(ClusterEngine::kLegacy, *policy, n, 1, 1, 120'000);
-    const auto compact =
-        run_with_engine(ClusterEngine::kCompact, *policy, n, 1, 1, 120'000);
-    expect_identical(legacy, compact, policy->name() + " n=96");
-  }
+  for (const auto& policy : blind_policies(n))
+    expect_engines_agree_mm(base_config(n, 120'000), *policy, 0.9,
+                            policy->name() + " n=96");
 }
 
 TEST(CompactCluster, BitIdenticalAcrossReplicasAndThreads) {
+  // Each replica of a 3-replica plan matches the oracle; and the merged
+  // result is the same on 1 and 4 threads.
   const int n = 6;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy =
-        run_with_engine(ClusterEngine::kLegacy, *policy, n, 3, 1);
-    const auto compact =
-        run_with_engine(ClusterEngine::kCompact, *policy, n, 3, 4);
-    expect_identical(legacy, compact, policy->name() + " r=3");
+  for (const auto& policy : blind_policies(n)) {
+    ClusterConfig cfg = base_config(n);
+    cfg.replicas = 3;
+    expect_engines_agree_mm(cfg, *policy, 0.9, policy->name() + " r=3");
+    expect_identical(run_cluster(*policy, n, 3, 1),
+                     run_cluster(*policy, n, 3, 4),
+                     policy->name() + " r=3 threads");
   }
 }
 
 TEST(CompactCluster, BitIdenticalWithHeterogeneousSpeeds) {
-  // Speeds shape service times identically on both engines (the policy's
-  // information is still exchangeable queue lengths).
+  // Speeds shape service times identically on both engines; least-work
+  // reads them back through remaining_work.
   const int n = 4;
-  ClusterConfig cfg;
-  cfg.servers = n;
-  cfg.jobs = 50'000;
-  cfg.warmup = 5'000;
+  ClusterConfig cfg = base_config(n, 50'000);
   cfg.seed = 777;
   cfg.server_speeds = {2.0, 1.0, 1.0, 0.5};
-  const auto arr = make_exponential(0.8 * n);
-  const auto svc = make_exponential(1.0);
-  SqdPolicy policy(n, 2);
-  cfg.engine = ClusterEngine::kLegacy;
-  const auto legacy = simulate_cluster(cfg, policy, *arr, *svc);
-  cfg.engine = ClusterEngine::kCompact;
-  const auto compact = simulate_cluster(cfg, policy, *arr, *svc);
-  expect_identical(legacy, compact, "sq(2) hetero");
+  for (const auto& policy : blind_policies(n))
+    expect_engines_agree_mm(cfg, *policy, 0.8, policy->name() + " hetero");
+}
+
+/// The adaptive round driver over `Engine`, with the replicas set up as
+/// simulate_cluster_adaptive sets them up.
+template <typename Engine>
+ClusterAccum run_adaptive(const ClusterConfig& cfg, const Policy& policy,
+                          const ArrivalProcess& arrivals,
+                          const Distribution& service,
+                          const AdaptivePlan& plan, AdaptiveReport& report) {
+  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  rlb::util::ThreadBudget budget(2);
+  return run_replicas_adaptive<ClusterAccum>(
+      plan, budget,
+      [&](int, std::uint64_t seed, std::uint64_t jobs, std::uint64_t warmup) {
+        return run_replica<Engine>(cfg, policy, arrivals, service, jobs,
+                                   warmup, batch, seed);
+      },
+      [](ClusterAccum& into, const ClusterAccum& from) { into.merge(from); },
+      [&](const ClusterAccum& merged) {
+        return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
+      },
+      report);
 }
 
 TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
+  // Every round's replicas (their budgets, warmups and seeds set by the
+  // geometric planner), and hence the stopping decision, must agree bit
+  // for bit.
   const int n = 5;
   const auto arr = make_exponential(0.85 * n);
   const auto svc = make_exponential(1.0);
+  RenewalArrivals arrivals(*arr);
   AdaptivePlan plan;
   plan.replicas = 2;
   plan.target_ci = 0.05;
@@ -360,60 +509,114 @@ TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   plan.base_seed = 99;
   ClusterConfig cfg;
   cfg.servers = n;
-  cfg.seed = 99;
-  JiqPolicy policy(n);
-  cfg.engine = ClusterEngine::kLegacy;
-  const auto legacy = simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, plan, rlb::util::ThreadBudget::serial());
-  cfg.engine = ClusterEngine::kCompact;
-  rlb::util::ThreadBudget budget(4);
-  const auto compact =
-      simulate_cluster_adaptive(cfg, policy, *arr, *svc, plan, budget);
-  expect_identical(legacy, compact, "jiq adaptive");
-  EXPECT_EQ(legacy.adaptive.jobs_used, compact.adaptive.jobs_used);
-  EXPECT_EQ(legacy.adaptive.rounds, compact.adaptive.rounds);
-  EXPECT_DOUBLE_EQ(legacy.adaptive.half_width, compact.adaptive.half_width);
+  for (const auto& policy : blind_policies(n)) {
+    AdaptiveReport oracle_report, engine_report;
+    const ClusterAccum oracle = run_adaptive<ReferenceClusterEngine>(
+        cfg, *policy, arrivals, *svc, plan, oracle_report);
+    const ClusterAccum engine = run_adaptive<CompactClusterEngine>(
+        cfg, *policy, arrivals, *svc, plan, engine_report);
+    expect_identical(oracle, engine, policy->name() + " adaptive");
+    EXPECT_EQ(oracle_report.rounds, engine_report.rounds) << policy->name();
+    EXPECT_EQ(oracle_report.jobs_used, engine_report.jobs_used)
+        << policy->name();
+    EXPECT_EQ(bits(oracle_report.half_width), bits(engine_report.half_width))
+        << policy->name();
+  }
 }
 
-TEST(CompactCluster, AutoSelectsCompactForSymmetricPolicies) {
-  // kAuto must equal kCompact for a symmetric policy and kLegacy for an
-  // identity-aware one (round-robin still runs, on the legacy engine).
-  const int n = 6;
-  SqdPolicy sqd(n, 2);
-  const auto auto_r = run_with_engine(ClusterEngine::kAuto, sqd, n);
-  const auto compact_r = run_with_engine(ClusterEngine::kCompact, sqd, n);
-  expect_identical(auto_r, compact_r, "sq(2) auto==compact");
-
+TEST(CompactCluster, IdentityAwarePoliciesMatchTheOracleWithEveryFeatureOn) {
+  // Round-robin and least-work read per-server state through the engine's
+  // ClusterState view. Pin them against the oracle with everything that
+  // touches service times or statistics switched on at once: mixed
+  // speeds, a penalized 2-rack topology (home draws, cross-rack service
+  // inflation), lognormal service, bursty MMPP arrivals, time windows,
+  // the SLA counter, and replicas.
+  const int n = 8;
+  ClusterConfig cfg = base_config(n, 40'000);
+  cfg.seed = 2718;
+  cfg.replicas = 2;
+  cfg.server_speeds = {1.5, 1.0, 0.5, 1.0, 2.0, 1.0, 0.75, 1.25};
+  cfg.topology.racks = 2;
+  cfg.topology.cross_latency = 0.3;
+  cfg.topology.cross_capacity = 0.8;
+  cfg.window_width = 50.0;
+  cfg.sla_threshold = 2.5;
+  const auto svc = make_lognormal(1.0, 1.5);
+  const MmppArrivals arrivals = MmppArrivals::bursty(0.75 * n, 1.1, 20.0);
   RoundRobinPolicy rr;
-  const auto rr_auto = run_with_engine(ClusterEngine::kAuto, rr, n);
-  const auto rr_legacy = run_with_engine(ClusterEngine::kLegacy, rr, n);
-  expect_identical(rr_auto, rr_legacy, "round-robin auto==legacy");
+  LeastWorkLeftPolicy lw;
+  for (const Policy* policy : {static_cast<const Policy*>(&rr),
+                               static_cast<const Policy*>(&lw)})
+    expect_engines_agree(cfg, *policy, arrivals, *svc,
+                         policy->name() + " all features");
 }
 
-TEST(CompactCluster, CompactEngineRejectsNonSymmetricPolicies) {
-  RoundRobinPolicy rr;
-  LeastWorkLeftPolicy lwl;
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, rr, 4),
-               std::invalid_argument);
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, lwl, 4),
-               std::invalid_argument);
+/// Records, at every arrival, each server's queue length and remaining
+/// work as the engine reports them, then dispatches by least work.
+/// Clones share the log (the test runs one serial replica per engine).
+class WorkAuditPolicy final : public Policy {
+ public:
+  explicit WorkAuditPolicy(std::vector<std::uint64_t>* log) : log_(log) {}
+  int select(const ClusterState& c, Rng& rng) override {
+    for (int s = 0; s < c.servers(); ++s) {
+      log_->push_back(static_cast<std::uint64_t>(c.queue_length(s)));
+      log_->push_back(bits(c.remaining_work(s)));
+    }
+    return inner_.select(c, rng);
+  }
+  std::string name() const override { return "work-audit"; }
+  std::unique_ptr<Policy> clone() const override {
+    return std::make_unique<WorkAuditPolicy>(*this);
+  }
+
+ private:
+  LeastWorkLeftPolicy inner_;
+  std::vector<std::uint64_t>* log_;
+};
+
+TEST(CompactCluster, RemainingWorkIsBitIdenticalToTheOracleAtEveryArrival) {
+  // The engine keeps least-work's two terms — the head job's completion
+  // time and the work queued behind it, with its rounding residue — in
+  // each server's slot; the oracle keeps them in per-server arrays. Both
+  // must hand the policy the same bits on every arrival.
+  const int n = 10;
+  ClusterConfig cfg = base_config(n, 20'000);
+  cfg.server_speeds = {1.0, 0.5, 2.0, 1.0, 1.5, 0.8, 1.0, 1.2, 0.9, 1.1};
+  const auto arr = make_exponential(0.9 * n);
+  const auto svc = make_lognormal(1.0, 2.0);
+  RenewalArrivals arrivals(*arr);
+  std::vector<std::uint64_t> oracle_log, engine_log;
+  WorkAuditPolicy oracle_policy(&oracle_log), engine_policy(&engine_log);
+  const std::uint64_t batch = 100;
+  (void)run_replica<ReferenceClusterEngine>(cfg, oracle_policy, arrivals,
+                                            *svc, cfg.jobs, cfg.warmup,
+                                            batch, cfg.seed);
+  (void)run_replica<CompactClusterEngine>(cfg, engine_policy, arrivals, *svc,
+                                          cfg.jobs, cfg.warmup, batch,
+                                          cfg.seed);
+  ASSERT_EQ(oracle_log.size(), 2u * n * cfg.jobs);
+  ASSERT_EQ(engine_log.size(), oracle_log.size());
+  for (std::size_t i = 0; i < oracle_log.size(); ++i)
+    ASSERT_EQ(oracle_log[i], engine_log[i])
+        << "arrival " << i / (2 * n) << " server " << (i / 2) % n
+        << (i % 2 == 0 ? " queue length" : " remaining work");
 }
 
 // ---------------------------------------------------------------------------
 // Rack topology (docs/TOPOLOGY.md)
 
-ClusterResult run_topology(ClusterEngine engine, Policy& policy, int n,
-                           const Topology& topo, int replicas = 1,
-                           int threads = 1, double rho = 0.9,
-                           std::uint64_t jobs = 60'000) {
-  ClusterConfig cfg;
-  cfg.servers = n;
-  cfg.jobs = jobs;
-  cfg.warmup = jobs / 10;
-  cfg.seed = 4242;
+ClusterConfig topology_config(int n, const Topology& topo, int replicas = 1,
+                              std::uint64_t jobs = 60'000) {
+  ClusterConfig cfg = base_config(n, jobs);
   cfg.replicas = replicas;
-  cfg.engine = engine;
   cfg.topology = topo;
+  return cfg;
+}
+
+ClusterResult run_topology(Policy& policy, int n, const Topology& topo,
+                           int replicas = 1, int threads = 1,
+                           double rho = 0.9, std::uint64_t jobs = 60'000) {
+  const ClusterConfig cfg = topology_config(n, topo, replicas, jobs);
   const auto arr = make_exponential(rho * n);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
@@ -431,18 +634,14 @@ std::vector<std::unique_ptr<Policy>> rack_policies(int n, int racks) {
 
 TEST(RackTopology, ZeroPenaltyBlindPoliciesMatchTopologyBlindBitForBit) {
   // Racks without a penalty are unobservable to a blind policy: no home
-  // draw happens and every output bit equals the untopologized run —
-  // which is why no committed baseline moves under this PR.
+  // draw happens and every output bit equals the untopologized run.
   const int n = 8;
   Topology racked;
   racked.racks = 4;  // zero penalty
-  for (const auto& policy : symmetric_policies(n)) {
-    for (ClusterEngine engine :
-         {ClusterEngine::kLegacy, ClusterEngine::kCompact}) {
-      const auto blind = run_with_engine(engine, *policy, n);
-      const auto topo = run_topology(engine, *policy, n, racked);
-      expect_identical(blind, topo, policy->name() + " zero-penalty");
-    }
+  for (const auto& policy : blind_policies(n)) {
+    const auto blind = run_cluster(*policy, n);
+    const auto topo = run_topology(*policy, n, racked);
+    expect_identical(blind, topo, policy->name() + " zero-penalty");
   }
 }
 
@@ -454,35 +653,45 @@ TEST(RackTopology, SingleRackPenaltyIsUnobservable) {
   one_rack.cross_latency = 2.0;
   one_rack.cross_capacity = 0.5;
   SqdPolicy sqd(n, 2);
-  const auto blind = run_with_engine(ClusterEngine::kCompact, sqd, n);
-  const auto topo = run_topology(ClusterEngine::kCompact, sqd, n, one_rack);
+  const auto blind = run_cluster(sqd, n);
+  const auto topo = run_topology(sqd, n, one_rack);
   expect_identical(blind, topo, "sq(2) single-rack");
 }
 
+TEST(RackTopology, SingleRackJiqIsPlainJiqBitForBit) {
+  // With one rack the home rack's idle FIFO is the whole I-queue, so
+  // rack-jiq must join the longest-idle server exactly like jiq — on the
+  // engine, whose per-rack FIFOs are armed for any locality-aware policy,
+  // including at racks = 1.
+  const int n = 8;
+  JiqPolicy jiq(n);
+  RackJiqPolicy rack_jiq(n, 1);
+  for (int replicas : {1, 3}) {
+    const auto plain = run_topology(jiq, n, Topology{}, replicas, 1, 0.7);
+    const auto racked = run_topology(rack_jiq, n, Topology{}, replicas, 1, 0.7);
+    expect_identical(plain, racked,
+                     "rack-jiq racks=1 r=" + std::to_string(replicas));
+  }
+}
+
 TEST(RackTopology, CompactBitIdenticalToLegacyForRackPolicies) {
-  // The engine-equivalence contract extends to locality-aware dispatch
-  // under a real penalty: same home draws, same selections, same
-  // penalized service times, bit for bit.
+  // The equivalence contract extends to locality-aware dispatch under a
+  // real penalty: same home draws, same selections, same penalized
+  // service times, bit for bit.
   const int n = 8, racks = 2;
   Topology topo;
   topo.racks = racks;
   topo.cross_latency = 0.5;
-  for (const auto& policy : rack_policies(n, racks)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, topo);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, topo);
-    expect_identical(legacy, compact, policy->name());
-  }
+  for (const auto& policy : rack_policies(n, racks))
+    expect_engines_agree_mm(topology_config(n, topo), *policy, 0.9,
+                            policy->name());
   // Capacity-factor penalties exercise the other penalize() term.
   Topology slow;
   slow.racks = racks;
   slow.cross_capacity = 0.5;
-  for (const auto& policy : rack_policies(n, racks)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, slow);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, slow);
-    expect_identical(legacy, compact, policy->name() + " capacity");
-  }
+  for (const auto& policy : rack_policies(n, racks))
+    expect_engines_agree_mm(topology_config(n, slow), *policy, 0.9,
+                            policy->name() + " capacity");
 }
 
 TEST(RackTopology, BlindPoliciesUnderPenaltyStayEngineIdentical) {
@@ -492,40 +701,34 @@ TEST(RackTopology, BlindPoliciesUnderPenaltyStayEngineIdentical) {
   Topology topo;
   topo.racks = 4;
   topo.cross_latency = 1.0;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, topo);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, topo);
-    expect_identical(legacy, compact, policy->name() + " penalized");
-  }
+  for (const auto& policy : blind_policies(n))
+    expect_engines_agree_mm(topology_config(n, topo), *policy, 0.9,
+                            policy->name() + " penalized");
 }
 
 TEST(RackTopology, RackJiqStealOrderAuditAcrossEngines) {
   // The per-rack JIQ steal contract: when the home rack has no idle
   // server, both engines must steal the GLOBALLY longest-idle server.
-  // Run the policy in lockstep at loads where steals are common (home
-  // racks empty out constantly) and where they are rare, with a penalty
-  // so any divergence in WHICH server was stolen changes the service
-  // time and is caught bit-for-bit; replicas/threads shuffle nothing.
-  const int n = 12, racks = 3;
-  Topology topo;
-  topo.racks = racks;
-  topo.cross_latency = 0.25;
-  for (double rho : {0.6, 0.95}) {
-    RackJiqPolicy policy(n, racks);
-    const auto legacy = run_topology(ClusterEngine::kLegacy, policy, n, topo,
-                                     1, 1, rho, 80'000);
-    const auto compact = run_topology(ClusterEngine::kCompact, policy, n,
-                                      topo, 1, 1, rho, 80'000);
-    expect_identical(legacy, compact,
-                     "rack-jiq steal audit rho=" + std::to_string(rho));
-    const auto sharded = run_topology(ClusterEngine::kCompact, policy, n,
-                                      topo, 4, 4, rho, 80'000);
-    const auto sharded_legacy = run_topology(
-        ClusterEngine::kLegacy, policy, n, topo, 4, 1, rho, 80'000);
-    expect_identical(sharded_legacy, sharded,
-                     "rack-jiq steal audit sharded rho=" +
-                         std::to_string(rho));
+  // Run the policy against the oracle at loads where steals are common
+  // (home racks empty out constantly) and where they are rare, with a
+  // penalty so any divergence in WHICH server was stolen changes the
+  // service time and is caught bit-for-bit, on one and on four replicas.
+  // At racks = 1 the "home rack" is the whole cluster.
+  const int n = 12;
+  for (int racks : {1, 3}) {
+    Topology topo;
+    topo.racks = racks;
+    topo.cross_latency = 0.25;
+    for (double rho : {0.6, 0.95}) {
+      RackJiqPolicy policy(n, racks);
+      const std::string label = "rack-jiq steal audit racks=" +
+                                std::to_string(racks) +
+                                " rho=" + std::to_string(rho);
+      expect_engines_agree_mm(topology_config(n, topo, 1, 80'000), policy,
+                              rho, label);
+      expect_engines_agree_mm(topology_config(n, topo, 4, 80'000), policy,
+                              rho, label + " sharded");
+    }
   }
 }
 
@@ -538,16 +741,14 @@ TEST(RackTopology, PenaltyActuallyHurtsBlindDispatch) {
   topo.racks = 4;
   topo.cross_latency = 2.0;
   SqdPolicy blind(n, 2);
-  const auto base = run_with_engine(ClusterEngine::kCompact, blind, n);
-  const auto hurt = run_topology(ClusterEngine::kCompact, blind, n, topo);
+  const auto base = run_cluster(blind, n);
+  const auto hurt = run_topology(blind, n, topo);
   EXPECT_GT(hurt.mean_sojourn, base.mean_sojourn + 1.0);
   RackLocalSqdPolicy local(n, 4, 2, 0);
   Topology racked_free;
   racked_free.racks = 4;  // zero penalty
-  const auto contained =
-      run_topology(ClusterEngine::kCompact, local, n, topo, 1, 1, 0.7);
-  const auto contained_base =
-      run_topology(ClusterEngine::kCompact, local, n, racked_free, 1, 1, 0.7);
+  const auto contained = run_topology(local, n, topo, 1, 1, 0.7);
+  const auto contained_base = run_topology(local, n, racked_free, 1, 1, 0.7);
   // Same policy, same seeds: zero penalty and huge penalty agree exactly
   // because no dispatch ever leaves its rack.
   expect_identical(contained, contained_base, "no-spill contains penalty");
@@ -565,8 +766,7 @@ TEST(RackTopology, NoSpillZeroPenaltyMatchesTheExactPerRackSolver) {
   Topology topo;
   topo.racks = racks;  // zero penalty
   RackLocalSqdPolicy local(n, racks, d, 0);
-  const auto sim = run_topology(ClusterEngine::kCompact, local, n, topo, 4,
-                                1, rho, 2'000'000);
+  const auto sim = run_topology(local, n, topo, 4, 1, rho, 2'000'000);
   const auto exact = rlb::sqd::solve_exact_truncated(
       rlb::sqd::Params{per, d, rho, 1.0}, 26);
   EXPECT_NEAR(sim.mean_sojourn, exact.mean_delay,
@@ -577,28 +777,23 @@ TEST(RackTopology, ValidatesConfiguration) {
   SqdPolicy sqd(6, 2);
   Topology bad;
   bad.racks = 4;  // 6 % 4 != 0
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, bad),
-               std::invalid_argument);
+  EXPECT_THROW(run_topology(sqd, 6, bad), std::invalid_argument);
   Topology negative;
   negative.cross_latency = -1.0;
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, negative),
-               std::invalid_argument);
+  EXPECT_THROW(run_topology(sqd, 6, negative), std::invalid_argument);
   Topology zero_cap;
   zero_cap.cross_capacity = 0.0;
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, zero_cap),
-               std::invalid_argument);
+  EXPECT_THROW(run_topology(sqd, 6, zero_cap), std::invalid_argument);
   // A rack policy built for 2 racks cannot run on 3 (or on the default
   // single-rack topology).
   RackLocalSqdPolicy rsqd(6, 2, 2);
   Topology three;
   three.racks = 3;
-  EXPECT_THROW(run_topology(ClusterEngine::kCompact, rsqd, 6, three),
-               std::invalid_argument);
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, rsqd, 6),
-               std::invalid_argument);
+  EXPECT_THROW(run_topology(rsqd, 6, three), std::invalid_argument);
+  EXPECT_THROW(run_cluster(rsqd, 6), std::invalid_argument);
   Topology two;
   two.racks = 2;
-  EXPECT_NO_THROW(run_topology(ClusterEngine::kCompact, rsqd, 6, two));
+  EXPECT_NO_THROW(run_topology(rsqd, 6, two));
 }
 
 TEST(CompactCluster, HistogramJsqMatchesJsqStatistically) {
@@ -607,20 +802,26 @@ TEST(CompactCluster, HistogramJsqMatchesJsqStatistically) {
   const int n = 8;
   JsqPolicy jsq;
   HistogramJsqPolicy jsqh;
-  const auto a =
-      run_with_engine(ClusterEngine::kCompact, jsq, n, 1, 1, 300'000);
-  const auto b =
-      run_with_engine(ClusterEngine::kCompact, jsqh, n, 1, 1, 300'000);
+  const auto a = run_cluster(jsq, n, 1, 1, 300'000);
+  const auto b = run_cluster(jsqh, n, 1, 1, 300'000);
   EXPECT_NEAR(a.mean_sojourn, b.mean_sojourn,
               3.0 * (a.ci95_sojourn + b.ci95_sojourn) + 0.01);
-  // And jsq-h itself is engine-bit-identical (its two paths share the
-  // distribution but the ENGINE contract is about one policy run twice).
-  const auto legacy_h =
-      run_with_engine(ClusterEngine::kLegacy, jsqh, n, 1, 1, 60'000);
-  const auto compact_h =
-      run_with_engine(ClusterEngine::kCompact, jsqh, n, 1, 1, 60'000);
-  EXPECT_NEAR(legacy_h.mean_sojourn, compact_h.mean_sojourn,
-              3.0 * (legacy_h.ci95_sojourn + compact_h.ci95_sojourn) + 0.01);
+  // jsq-h's select (the oracle's per-server scan) and select_direct (the
+  // engine's histogram sample) share the distribution but not the
+  // stream, so the two engines agree only statistically here.
+  const ClusterConfig cfg = base_config(n);
+  const auto arr = make_exponential(0.9 * n);
+  const auto svc = make_exponential(1.0);
+  RenewalArrivals arrivals(*arr);
+  const std::uint64_t batch = (cfg.jobs - cfg.warmup) / 30;
+  const ClusterAccum oracle = run_replica<ReferenceClusterEngine>(
+      cfg, jsqh, arrivals, *svc, cfg.jobs, cfg.warmup, batch, cfg.seed);
+  const ClusterAccum engine = run_replica<CompactClusterEngine>(
+      cfg, jsqh, arrivals, *svc, cfg.jobs, cfg.warmup, batch, cfg.seed);
+  EXPECT_NEAR(oracle.sojourn_stats.mean(), engine.sojourn_stats.mean(),
+              3.0 * (oracle.sojourn_ci.half_width(0.95) +
+                     engine.sojourn_ci.half_width(0.95)) +
+                  0.01);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/level_directory.h"
+
 namespace {
 
 using namespace rlb::sim;
@@ -225,44 +227,17 @@ TEST(JbtPolicy, ValidatesParameters) {
   EXPECT_NEAR(counts[1], trials / 2.0, 400);
 }
 
-/// Test double for the compressed-state view: levels given directly;
-/// idle FIFO and within-level sampling use server-index order.
-class FakeHistogramView final : public QueueHistogramView {
- public:
-  explicit FakeHistogramView(std::vector<int> levels)
-      : levels_(std::move(levels)) {}
-  int servers() const override { return static_cast<int>(levels_.size()); }
-  int max_level() const override {
-    int m = 0;
-    for (int l : levels_) m = std::max(m, l);
-    return m;
-  }
-  int count_at(int level) const override {
-    int c = 0;
-    for (int l : levels_)
-      if (l == level) ++c;
-    return c;
-  }
-  int idle_count() const override { return count_at(0); }
-  int idle_head() const override {
-    for (int s = 0; s < servers(); ++s)
-      if (levels_[s] == 0) return s;
-    return -1;
-  }
-  int level_of(int server) const override { return levels_[server]; }
-  int sample_at_level(int level, Rng& rng) const override {
-    auto j = rng.uniform_int(static_cast<std::uint64_t>(count_at(level)));
-    for (int s = 0; s < servers(); ++s) {
-      if (levels_[s] != level) continue;
-      if (j == 0) return s;
-      --j;
-    }
-    return -1;
-  }
-
- private:
-  std::vector<int> levels_;
-};
+/// The engine's histogram holding queue lengths `lens`, built with
+/// increment. Servers never incremented keep their time-zero idle order —
+/// index order, as FakeCluster's default idle scan has it. `racks` > 0
+/// arms the per-rack idle FIFOs first.
+LevelDirectory directory_of(const std::vector<int>& lens, int racks = 0) {
+  LevelDirectory dir(static_cast<int>(lens.size()));
+  if (racks > 0) dir.arm_racks(racks);
+  for (std::size_t s = 0; s < lens.size(); ++s)
+    for (int k = 0; k < lens[s]; ++k) dir.increment(static_cast<int>(s));
+  return dir;
+}
 
 TEST(SymmetricDispatch, CapabilityFlagsMatchTheEngineContract) {
   EXPECT_TRUE(SqdPolicy(4, 2).symmetric());
@@ -274,21 +249,22 @@ TEST(SymmetricDispatch, CapabilityFlagsMatchTheEngineContract) {
   EXPECT_FALSE(LeastWorkLeftPolicy().symmetric());
 }
 
-TEST(SymmetricDispatch, DefaultSelectSymmetricRefusesToRun) {
+TEST(SymmetricDispatch, DefaultSelectDirectRefusesToRun) {
   RoundRobinPolicy policy;
-  FakeHistogramView view({0, 0});
+  const LevelDirectory dir = directory_of({0, 0});
   Rng rng(1);
-  EXPECT_THROW((void)policy.select_symmetric(view, rng), std::logic_error);
+  EXPECT_THROW((void)policy.select_direct(dir, rng), std::logic_error);
+  EXPECT_THROW((void)policy.select_direct(dir, 0, rng), std::logic_error);
 }
 
 TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
   // The bit-identity contract at policy level: on equal cluster states,
-  // select and select_symmetric walk the same random stream to the same
+  // select and select_direct walk the same random stream to the same
   // server, for every symmetric policy. (jsq-h is exempt by design: same
   // draw count and distribution, different server mapping.)
   const std::vector<int> lens{2, 0, 1, 2, 0, 3};
   FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  const LevelDirectory dir = directory_of(lens);
   SqdPolicy sqd(6, 3);
   JsqPolicy jsq;
   JiqPolicy jiq(6);
@@ -300,7 +276,7 @@ TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
         static_cast<Policy*>(&jbt_r)}) {
     Rng rng_a(57), rng_b(57);
     for (int i = 0; i < 300; ++i) {
-      EXPECT_EQ(p->select(cluster, rng_a), p->select_symmetric(view, rng_b))
+      EXPECT_EQ(p->select(cluster, rng_a), p->select_direct(dir, rng_b))
           << p->name() << " draw " << i;
     }
     // Streams must stay in lockstep after the selections too.
@@ -310,29 +286,28 @@ TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
 }
 
 TEST(SymmetricDispatch, JiqFallsBackThroughTheViewWhenNoneIdle) {
-  FakeHistogramView view({1, 2, 1, 3});
+  const LevelDirectory dir = directory_of({1, 2, 1, 3});
   JiqPolicy policy(4);  // sq(1) fallback = uniform random
   Rng rng(61);
   std::vector<int> counts(4, 0);
   const int trials = 40000;
-  for (int i = 0; i < trials; ++i)
-    ++counts[policy.select_symmetric(view, rng)];
+  for (int i = 0; i < trials; ++i) ++counts[policy.select_direct(dir, rng)];
   for (int c : counts) EXPECT_NEAR(c, trials / 4.0, 500);
 }
 
 TEST(HistogramJsqPolicy, UniformAmongMinimaOnBothPaths) {
   const std::vector<int> lens{4, 1, 3, 1, 5};
   FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  const LevelDirectory dir = directory_of(lens);
   HistogramJsqPolicy policy;
   Rng rng(67);
-  std::vector<int> scan_counts(5, 0), view_counts(5, 0);
+  std::vector<int> scan_counts(5, 0), dir_counts(5, 0);
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
     ++scan_counts[policy.select(cluster, rng)];
-    ++view_counts[policy.select_symmetric(view, rng)];
+    ++dir_counts[policy.select_direct(dir, rng)];
   }
-  for (const auto& counts : {scan_counts, view_counts}) {
+  for (const auto& counts : {scan_counts, dir_counts}) {
     EXPECT_EQ(counts[0], 0);
     EXPECT_EQ(counts[2], 0);
     EXPECT_EQ(counts[4], 0);
@@ -447,12 +422,12 @@ TEST(RackPolicies, CapabilitiesAndNames) {
 
 TEST(RackDispatch, MatchesSelectDrawForDrawOnTheSameState) {
   // The bit-identity contract extends to the rack-aware overloads: on
-  // equal states (and the same home rack) the legacy and symmetric paths
-  // walk the same random stream to the same server. The fakes agree on
-  // idle order (index order), as the real engines do (I-queue FIFO).
+  // equal states (and the same home rack) the per-server and histogram
+  // paths walk the same random stream to the same server. Both states
+  // hold their idle servers in index order.
   const std::vector<int> lens{2, 0, 1, 2, 0, 3};
   FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  const LevelDirectory dir = directory_of(lens, 2);
   RackLocalSqdPolicy rsqd(6, 2, 2);
   RackLocalSqdPolicy rlocal(6, 2, 2, 0);
   RackJiqPolicy rjiq(6, 2);
@@ -463,7 +438,7 @@ TEST(RackDispatch, MatchesSelectDrawForDrawOnTheSameState) {
     for (int i = 0; i < 300; ++i) {
       const int home = i % 2;
       EXPECT_EQ(p->select(cluster, home, rng_a),
-                p->select_symmetric(view, home, rng_b))
+                p->select_direct(dir, home, rng_b))
           << p->name() << " draw " << i;
     }
     EXPECT_EQ(rng_a.uniform_int(1u << 30), rng_b.uniform_int(1u << 30))

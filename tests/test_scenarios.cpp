@@ -58,14 +58,13 @@ std::vector<QuickScenario> new_scenarios() {
       // so the output is deterministic (the wall-clock column is the one
       // documented exception to the determinism contract).
       {"fleet_scaling",
-       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200",
-        "--crosscheck-n=64", "--crosscheck-jobs=20000"}},
+       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200"}},
       // The realistic-workload pair: heavy-tailed service columns and the
       // windowed / SLA diurnal capacity sweep.
       {"heavy_tail_service", {"--jobs=15000"}},
       {"diurnal_surge", {"--jobs=20000", "--ns=10,14"}},
-      // Racked topology sweep: blind vs locality-aware dispatch across
-      // both engines' rack-aware paths (37 cells, so small per-cell
+      // Racked topology sweep: blind vs locality-aware dispatch through
+      // the engine's rack-aware paths (37 cells, so small per-cell
       // budgets).
       {"rack_locality", {"--jobs=8000"}},
   };
@@ -267,8 +266,7 @@ TEST_F(ScenarioCache, WarmRerunIsByteIdenticalToColdAcrossThreadCounts) {
   const std::vector<QuickScenario> sweeps{
       {"power_of_d", {"--jobs=20000"}},
       {"fleet_scaling",
-       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200",
-        "--crosscheck-n=64", "--crosscheck-jobs=20000"}},
+       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200"}},
   };
   for (const auto& s : sweeps) {
     std::filesystem::remove_all(dir_);

@@ -172,18 +172,6 @@ TEST(TQuantile, RejectsUnsupportedConfidenceLevels) {
   EXPECT_THROW(t_quantile(1.0, 10), std::invalid_argument);
 }
 
-TEST(TQuantile, DeprecatedAliasesKeepTheir95Behaviour) {
-  // The deprecated spellings must stay exact synonyms while call sites
-  // migrate.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_DOUBLE_EQ(rlb::sim::t_quantile_95(7), t_quantile(0.95, 7));
-  BatchMeans bm(2);
-  for (double x : {1.0, 3.0, 5.0, 9.0, 2.0, 4.0}) bm.add(x);
-  EXPECT_DOUBLE_EQ(bm.ci95_halfwidth(), bm.half_width(0.95));
-#pragma GCC diagnostic pop
-}
-
 TEST(BatchMeans, HalfWidthOrderedByConfidence) {
   rlb::sim::Rng rng(91);
   BatchMeans bm(20);
