@@ -1,5 +1,5 @@
-// Scenario "ablation_improved_lower" — Experiment E9, Theorems 2-3
-// ablation: the improved lower bound (scalar rate sigma^N = rho^N) against
+// Scenario "ablation_improved_lower" — Theorems 2-3 ablation: the
+// improved lower bound (scalar rate sigma^N = rho^N) against
 // the generic matrix-geometric solve. Verifies the agreement numerically,
 // reports the speedup from skipping the G/R iteration, and checks
 // sp(R) = rho^N. Each configuration is one sweep cell; the timing columns
@@ -76,7 +76,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   ScenarioOutput out;
   out.preamble =
-      "E9: improved lower bound (Theorem 3) vs generic solve (Theorem 1).";
+      "Theorem 3: improved lower bound vs generic solve (Theorem 1).";
   auto& table = out.add_table(
       "main", {"N", "T", "rho", "block", "generic", "improved", "agree_rel",
                "sp(R)", "rho^N", "t_generic(s)", "t_improved(s)", "speedup"});
@@ -102,7 +102,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "ablation_improved_lower",
-    "E9: improved lower bound (Thm 3) vs generic matrix-geometric solve — "
+    "Theorem 3: improved lower bound vs the generic matrix-geometric solve — "
     "agreement, sp(R) = rho^N, speedup",
     {},
     run}};

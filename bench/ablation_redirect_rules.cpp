@@ -72,7 +72,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   ScenarioOutput out;
   out.preamble =
-      "Ablation: upper-bound arrival redirect rule (minimal phantom vs "
+      "Extension: upper-bound arrival redirect rule (minimal phantom vs "
       "all-servers).";
   auto& table = out.add_table(
       "main", {"N", "T", "rho", "lower", "upper(phantom)", "upper(m+1)"});
@@ -92,8 +92,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "ablation_redirect_rules",
-    "Upper-bound arrival-redirect ablation: minimal phantom rule vs naive "
-    "all-servers rule",
+    "Extension: upper-bound arrival-redirect ablation, minimal phantom rule vs "
+    "naive all-servers rule",
     {},
     run}};
 

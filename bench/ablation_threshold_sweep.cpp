@@ -1,18 +1,27 @@
-// Scenario "ablation_threshold_sweep" — Experiment E8, the
-// accuracy/complexity tradeoff in T (§V, first observation): upper bounds
-// tighten as T grows, but block sizes — and hence the matrix-geometric
-// cost — grow as C(N+T-1, T).
+// Scenario "ablation_threshold_sweep" — the accuracy/complexity tradeoff
+// in T (§V, first observation): upper bounds tighten as T grows, but
+// block sizes — and hence the matrix-geometric cost — grow as
+// C(N+T-1, T).
 //
-// Prints, per T: both bounds, the sandwich width, the exact value (small N
-// reference), block/boundary sizes, and wall-clock solve times (which vary
-// run to run). Each T is one sweep cell.
+// Prints, per T: both bounds, the sandwich width, the lower bound's error
+// against the exact value (small N), block/boundary sizes, and wall-clock
+// solve times (which vary run to run). Each T is one sweep cell. The
+// "reference" table holds the delays the bounds bracket: the exact
+// truncated-CTMC value (N <= 3), the fast simulator's mean with its 95%
+// CI (sharded across --replicas chains), and the N -> infinity
+// approximation (Eq. 16):
+//
+//   rlb_run --scenario=ablation_threshold_sweep --n=6 --rho=0.9 --tmax=3
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "engine/scenario.h"
 #include "qbd/solver.h"
+#include "sim/fast_sqd.h"
+#include "sqd/asymptotic.h"
 #include "sqd/bound_solver.h"
 #include "sqd/exact_reference.h"
 #include "util/table.h"
@@ -42,46 +51,53 @@ struct CellResult {
 };
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 3));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int n = ctx.cli().get_int<int>("n", 3);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.7);
-  const int t_max = static_cast<int>(ctx.cli().get_int("tmax", 6));
+  const auto t_max = ctx.cli().get_int<std::size_t>("tmax", 6);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 1'000'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 1);
   const Params p{n, d, rho, 1.0};
 
   const double exact =
       n <= 3 ? rlb::sqd::solve_exact_truncated(p, 60).mean_delay : -1.0;
 
-  const auto cells = ctx.map<CellResult>(
-      static_cast<std::size_t>(t_max), [&](std::size_t i) {
-        const int t = static_cast<int>(i) + 1;
-        CellResult cell;
-        auto start = std::chrono::steady_clock::now();
-        const auto lower =
-            rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Lower));
-        cell.t_lower = seconds_since(start);
-        cell.lower = lower.mean_delay;
-        cell.block_size = lower.block_size;
-        cell.boundary_size = lower.boundary_size;
-        try {
-          start = std::chrono::steady_clock::now();
-          const auto upper =
-              rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper));
-          cell.t_upper = seconds_since(start);
-          cell.upper = rlb::util::fmt(upper.mean_delay, 5);
-          cell.width =
-              rlb::util::fmt(upper.mean_delay - lower.mean_delay, 5);
-        } catch (const rlb::qbd::UnstableError&) {
-        }
-        return cell;
-      });
+  const auto cells = ctx.map<CellResult>(t_max, [&](std::size_t i) {
+    const int t = static_cast<int>(i) + 1;
+    CellResult cell;
+    auto start = std::chrono::steady_clock::now();
+    const auto lower =
+        rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Lower));
+    cell.t_lower = seconds_since(start);
+    cell.lower = lower.mean_delay;
+    cell.block_size = lower.block_size;
+    cell.boundary_size = lower.boundary_size;
+    try {
+      start = std::chrono::steady_clock::now();
+      const auto upper =
+          rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper));
+      cell.t_upper = seconds_since(start);
+      cell.upper = rlb::util::fmt(upper.mean_delay, 5);
+      cell.width = rlb::util::fmt(upper.mean_delay - lower.mean_delay, 5);
+    } catch (const rlb::qbd::UnstableError&) {
+    }
+    return cell;
+  });
+
+  // The simulated reference: the real system, sharded across --replicas
+  // chains.
+  rlb::sim::FastSqdConfig cfg;
+  cfg.params = p;
+  cfg.jobs = jobs;
+  cfg.warmup = jobs / 10;
+  cfg.seed = rlb::engine::cell_seed(seed, 0);
+  cfg.replicas = ctx.replicas();
+  const auto sim = rlb::sim::simulate_sqd_fast(cfg, ctx.budget());
 
   ScenarioOutput out;
-  out.preamble = "E8: threshold sweep, N = " + std::to_string(n) +
+  out.preamble = "§V: threshold sweep, N = " + std::to_string(n) +
                  ", d = " + std::to_string(d) +
                  ", rho = " + rlb::util::fmt(rho, 2);
-  if (exact > 0)
-    out.preamble +=
-        "\nexact (truncated CTMC): " + rlb::util::fmt(exact, 6);
 
   auto& table = out.add_table(
       "main", {"T", "block", "boundary", "lower", "upper", "width",
@@ -98,17 +114,30 @@ ScenarioOutput run(ScenarioContext& ctx) {
                    err, rlb::util::fmt(cell.t_lower, 3),
                    rlb::util::fmt(cell.t_upper, 3)});
   }
+
+  auto& reference = out.add_table("reference", {"quantity", "mean delay"});
+  reference.add_row({"exact (truncated CTMC)",
+                     exact > 0 ? rlb::util::fmt(exact, 6) : "-"});
+  reference.add_row({"simulation (" + std::to_string(jobs) + " jobs)",
+                     rlb::util::fmt(sim.mean_delay, 4) + " +/- " +
+                         rlb::util::fmt(sim.ci95_delay, 4)});
+  reference.add_row({"asymptotic (Eq. 16)",
+                     rlb::util::fmt(rlb::sqd::asymptotic_delay(rho, d), 4)});
+  out.note("The exact value needs N <= 3; +/- is the 95% CI half-width.");
   return out;
 }
 
 const rlb::engine::ScenarioRegistrar reg{{
     "ablation_threshold_sweep",
-    "E8: accuracy/complexity tradeoff in the threshold T — bound width vs "
-    "block size and solve time",
+    "§V: accuracy/complexity tradeoff in the threshold T — bound width vs "
+    "block size and solve time, against exact, simulated and asymptotic "
+    "delays",
     {{"n", "number of servers", "3"},
      {"d", "polled servers per arrival", "2"},
      {"rho", "utilization", "0.7"},
-     {"tmax", "largest threshold T to solve", "6"}},
+     {"tmax", "largest threshold T to solve", "6"},
+     {"jobs", "jobs for the simulated reference delay", "1000000"},
+     {"seed", "base RNG seed", "1"}},
     run}};
 
 }  // namespace

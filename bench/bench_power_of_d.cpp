@@ -1,4 +1,4 @@
-// Scenario "power_of_d" — Experiment E10, the motivating "power of d"
+// Scenario "power_of_d" — the motivating "power of d"
 // comparison (§I): delay of SQ(1), SQ(2), SQ(5), JSQ and the classic
 // comparators, by discrete-event simulation, plus the paper's bounds for
 // SQ(2). Each (rho, policy) simulation is one sweep cell, so the table
@@ -43,10 +43,9 @@ std::unique_ptr<rlb::sim::Policy> make_policy(int n, std::size_t task) {
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 10));
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 1'000'000));
-  const auto seed = static_cast<std::uint64_t>(ctx.cli().get_int("seed", 777));
+  const int n = ctx.cli().get_int<int>("n", 10);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 1'000'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 777);
   const bool adaptive = ctx.adaptive().enabled();
 
   const std::vector<double> rhos{0.5, 0.7, 0.9, 0.95, 0.99};
@@ -112,7 +111,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
       });
 
   ScenarioOutput out;
-  out.preamble = "E10: the power of d choices, N = " + std::to_string(n) +
+  out.preamble = "§I: the power of d choices, N = " + std::to_string(n) +
                  " servers, M/M service, DES with " +
                  (adaptive ? "adaptive (--target-ci) run lengths"
                            : std::to_string(jobs) + " jobs") +
@@ -154,7 +153,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "power_of_d",
-    "E10: SQ(1/2/5), JSQ, round-robin, least-work delays by DES plus the "
+    "§I: SQ(1/2/5), JSQ, round-robin, least-work delays by DES plus the "
     "paper's SQ(2) bounds",
     {{"n", "number of servers", "10"},
      {"jobs", "simulated jobs per cell", "1000000"},

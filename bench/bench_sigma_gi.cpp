@@ -1,4 +1,4 @@
-// Scenario "sigma_gi" — Experiment E11, Theorem 2 extension: the geometric
+// Scenario "sigma_gi" — Theorem 2 and its extension: the geometric
 // decay parameter sigma for general renewal arrivals (the paper proves
 // pi_{q+1} = sigma^N pi_q for the lower bound model; Theorem 3 specializes
 // sigma = rho for Poisson). Computes sigma across interarrival families
@@ -30,38 +30,37 @@ using namespace rlb::sqd;
 const double kP1 = 0.5 * (1.0 + std::sqrt(3.0 / 5.0));
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 400'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 4242));
+  const int n = ctx.cli().get_int<int>("n", 6);
+  const double rho = ctx.cli().get_double("rho", 0.9);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 400'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 4242);
 
   ScenarioOutput out;
   out.preamble =
-      "E11 (Theorem 2): sigma = root of x = sum_k x^k beta_k for renewal "
+      "Theorem 2: sigma = root of x = sum_k x^k beta_k for renewal "
       "arrivals.\nsigma orders by burstiness: deterministic < erlang < "
       "poisson < hyperexp.";
 
   auto& sigma_table = out.add_table(
       "sigma", {"rho", "deterministic", "erlang(4)", "poisson",
                 "hyperexp(scv=4)"});
-  for (double rho : {0.3, 0.5, 0.7, 0.8, 0.9, 0.95}) {
-    // All with mean interarrival 1/rho (per-server utilization rho, mu=1).
-    const DeterministicInterarrival det(1.0 / rho);
-    const ErlangInterarrival erl(4, 4.0 * rho);
-    const ExponentialInterarrival poi(rho);
-    const HyperExpInterarrival hyp(kP1, 2.0 * kP1 * rho,
-                                   2.0 * (1.0 - kP1) * rho);
+  for (double load : {0.3, 0.5, 0.7, 0.8, 0.9, 0.95}) {
+    // All with mean interarrival 1/load (per-server utilization load, mu=1).
+    const DeterministicInterarrival det(1.0 / load);
+    const ErlangInterarrival erl(4, 4.0 * load);
+    const ExponentialInterarrival poi(load);
+    const HyperExpInterarrival hyp(kP1, 2.0 * kP1 * load,
+                                   2.0 * (1.0 - kP1) * load);
     sigma_table.add_row_numeric(
-        {rho, solve_sigma(det, 1.0).sigma, solve_sigma(erl, 1.0).sigma,
+        {load, solve_sigma(det, 1.0).sigma, solve_sigma(erl, 1.0).sigma,
          solve_sigma(poi, 1.0).sigma, solve_sigma(hyp, 1.0).sigma},
         6);
   }
 
-  // Simulation cross-check: delay of GI/M SQ(2) clusters orders the same
-  // way as sigma. Cells 0-3 are the DES runs; cells 4-6 simulate the lower
-  // bound model itself for the Theorem 2 tail check.
-  const int n = 6;
-  const double rho = 0.9;
+  // Simulation cross-check: delay of GI/M SQ(2) clusters of --n servers at
+  // utilization --rho orders the same way as sigma. Cells 0-3 are the DES
+  // runs; cells 4-6 simulate the lower bound model itself for the
+  // Theorem 2 tail check.
   const double mean_ia = 1.0 / (rho * n);  // cluster-level stream
 
   const int n2 = 2;
@@ -205,9 +204,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "sigma_gi",
-    "E11 (Thm 2): geometric decay sigma for renewal arrivals, with DES and "
+    "Theorem 2: geometric decay sigma for renewal arrivals, with DES and "
     "lower-bound-model cross-checks",
-    {{"jobs", "simulated jobs per DES cell", "400000"},
+    {{"n", "servers in the DES cross-check", "6"},
+     {"rho", "utilization of the DES cross-check", "0.9"},
+     {"jobs", "simulated jobs per DES cell", "400000"},
      {"seed", "base RNG seed; per-cell seeds are derived from it", "4242"}},
     run}};
 

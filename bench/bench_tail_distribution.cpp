@@ -23,14 +23,13 @@ using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 6));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int n = ctx.cli().get_int<int>("n", 6);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.9);
-  const int t = static_cast<int>(ctx.cli().get_int("T", 3));
-  const int kmax = static_cast<int>(ctx.cli().get_int("kmax", 8));
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 4'000'000));
-  const auto seed = static_cast<std::uint64_t>(ctx.cli().get_int("seed", 31));
+  const int t = ctx.cli().get_int<int>("T", 3);
+  const int kmax = ctx.cli().get_int<int>("kmax", 8);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 4'000'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 31);
   const Params p{n, d, rho, 1.0};
 
   // Two independent cells: the analytic tail and the simulation.
@@ -96,8 +95,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "tail_distribution",
-    "Marginal queue-length tails P(Q >= i): simulation vs lower-bound "
-    "closed form vs Mitzenmacher asymptotic",
+    "Extension: marginal queue-length tails P(Q >= i), simulation vs "
+    "lower-bound closed form vs Mitzenmacher asymptotic",
     {{"n", "number of servers", "6"},
      {"d", "polled servers per arrival", "2"},
      {"rho", "utilization", "0.9"},

@@ -31,13 +31,11 @@ struct CellResult {
 };
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 6));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
-  const int t = static_cast<int>(ctx.cli().get_int("T", 3));
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 800'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 1618));
+  const int n = ctx.cli().get_int<int>("n", 6);
+  const int d = ctx.cli().get_int<int>("d", 2);
+  const int t = ctx.cli().get_int<int>("T", 3);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 800'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 1618);
 
   const std::vector<double> rhos{0.5, 0.7, 0.8, 0.9};
   const auto cells = ctx.map<CellResult>(
@@ -118,8 +116,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "waiting_profile",
-    "Waiting-time percentiles: analytic Erlang-mixture profile vs DES "
-    "quantiles across rho",
+    "Extension: waiting-time percentiles, analytic Erlang-mixture profile vs "
+    "DES quantiles across rho",
     {{"n", "number of servers", "6"},
      {"d", "polled servers per arrival", "2"},
      {"T", "bound model threshold", "3"},

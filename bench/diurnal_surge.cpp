@@ -54,18 +54,15 @@ std::vector<int> parse_fleet_sizes(const std::string& spec) {
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 400'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 97531));
+  const int d = ctx.cli().get_int<int>("d", 2);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 400'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 97531);
   const double lambda0 = ctx.cli().get_double("lambda0", 8.0);
   const double amp = ctx.cli().get_double("amp", 0.6);
   const double period = ctx.cli().get_double("period", 400.0);
   const double window = ctx.cli().get_double("window", 50.0);
   const double sla = ctx.cli().get_double("sla", 4.0);
-  const auto max_windows =
-      static_cast<std::size_t>(ctx.cli().get_int("max-windows", 12));
+  const auto max_windows = ctx.cli().get_int<std::size_t>("max-windows", 12);
   const std::string trace_path = ctx.cli().get("trace", "");
   const std::vector<int> fleet =
       parse_fleet_sizes(ctx.cli().get("ns", "10,12,14,16"));
@@ -150,8 +147,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "diurnal_surge",
-    "Capacity sweep under diurnal (sinusoidal or trace-replayed) "
-    "arrivals: SLA violation fraction and per-window p99 vs fleet size",
+    "Extension: capacity sweep under diurnal (sinusoidal or trace-replayed) "
+    "arrivals, SLA violation fraction and per-window p99 vs fleet size",
     {{"d", "polled servers", "2"},
      {"ns", "comma-separated fleet sizes to sweep", "10,12,14,16"},
      {"jobs", "simulated jobs per cell", "400000"},

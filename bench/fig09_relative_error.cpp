@@ -1,4 +1,4 @@
-// Scenario "fig09_relative_error" — Experiments E1/E2, Figure 9(a,b):
+// Scenario "fig09_relative_error" — Figure 9(a,b):
 // relative error (%) of the asymptotic delay formula (Eq. 16) against
 // simulation, as a function of the number of servers N, for d in
 // {2, 5, 10, 25, 50} and rho in {0.75, 0.95}, plus the small-N detail
@@ -69,9 +69,9 @@ CellResult simulate_cell(const ScenarioContext& ctx, const Cell& c,
 
 ScenarioOutput run(ScenarioContext& ctx) {
   const bool full = ctx.cli().get_bool("full");
-  const auto jobs = static_cast<std::uint64_t>(
-      ctx.cli().get_int("jobs", full ? 100'000'000 : 4'000'000));
-  const auto seed = static_cast<std::uint64_t>(ctx.cli().get_int("seed", 42));
+  const auto jobs =
+      ctx.cli().get_int<std::uint64_t>("jobs", full ? 100'000'000 : 4'000'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 42);
   const double only_rho = ctx.cli().get_double("rho", 0.0);
 
   const std::vector<int> choices{2, 5, 10, 25, 50};
@@ -97,7 +97,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   ScenarioOutput out;
   out.preamble =
-      "E1/E2 (Figure 9): accuracy of the N->infinity approximation in "
+      "Fig. 9: accuracy of the N->infinity approximation in "
       "finite regimes.\nExpected shape: errors grow as N shrinks, far "
       "larger at rho=0.95 than rho=0.75,\nand not monotone in d at "
       "moderate load.";
@@ -162,8 +162,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "fig09_relative_error",
-    "E1/E2 (Fig 9): relative error of the asymptotic delay formula vs "
-    "simulation across N and d",
+    "Fig. 9: relative error of the asymptotic delay formula vs simulation "
+    "across N and d",
     {{"jobs", "simulated jobs per cell", "4000000"},
      {"full", "paper scale (1e8 jobs per cell)", "false"},
      {"rho", "restrict to a single utilization (0 = both panels)", "0"},

@@ -1,5 +1,5 @@
-// Scenario "fig10_delay_vs_utilization" — Experiments E3-E6, Figure
-// 10(a-d): average delay vs utilization for SQ(2) with (N, T) in
+// Scenario "fig10_delay_vs_utilization" — Figure 10(a-d): average delay
+// vs utilization for SQ(2) with (N, T) in
 // {(3,2), (3,3), (6,3), (12,3)}. Four series per panel, exactly as in the
 // paper: upper bound, simulation, lower bound, asymptotic result.
 // "unstable" marks utilizations where the upper bound model's drift
@@ -16,6 +16,7 @@
 #include "sim/fast_sqd.h"
 #include "sqd/asymptotic.h"
 #include "sqd/bound_solver.h"
+#include "util/require.h"
 #include "util/table.h"
 
 namespace {
@@ -40,10 +41,9 @@ struct CellResult {
 
 ScenarioOutput run(ScenarioContext& ctx) {
   const bool full = ctx.cli().get_bool("full");
-  const auto jobs = static_cast<std::uint64_t>(
-      ctx.cli().get_int("jobs", full ? 100'000'000 : 2'000'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 5000));
+  const auto jobs =
+      ctx.cli().get_int<std::uint64_t>("jobs", full ? 100'000'000 : 2'000'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 5000);
   const std::string only_panel = ctx.cli().get("panel", "");
 
   std::vector<double> rhos;
@@ -53,8 +53,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
       {'a', 3, 2}, {'b', 3, 3}, {'c', 6, 3}, {'d', 12, 3}};
   std::vector<PanelDef> panels;
   for (const auto& def : all_panels)
-    if (only_panel.empty() || only_panel[0] == def.label)
+    if (only_panel.empty() || only_panel == std::string(1, def.label))
       panels.push_back(def);
+  RLB_REQUIRE(!panels.empty(), "--panel must be a, b, c or d (empty: all)");
 
   const std::size_t per_panel = rhos.size();
   const auto cells = ctx.map<CellResult>(
@@ -101,7 +102,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   ScenarioOutput out;
   out.preamble =
-      "E3-E6 (Figure 10): finite-regime bounds vs simulation vs asymptotics "
+      "Fig. 10: finite-regime bounds vs simulation vs asymptotics "
       "for SQ(2).\nExpected shape: lower bound hugs the simulation "
       "everywhere; the T=2 upper bound\nis loose and goes unstable early; "
       "T=3 is much tighter; the asymptotic curve\nunderestimates at high "
@@ -134,8 +135,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "fig10_delay_vs_utilization",
-    "E3-E6 (Fig 10): SQ(2) delay vs utilization — upper/lower bounds, "
-    "simulation, asymptotic, four (N,T) panels",
+    "Fig. 10: SQ(2) delay vs utilization — upper/lower bounds, simulation, "
+    "asymptotic, four (N,T) panels",
     {{"jobs", "simulated jobs per cell", "2000000"},
      {"full", "paper scale (1e8 jobs per cell)", "false"},
      {"panel", "restrict to one panel a|b|c|d (empty = all)", ""},

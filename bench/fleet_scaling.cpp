@@ -43,17 +43,16 @@ std::unique_ptr<rlb::sim::Policy> make_policy(std::size_t task, int n, int d) {
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int nmin = static_cast<int>(ctx.cli().get_int("nmin", 1'000));
-  const int nmax = static_cast<int>(ctx.cli().get_int("nmax", 1'000'000));
-  const int nstep = static_cast<int>(ctx.cli().get_int("nstep", 10));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int nmin = ctx.cli().get_int<int>("nmin", 1'000);
+  const int nmax = ctx.cli().get_int<int>("nmax", 1'000'000);
+  const int nstep = ctx.cli().get_int<int>("nstep", 10);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.90);
   const auto jobs_per_server =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs-per-server", 20));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 97'531));
-  const bool time = ctx.cli().get_int("time", 0) != 0;
-  const int time_reps = static_cast<int>(ctx.cli().get_int("time-reps", 3));
+      ctx.cli().get_int<std::uint64_t>("jobs-per-server", 20);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 97'531);
+  const bool time = ctx.cli().get_bool("time");
+  const int time_reps = ctx.cli().get_int<int>("time-reps", 3);
 
   RLB_REQUIRE(nmin >= 1 && nmax >= nmin, "need 1 <= nmin <= nmax");
   RLB_REQUIRE(nstep >= 2, "nstep is a multiplier; need nstep >= 2");
@@ -170,8 +169,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "fleet_scaling",
-    "Compact-engine fleet sweep to n = 10^6: delay and per-job cost vs "
-    "fleet size",
+    "Extension: compact-engine fleet sweep to n = 10^6, delay and per-job cost "
+    "vs fleet size",
     {{"nmin", "smallest fleet size", "1000"},
      {"nmax", "largest fleet size", "1000000"},
      {"nstep", "fleet-size multiplier between rows", "10"},

@@ -60,13 +60,11 @@ std::unique_ptr<rlb::sim::Distribution> service_for(
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 8));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int n = ctx.cli().get_int<int>("n", 8);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.85);
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 300'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 24680));
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 300'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 24680);
   const std::string dist = ctx.cli().get("dist", "all");
 
   std::vector<std::string> families;
@@ -168,9 +166,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "heavy_tail_service",
-    "Heavy-tailed service at equal mean load: SQ(d) delay and p99 vs "
-    "Pareto tail index, with moment-matched lognormal/hyperexp columns "
-    "and an exponential cross-check",
+    "Extension: heavy-tailed service at equal mean load, SQ(d) delay and p99 "
+    "vs Pareto tail index, with moment-matched lognormal/hyperexp columns and "
+    "an exponential cross-check",
     {{"n", "number of servers", "8"},
      {"d", "polled servers", "2"},
      {"rho", "utilization (arrival rate is rho*N, mean service 1)", "0.85"},

@@ -1,5 +1,5 @@
-// Experiment E12 — microbenchmarks (google-benchmark) for the numerical
-// kernels and simulators: LU solve, logarithmic reduction, QBD boundary
+// Microbenchmarks (google-benchmark) for the numerical kernels and
+// simulators: LU solve, logarithmic reduction, QBD boundary
 // solve, fast simulator throughput, and the cluster-DES hot paths — the
 // engine's event loop, its departure heap, histogram-directory sampling,
 // and replica-stats merging. CI runs this binary with

@@ -51,13 +51,12 @@ std::unique_ptr<rlb::sim::Policy> make_main_policy(int n, int racks, int d,
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int racks = static_cast<int>(ctx.cli().get_int("racks", 4));
-  const int per = static_cast<int>(ctx.cli().get_int("per-rack", 4));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int racks = ctx.cli().get_int<int>("racks", 4);
+  const int per = ctx.cli().get_int<int>("per-rack", 4);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.85);
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 400'000));
-  const auto seed = static_cast<std::uint64_t>(ctx.cli().get_int("seed", 99));
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 400'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 99);
   const std::string kind = ctx.cli().get("penalty-kind", "latency");
   const bool adaptive = ctx.adaptive().enabled();
 
@@ -264,8 +263,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "rack_locality",
-    "Racked clusters: blind vs locality-aware SQ(d)/JIQ delay and p99 vs "
-    "cross-rack penalty and d, with an exact zero-penalty cross-check",
+    "Extension: racked clusters, blind vs locality-aware SQ(d)/JIQ delay and "
+    "p99 vs cross-rack penalty and d, with an exact zero-penalty cross-check",
     {{"racks", "number of equal racks", "4"},
      {"per-rack", "servers per rack", "4"},
      {"d", "polled servers per dispatch", "2"},

@@ -1,4 +1,4 @@
-// Scenario "logreduction_iters" — Experiment E7, in-text claim (§IV-A):
+// Scenario "logreduction_iters" — the in-text claim of §IV-A:
 // "Latouche and Ramaswami claim that the algorithm to compute G needs only
 // few iterations k. We confirm this to hold for our system configurations,
 // for which the number of iterations is within k = 6."
@@ -68,7 +68,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
       });
 
   ScenarioOutput out;
-  out.preamble = "E7: logarithmic-reduction convergence (paper: k <= 6).";
+  out.preamble = "§IV-A: logarithmic-reduction convergence (paper: k <= 6).";
   auto& table = out.add_table(
       "main", {"model", "N", "d", "T", "rho", "block", "logred_k",
                "residual", "functional_k"});
@@ -95,7 +95,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "logreduction_iters",
-    "E7: logarithmic-reduction iteration counts and residuals across the "
+    "§IV-A: logarithmic-reduction iteration counts and residuals across the "
     "paper's configurations",
     {},
     run}};

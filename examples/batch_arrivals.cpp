@@ -23,13 +23,11 @@ using rlb::engine::ScenarioOutput;
 constexpr std::size_t kKinds = 2;  // geometric, fixed
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 8));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
+  const int n = ctx.cli().get_int<int>("n", 8);
+  const int d = ctx.cli().get_int<int>("d", 2);
   const double rho = ctx.cli().get_double("rho", 0.85);
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 400'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 13579));
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 400'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 13579);
 
   using namespace rlb::sim;
   const std::vector<int> batch_sizes{1, 2, 4, 8};
@@ -106,8 +104,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "batch_arrivals",
-    "Geometric and fixed batch-arrival streams at equal mean load: delay "
-    "and p99 vs batch size under SQ(d)",
+    "Extension: geometric and fixed batch-arrival streams at equal mean load, "
+    "delay and p99 vs batch size under SQ(d)",
     {{"n", "number of servers", "8"},
      {"d", "polled servers", "2"},
      {"rho", "utilization (mean job rate is rho*N)", "0.85"},

@@ -42,8 +42,8 @@ struct CellResult {
 
 ScenarioOutput run(ScenarioContext& ctx) {
   const double slo = ctx.cli().get_double("slo", 1.5);  // mean delay budget
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
-  const int t = static_cast<int>(ctx.cli().get_int("T", 3));
+  const int d = ctx.cli().get_int<int>("d", 2);
+  const int t = ctx.cli().get_int<int>("T", 3);
 
   const std::vector<int> fleet{2, 3, 6, 12};
   const auto cells = ctx.map<CellResult>(
@@ -100,8 +100,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "capacity_planning",
-    "Highest utilization certified under a mean-delay SLO by the bounds, vs "
-    "the asymptotic formula's claim",
+    "Extension: highest utilization certified under a mean-delay SLO by the "
+    "bounds, vs the asymptotic formula's claim",
     {{"slo", "mean delay budget", "1.5"},
      {"d", "polled servers per arrival", "2"},
      {"T", "bound model threshold", "3"}},

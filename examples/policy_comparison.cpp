@@ -5,6 +5,15 @@
 // down the rows and one column per policy, comparable to the fig10 delay
 // curves. Each (rho, policy) simulation is one sweep cell; policy columns
 // share the rho row's random streams (common random numbers).
+//
+// The workload defaults to Poisson arrivals and Exp(1) service. --service
+// takes any sim::parse_distribution spec and --arrival-scv > 1 makes the
+// arrivals bursty (a hyperexponential fitted to the row's mean
+// interarrival time), e.g. a 12-server tier under bursty, heavy-tailed
+// requests:
+//
+//   rlb_run --scenario=policy_comparison --n=12 --d=3
+//           --service=lognormal:mean=1,cv=2 --arrival-scv=4
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -14,6 +23,8 @@
 #include "engine/adaptive_columns.h"
 #include "engine/scenario.h"
 #include "sim/cluster_sim.h"
+#include "sim/distributions.h"
+#include "util/require.h"
 #include "util/table.h"
 
 namespace {
@@ -24,13 +35,15 @@ using rlb::engine::ScenarioOutput;
 constexpr std::size_t kPolicies = 5;  // random, sq(d), jbt, jiq, jsq
 
 ScenarioOutput run(ScenarioContext& ctx) {
-  const int n = static_cast<int>(ctx.cli().get_int("n", 16));
-  const int d = static_cast<int>(ctx.cli().get_int("d", 2));
-  const int jbt_t = static_cast<int>(ctx.cli().get_int("jbt-t", 3));
-  const auto jobs =
-      static_cast<std::uint64_t>(ctx.cli().get_int("jobs", 400'000));
-  const auto seed =
-      static_cast<std::uint64_t>(ctx.cli().get_int("seed", 24680));
+  const int n = ctx.cli().get_int<int>("n", 16);
+  const int d = ctx.cli().get_int<int>("d", 2);
+  const int jbt_t = ctx.cli().get_int<int>("jbt-t", 3);
+  const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 400'000);
+  const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 24680);
+  const std::string service = ctx.cli().get("service", "exp:rate=1");
+  const double arrival_scv = ctx.cli().get_double("arrival-scv", 1.0);
+  RLB_REQUIRE(arrival_scv >= 1.0, "--arrival-scv must be >= 1 (1: Poisson)");
+  (void)rlb::sim::parse_distribution(service);  // reject a bad spec up front
 
   using namespace rlb::sim;
   const std::vector<double> rhos{0.50, 0.70, 0.80, 0.90, 0.95};
@@ -64,6 +77,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
         key.set("jbt-t", jbt_t);
         key.set("jobs", jobs);
         key.set("rho", rhos[i / kPolicies]);
+        key.set("service", service);
+        key.set("arrival-scv", arrival_scv);
         key.set("task", static_cast<std::uint64_t>(i % kPolicies));
         return key;
       },
@@ -77,8 +92,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
         // (common random numbers), isolating the policy effect.
         cfg.seed = rlb::engine::cell_seed(seed, r);
         cfg.replicas = ctx.replicas();
-        const auto arr = make_exponential(rhos[r] * n);
-        const auto svc = make_exponential(1.0);
+        const auto arr =
+            arrival_scv > 1.0
+                ? make_hyperexp_fitted(1.0 / (rhos[r] * n), arrival_scv)
+                : make_exponential(rhos[r] * n);
+        const auto svc = parse_distribution(service);
         const auto policy = make_policy(i % kPolicies);
         rlb::engine::CellRecord rec;
         if (adaptive) {
@@ -105,8 +123,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   ScenarioOutput out;
   out.preamble =
-      "Dispatch-policy comparison, N = " + std::to_string(n) +
-      " servers, Poisson arrivals, Exp(1) service.\nPolicies: uniform "
+      "Dispatch-policy comparison, N = " + std::to_string(n) + " servers, " +
+      (arrival_scv > 1.0
+           ? "hyperexponential (scv " + rlb::util::fmt(arrival_scv, 2) + ")"
+           : std::string("Poisson")) +
+      " arrivals, " + service + " service.\nPolicies: uniform "
       "random, the paper's sq(" +
       std::to_string(d) + "), jbt(" + std::to_string(d) +
       ", t=" + std::to_string(jbt_t) + "), jiq (random fallback), jsq.";
@@ -156,13 +177,19 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
 const rlb::engine::ScenarioRegistrar reg{{
     "policy_comparison",
-    "SQ(d) vs JIQ, JBT(d), random and JSQ: delay and p99 tail across the "
-    "load range",
+    "Extension: SQ(d) vs JIQ, JBT(d), random and JSQ, delay and p99 tail "
+    "across the load range under any service law and bursty arrivals",
     {{"n", "number of servers", "16"},
      {"d", "polled servers for sq(d)/jbt and the jbt fallback", "2"},
      {"jbt-t", "JBT queue-length threshold", "3"},
      {"jobs", "simulated jobs per cell", "400000"},
-     {"seed", "base RNG seed; per-row seeds are derived from it", "24680"}},
+     {"seed", "base RNG seed; per-row seeds are derived from it", "24680"},
+     {"service", "service law, a distribution spec (docs/WORKLOADS.md)",
+      "exp:rate=1"},
+     {"arrival-scv",
+      "interarrival squared coefficient of variation: 1 is Poisson, > 1 a "
+      "fitted hyperexponential",
+      "1"}},
     run}};
 
 }  // namespace

@@ -5,13 +5,10 @@
 namespace rlb::engine {
 
 AdaptiveSpec AdaptiveSpec::parse(const util::Cli& cli) {
-  // Job counts go through int64; reject negatives here instead of
-  // letting the uint64 cast wrap them into near-infinite budgets.
+  // Job counts are unsigned: a negative value is rejected instead of
+  // wrapping into a near-infinite budget.
   const auto job_count = [&cli](const std::string& name) {
-    const std::int64_t value = cli.get_int(name, 0);
-    if (value < 0)
-      throw std::invalid_argument("--" + name + " must be >= 0");
-    return static_cast<std::uint64_t>(value);
+    return cli.get_int<std::uint64_t>(name, 0);
   };
   AdaptiveSpec spec;
   spec.target_ci = cli.get_double("target-ci", 0.0);

@@ -8,7 +8,7 @@
 //
 //   namespace {
 //   rlb::engine::ScenarioOutput run(rlb::engine::ScenarioContext& ctx) {
-//     const int n = static_cast<int>(ctx.cli().get_int("n", 10));
+//     const int n = ctx.cli().get_int<int>("n", 10);
 //     rlb::engine::ScenarioOutput out;
 //     auto& table = out.add_table("main", {"rho", "delay"});
 //     const auto rows = ctx.map<std::vector<double>>(
@@ -18,7 +18,7 @@
 //   }
 //   const rlb::engine::ScenarioRegistrar reg{{
 //       "my_scenario",
-//       "one-line description",
+//       "Extension: one-line description",
 //       {{"n", "number of servers", "10"}},
 //       run}};
 //   }  // namespace

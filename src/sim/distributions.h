@@ -55,8 +55,8 @@ std::unique_ptr<Distribution> make_pareto_mean(double mean, double alpha);
 ///
 /// Keys may appear in any order; missing keys, unknown keys, unknown
 /// families and malformed numbers throw std::invalid_argument with the
-/// offending spec in the message. This is what the scenarios' --service
-/// flags parse (docs/WORKLOADS.md).
+/// offending spec in the message. This is what policy_comparison's
+/// --service flag parses (docs/WORKLOADS.md).
 std::unique_ptr<Distribution> parse_distribution(const std::string& spec);
 
 }  // namespace rlb::sim

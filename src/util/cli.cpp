@@ -1,6 +1,6 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/require.h"
@@ -42,18 +42,31 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 
 double Cli::get_double(const std::string& name, double def) const {
   const std::string s = get(name, "");
-  return s.empty() ? def : std::stod(s);
-}
-
-std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
-  const std::string s = get(name, "");
-  return s.empty() ? def : std::stoll(s);
+  if (s.empty()) return def;
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(s, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used != s.size() || !std::isfinite(value))
+    reject(name, s, "a finite number");
+  return value;
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {
   const std::string s = get(name, "");
   if (s.empty()) return def;
-  return s == "true" || s == "1" || s == "yes";
+  if (s == "true" || s == "1" || s == "yes") return true;
+  if (s == "false" || s == "0" || s == "no") return false;
+  reject(name, s, "true, false, 1, 0, yes or no");
+}
+
+void Cli::reject(const std::string& name, const std::string& value,
+                 const std::string& expected) {
+  throw std::invalid_argument("--" + name + " expects " + expected +
+                              ", got '" + value + "'");
 }
 
 void Cli::finish() const {

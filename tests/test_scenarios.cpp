@@ -3,13 +3,25 @@
 // unlike the unit-test binaries). The key property is the rlb_run
 // contract: for a fixed --replicas value, the rendered output of a
 // scenario is bit-identical for every thread count.
+//
+// One table of smoke rows drives the contract checks for every scenario
+// in the registry: EveryRegisteredScenarioHasASmokeRow fails until a new
+// scenario has a row, and the row then gets the thread, replica,
+// adaptive and cache checks of the ScenarioSmoke suite below.
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/baseline.h"
 #include "engine/scenario.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
@@ -28,167 +40,272 @@ using rlb::engine::Scenario;
 using rlb::engine::ScenarioContext;
 using rlb::engine::ScenarioRegistry;
 
-/// Render one scenario run (args as an rlb_run-style flag list) to JSON,
-/// optionally through a result cache (the rlb_run --cache path).
-std::string run_to_json(const std::string& name,
-                        std::vector<std::string> args, int threads,
-                        int replicas,
-                        rlb::engine::ResultCache* cache = nullptr) {
+/// One scenario run: the output itself and its two renderings.
+struct Rendered {
+  rlb::engine::ScenarioOutput out;
+  std::string json;
+  std::string text;
+};
+
+/// Run one scenario (args as an rlb_run-style flag list), optionally
+/// through a result cache (the rlb_run --cache path). Like rlb_run, it
+/// rejects flags the scenario never reads.
+Rendered run_scenario(const std::string& name, std::vector<std::string> args,
+                      int threads, int replicas,
+                      rlb::engine::ResultCache* cache = nullptr) {
   const Scenario& scenario = ScenarioRegistry::global().get(name);
   args.insert(args.begin(), "test_scenarios");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (auto& a : args) argv.push_back(a.data());
   const rlb::util::Cli cli(static_cast<int>(argv.size()), argv.data());
+  for (const auto& p : scenario.params) (void)cli.has(p.name);
   ScenarioContext ctx(cli, threads, replicas, cache);
-  return rlb::engine::to_json(scenario.run(ctx), name);
+  cli.finish();
+  Rendered run{scenario.run(ctx), "", ""};
+  run.json = rlb::engine::to_json(run.out, name);
+  std::ostringstream text;
+  rlb::engine::write_text(run.out, text);
+  run.text = text.str();
+  return run;
 }
 
-struct QuickScenario {
-  std::string name;
-  std::vector<std::string> args;  ///< small job counts: ~1s per run
+std::string run_to_json(const std::string& name,
+                        std::vector<std::string> args, int threads,
+                        int replicas,
+                        rlb::engine::ResultCache* cache = nullptr) {
+  return run_scenario(name, std::move(args), threads, replicas, cache).json;
+}
+
+/// One smoke configuration of a registered scenario.
+struct SmokeRow {
+  std::string scenario;
+  /// Whether the run simulates, so that --replicas changes its output.
+  bool simulates;
+  /// Flags that keep a Release run under about a second, where the
+  /// scenario has a size flag.
+  std::vector<std::string> flags = {};
+  /// Flags that make the run adaptive on top of `flags`; empty when the
+  /// scenario ignores --target-ci.
+  std::vector<std::string> adaptive = {};
+  /// Columns that report wall-clock time, exempt from byte equality.
+  std::set<std::string> wall_clock = {};
+  /// Test-name suffix: the scenario name, numbered from its second row
+  /// (filled in by smoke_rows()).
+  std::string label = {};
 };
 
-std::vector<QuickScenario> new_scenarios() {
-  return {
-      {"policy_comparison", {"--jobs=30000"}},
-      {"batch_arrivals", {"--jobs=30000"}},
-      {"hetero_fleet_bounds", {"--steps=120000", "--arrivals=60000"}},
-      // Compact-engine fleet sweep, shrunk to test scale; --time stays 0
-      // so the output is deterministic (the wall-clock column is the one
-      // documented exception to the determinism contract).
-      {"fleet_scaling",
-       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200"}},
-      // The realistic-workload pair: heavy-tailed service columns and the
-      // windowed / SLA diurnal capacity sweep.
-      {"heavy_tail_service", {"--jobs=15000"}},
-      {"diurnal_surge", {"--jobs=20000", "--ns=10,14"}},
-      // Racked topology sweep: blind vs locality-aware dispatch through
-      // the engine's rack-aware paths (37 cells, so small per-cell
-      // budgets).
-      {"rack_locality", {"--jobs=8000"}},
+void PrintTo(const SmokeRow& row, std::ostream* os) { *os << row.label; }
+
+const std::string kGoldenTrace =
+    std::string("--trace=") + RLB_SOURCE_DIR + "/tests/data/golden.trace";
+
+std::vector<SmokeRow> smoke_rows() {
+  const std::vector<std::string> adaptive{"--target-ci=0.2",
+                                          "--max-jobs=60000"};
+  const std::vector<std::string> rack_adaptive{"--target-ci=0.25",
+                                               "--max-jobs=24000"};
+  const std::vector<std::string> fleet{"--nmin=32", "--nmax=128",
+                                       "--nstep=2", "--jobs-per-server=200"};
+  auto fleet_timed = fleet;
+  fleet_timed.push_back("--time");
+  // A 12-server tier under bursty arrivals and heavy-tailed service.
+  const std::vector<std::string> bursty_lognormal{
+      "--jobs=20000", "--n=12", "--d=3", "--service=lognormal:mean=1,cv=2",
+      "--arrival-scv=4"};
+  const std::set<std::string> improved_times{"t_generic(s)", "t_improved(s)",
+                                             "speedup"};
+  const std::set<std::string> solve_times{"t_lower(s)", "t_upper(s)"};
+  std::vector<SmokeRow> rows{
+      {"ablation_improved_lower", false, {}, {}, improved_times},
+      {"ablation_redirect_rules", false},
+      {"ablation_threshold_sweep", true, {"--tmax=3", "--jobs=20000"}, {},
+       solve_times},
+      // N > 3: no exact reference, the simulated one only.
+      {"ablation_threshold_sweep", true,
+       {"--n=6", "--rho=0.9", "--tmax=3", "--jobs=20000"}, {}, solve_times},
+      {"batch_arrivals", true, {"--jobs=20000"}, adaptive},
+      {"capacity_planning", false, {"--T=2"}},
+      {"diurnal_surge", true, {"--jobs=20000", "--ns=10,14"}},
+      {"diurnal_surge", true, {"--jobs=10000", "--ns=10,12", kGoldenTrace}},
+      {"fig09_relative_error", true, {"--jobs=20000", "--rho=0.75"}, adaptive},
+      {"fig09_relative_error", true, {"--jobs=10000"}, adaptive},  // both rho
+      {"fig10_delay_vs_utilization", true, {"--jobs=20000", "--panel=a"},
+       adaptive},
+      {"fleet_scaling", true, fleet},
+      {"fleet_scaling", true, fleet_timed, {},
+       {"sq(2) ns/job", "jiq ns/job", "jsq-h ns/job"}},
+      {"heavy_tail_service", true, {"--jobs=15000"}},
+      {"hetero_fleet_bounds", true, {"--steps=120000", "--arrivals=60000"},
+       {"--target-ci=0.2", "--max-jobs=240000"}},
+      {"logreduction_iters", false},
+      {"policy_comparison", true, {"--jobs=30000"}, adaptive},
+      {"policy_comparison", true, bursty_lognormal, adaptive},
+      {"power_of_d", true, {"--jobs=20000"},
+       {"--target-ci=0.05", "--max-jobs=120000"}},
+      {"rack_locality", true, {"--jobs=8000"}, rack_adaptive},
+      {"rack_locality", true, {"--jobs=8000", "--penalty-kind=capacity"},
+       rack_adaptive},
+      {"sigma_gi", true, {"--jobs=20000"}, adaptive},
+      {"tail_distribution", true, {"--jobs=50000"}, adaptive},
+      {"waiting_profile", true, {"--jobs=20000"}, adaptive},
   };
+  std::map<std::string, int> seen;
+  for (SmokeRow& row : rows) {
+    const int k = seen[row.scenario]++;
+    row.label = row.scenario + (k == 0 ? "" : "_" + std::to_string(k));
+  }
+  return rows;
 }
 
-TEST(Scenarios, NewScenariosAreRegistered) {
-  for (const auto& s : new_scenarios())
-    EXPECT_TRUE(ScenarioRegistry::global().contains(s.name)) << s.name;
+TEST(Scenarios, EveryRegisteredScenarioHasASmokeRow) {
+  std::set<std::string> covered;
+  for (const SmokeRow& row : smoke_rows()) {
+    EXPECT_TRUE(ScenarioRegistry::global().contains(row.scenario))
+        << row.scenario << " has a smoke row but is not registered";
+    covered.insert(row.scenario);
+  }
+  for (const Scenario* s : ScenarioRegistry::global().list())
+    EXPECT_EQ(covered.count(s->name), 1u)
+        << s->name << " is registered but has no smoke row";
 }
 
-TEST(Scenarios, ThreadCountNeverChangesOutput) {
-  for (const auto& s : new_scenarios()) {
-    const std::string one = run_to_json(s.name, s.args, 1, 1);
-    const std::string four = run_to_json(s.name, s.args, 4, 1);
-    EXPECT_EQ(one, four) << s.name;
+/// Where two renderings first differ, for failure messages.
+std::string first_difference(const std::string& a, const std::string& b) {
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+  const std::size_t from = at < 40 ? 0 : at - 40;
+  return "first difference at byte " + std::to_string(at) + ":\n  " +
+         a.substr(from, 80) + "\n  " + b.substr(from, 80);
+}
+
+/// Whether two runs of `row` rendered the same output: byte-identical
+/// JSON and text, or, for rows with wall-clock columns, the same tables
+/// outside those columns.
+::testing::AssertionResult same_output(const SmokeRow& row, const Rendered& a,
+                                       const Rendered& b) {
+  if (row.wall_clock.empty()) {
+    if (a.json != b.json)
+      return ::testing::AssertionFailure()
+             << "JSON differs, " << first_difference(a.json, b.json);
+    if (a.text != b.text)
+      return ::testing::AssertionFailure()
+             << "text differs, " << first_difference(a.text, b.text);
+    return ::testing::AssertionSuccess();
+  }
+  rlb::engine::BaselineOptions exact;  // rtol = atol = 0
+  exact.ignore_columns = row.wall_clock;
+  const auto report = rlb::engine::compare_to_baseline(a.out, b.json, exact);
+  if (report.ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << report.describe();
+}
+
+class ScenarioSmoke : public ::testing::TestWithParam<SmokeRow> {
+ protected:
+  Rendered run(const std::vector<std::string>& flags, int threads,
+               int replicas, rlb::engine::ResultCache* cache = nullptr) const {
+    return run_scenario(GetParam().scenario, flags, threads, replicas, cache);
+  }
+};
+
+TEST_P(ScenarioSmoke, ThreadCountNeverChangesOutput) {
+  const SmokeRow& row = GetParam();
+  for (int replicas : {1, 2, 8}) {
+    const Rendered one = run(row.flags, 1, replicas);
+    const Rendered four = run(row.flags, 4, replicas);
+    EXPECT_TRUE(same_output(row, one, four)) << "replicas=" << replicas;
   }
 }
 
-TEST(Scenarios, ThreadCountNeverChangesOutputWithReplicas) {
-  for (const auto& s : new_scenarios()) {
-    const std::string one = run_to_json(s.name, s.args, 1, 2);
-    const std::string four = run_to_json(s.name, s.args, 4, 2);
-    EXPECT_EQ(one, four) << s.name;
+TEST_P(ScenarioSmoke, ReplicaCountChangesOnlySimulatedOutput) {
+  // R replicas merge R decorrelated streams, so a simulating row's output
+  // changes with R (reproducibly: the thread check pins each R); a pure
+  // solver row must ignore --replicas.
+  const SmokeRow& row = GetParam();
+  const Rendered r1 = run(row.flags, 2, 1);
+  const Rendered r2 = run(row.flags, 2, 2);
+  if (row.simulates)
+    EXPECT_FALSE(same_output(row, r1, r2)) << "--replicas=2 changed nothing";
+  else
+    EXPECT_TRUE(same_output(row, r1, r2));
+}
+
+TEST_P(ScenarioSmoke, AdaptiveModeIsThreadCountInvariantOrIgnored) {
+  // The --target-ci contract: adaptive runs stop on their own schedule,
+  // report half_width / jobs_used / converged, and stay bit-identical
+  // across thread counts under both round planners (rounds are barriers;
+  // replicas seed and merge in index order). A scenario without adaptive
+  // mode must ignore the flag.
+  const SmokeRow& row = GetParam();
+  if (row.adaptive.empty()) {
+    auto with_target = row.flags;
+    with_target.push_back("--target-ci=0.1");
+    EXPECT_TRUE(
+        same_output(row, run(row.flags, 2, 2), run(with_target, 2, 2)));
+    return;
   }
-}
-
-TEST(Scenarios, ReplicasChangeOutputDeterministically) {
-  for (const auto& s : new_scenarios()) {
-    const std::string r1 = run_to_json(s.name, s.args, 2, 1);
-    const std::string r2 = run_to_json(s.name, s.args, 2, 2);
-    const std::string r2_again = run_to_json(s.name, s.args, 2, 2);
-    EXPECT_NE(r1, r2) << s.name;  // R decorrelated streams differ...
-    EXPECT_EQ(r2, r2_again) << s.name;  // ...but reproducibly.
-  }
-}
-
-TEST(Scenarios, AdaptiveModeIsThreadCountInvariantAndReportsColumns) {
-  // The --target-ci acceptance contract: adaptive runs stop on their own
-  // schedule, report half_width / jobs_used / converged, and stay
-  // bit-identical across thread counts (rounds are barriers; replicas
-  // seed and merge in index order).
-  const std::vector<std::string> args{"--jobs=30000", "--target-ci=0.05",
-                                      "--max-jobs=120000"};
-  for (int replicas : {1, 2}) {
-    const std::string one = run_to_json("power_of_d", args, 1, replicas);
-    const std::string four = run_to_json("power_of_d", args, 4, replicas);
-    EXPECT_EQ(one, four) << "replicas=" << replicas;
-  }
-  const std::string out = run_to_json("power_of_d", args, 2, 1);
-  for (const char* column : {"half_width", "jobs_used", "converged"})
-    EXPECT_NE(out.find(column), std::string::npos) << column;
-}
-
-/// The five scenarios PR 5 wired into --target-ci, with budgets small
-/// enough for ~seconds-long runs. Together with power_of_d /
-/// policy_comparison / tail_distribution / hetero_fleet_bounds this
-/// makes all nine sweep scenarios adaptive-capable.
-std::vector<QuickScenario> newly_wired_adaptive() {
-  const std::vector<std::string> knobs{"--target-ci=0.2",
-                                       "--max-jobs=60000"};
-  std::vector<QuickScenario> scenarios{
-      {"fig09_relative_error", {"--jobs=20000", "--rho=0.75"}},
-      {"fig10_delay_vs_utilization", {"--jobs=20000", "--panel=a"}},
-      {"sigma_gi", {"--jobs=20000"}},
-      {"waiting_profile", {"--jobs=20000"}},
-      {"batch_arrivals", {"--jobs=20000"}},
-  };
-  for (auto& s : scenarios)
-    s.args.insert(s.args.end(), knobs.begin(), knobs.end());
-  return scenarios;
-}
-
-TEST(Scenarios, NewlyWiredAdaptiveScenariosAreThreadCountInvariant) {
-  // The acceptance contract for the five scenarios wired in this PR:
-  // with --target-ci set, 1-thread and 4-thread runs are bit-identical
-  // and the adaptive columns appear.
-  for (const auto& s : newly_wired_adaptive()) {
-    const std::string one = run_to_json(s.name, s.args, 1, 2);
-    const std::string four = run_to_json(s.name, s.args, 4, 2);
-    EXPECT_EQ(one, four) << s.name;
-    for (const char* column : {"half_width", "jobs_used", "converged"})
-      EXPECT_NE(one.find(column), std::string::npos)
-          << s.name << " lacks " << column;
-  }
-}
-
-TEST(Scenarios, VariancePlannerIsThreadCountInvariant) {
-  // --planner=variance sizes rounds from merged statistics only, so its
-  // schedule must be just as thread-count invariant as the geometric
-  // default.
-  for (const auto& base : newly_wired_adaptive()) {
-    auto args = base.args;
-    args.push_back("--planner=variance");
-    const std::string one = run_to_json(base.name, args, 1, 2);
-    const std::string four = run_to_json(base.name, args, 4, 2);
-    EXPECT_EQ(one, four) << base.name;
-  }
-}
-
-TEST(Scenarios, RackLocalityAdaptiveIsThreadCountInvariant) {
-  // The new racked sweep drives the rack-aware RNG path (home-rack draws
-  // + locality polls) through the adaptive planner; like every sweep it
-  // must stay bit-identical across thread counts under both planners.
   for (const char* planner : {"geometric", "variance"}) {
-    const std::vector<std::string> args{
-        "--jobs=8000", "--target-ci=0.25", "--max-jobs=24000",
-        std::string("--planner=") + planner};
-    const std::string one = run_to_json("rack_locality", args, 1, 2);
-    const std::string four = run_to_json("rack_locality", args, 4, 2);
-    EXPECT_EQ(one, four) << planner;
+    auto flags = row.flags;
+    flags.insert(flags.end(), row.adaptive.begin(), row.adaptive.end());
+    flags.push_back(std::string("--planner=") + planner);
+    const Rendered one = run(flags, 1, 2);
+    const Rendered four = run(flags, 4, 2);
+    EXPECT_TRUE(same_output(row, one, four)) << planner;
     for (const char* column : {"half_width", "jobs_used", "converged"})
-      EXPECT_NE(one.find(column), std::string::npos) << column;
+      EXPECT_NE(one.json.find(column), std::string::npos)
+          << planner << " lacks " << column;
   }
 }
 
-TEST(Scenarios, AdaptiveBoundScenarioIsThreadCountInvariant) {
-  // hetero_fleet_bounds drives both bound-model simulators through the
-  // adaptive path (CTMC jump chain + GI event simulation).
-  const std::vector<std::string> args{"--steps=120000", "--arrivals=60000",
-                                      "--target-ci=0.2",
-                                      "--max-jobs=240000"};
-  const std::string one = run_to_json("hetero_fleet_bounds", args, 1, 2);
-  const std::string four = run_to_json("hetero_fleet_bounds", args, 4, 2);
-  EXPECT_EQ(one, four);
+TEST_P(ScenarioSmoke, WarmCacheRerunIsByteIdenticalToCold) {
+  // The acceptance contract (docs/CACHING.md): a warm-cache re-run
+  // renders byte-for-byte what the cold run rendered and what an uncached
+  // run renders, at any thread count, since cells are keyed semantically
+  // and the store/lookup passes are serial. Scenarios without a cached
+  // sweep must simply ignore the cache.
+  const SmokeRow& row = GetParam();
+  // One directory per row: ctest -j runs each test in its own process.
+  const std::string dir =
+      ::testing::TempDir() + "rlb_smoke_cache_" + row.label;
+  std::filesystem::remove_all(dir);
+  const Rendered uncached = run(row.flags, 2, 1);
+  rlb::engine::ResultCache cold_cache(dir, rlb::engine::CacheMode::kReadWrite);
+  const Rendered cold = run(row.flags, 4, 1, &cold_cache);
+  rlb::engine::ResultCache warm_cache(dir, rlb::engine::CacheMode::kReadWrite);
+  const Rendered warm = run(row.flags, 1, 1, &warm_cache);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_TRUE(same_output(row, uncached, cold)) << "caching changed output";
+  EXPECT_TRUE(same_output(row, cold, warm)) << "warm re-run drifted";
+  EXPECT_EQ(cold_cache.hits(), 0u);
+  EXPECT_EQ(warm_cache.misses(), 0u);
+  EXPECT_EQ(warm_cache.hits(), cold_cache.stored());
+  EXPECT_EQ(warm_cache.stored(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, ScenarioSmoke,
+                         ::testing::ValuesIn(smoke_rows()));
+
+TEST(Scenarios, InvalidFlagValuesFailNamingTheFlag) {
+  // Each of these used to run something else: --jobs=-1 wrapped to
+  // 2^64 - 1 jobs (a run that never ends), --jobs=1e6 stopped parsing at
+  // the 'e' (one job per cell) and --panel=z printed the preamble alone.
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"power_of_d", "--jobs=-1"},
+      {"power_of_d", "--jobs=1e6"},
+      {"fig10_delay_vs_utilization", "--panel=z"},
+      {"policy_comparison", "--arrival-scv=0.5"}};
+  for (const auto& [scenario, flag] : cases) {
+    try {
+      (void)run_to_json(scenario, {flag}, 1, 1);
+      ADD_FAILURE() << scenario << " " << flag << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag.substr(0, flag.find('='))),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Scenarios, HeavyTailExpColumnReproducesTheLegacyStream) {
@@ -216,25 +333,11 @@ TEST(Scenarios, HeavyTailExpColumnReproducesTheLegacyStream) {
 }
 
 TEST(Scenarios, DiurnalSurgeReplaysTheGoldenTrace) {
-  // Trace replay consumes no randomness, so the run is bit-identical
-  // across thread counts and the rendered text names the trace stream.
-  const std::vector<std::string> args{
-      "--jobs=10000", "--ns=10,12",
-      std::string("--trace=") + RLB_SOURCE_DIR + "/tests/data/golden.trace"};
-  const std::string one = run_to_json("diurnal_surge", args, 1, 2);
-  const std::string four = run_to_json("diurnal_surge", args, 4, 2);
-  EXPECT_EQ(one, four);
-
-  const Scenario& scenario = ScenarioRegistry::global().get("diurnal_surge");
-  std::vector<std::string> argv_store = args;
-  argv_store.insert(argv_store.begin(), "test_scenarios");
-  std::vector<char*> argv;
-  for (auto& a : argv_store) argv.push_back(a.data());
-  const rlb::util::Cli cli(static_cast<int>(argv.size()), argv.data());
-  ScenarioContext ctx(cli, 2, 1);
-  std::ostringstream text;
-  rlb::engine::write_text(scenario.run(ctx), text);
-  EXPECT_NE(text.str().find("trace(40 jobs/cycle)"), std::string::npos);
+  // The rendered text names the replayed trace stream; the smoke row with
+  // the same trace pins its thread-count invariance.
+  const Rendered run = run_scenario(
+      "diurnal_surge", {"--jobs=10000", "--ns=10,12", kGoldenTrace}, 2, 1);
+  EXPECT_NE(run.text.find("trace(40 jobs/cycle)"), std::string::npos);
 }
 
 /// A fresh per-test cache directory under gtest's temp root.
@@ -256,35 +359,6 @@ class ScenarioCache : public ::testing::Test {
 
   std::string dir_;
 };
-
-TEST_F(ScenarioCache, WarmRerunIsByteIdenticalToColdAcrossThreadCounts) {
-  // The acceptance contract (docs/CACHING.md): a warm-cache re-run of
-  // power_of_d and fleet_scaling renders byte-for-byte what the cold run
-  // rendered and what an uncached run renders — at ANY thread count,
-  // since cells are keyed semantically and the store/lookup passes are
-  // serial.
-  const std::vector<QuickScenario> sweeps{
-      {"power_of_d", {"--jobs=20000"}},
-      {"fleet_scaling",
-       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200"}},
-  };
-  for (const auto& s : sweeps) {
-    std::filesystem::remove_all(dir_);
-    const std::string uncached = run_to_json(s.name, s.args, 2, 1);
-    auto cold_cache = make_cache();
-    const std::string cold = run_to_json(s.name, s.args, 4, 1, &cold_cache);
-    EXPECT_EQ(cold, uncached) << s.name << ": caching changed the output";
-    EXPECT_EQ(cold_cache.hits(), 0u) << s.name;
-    EXPECT_GT(cold_cache.stored(), 0u) << s.name;
-
-    auto warm_cache = make_cache();
-    const std::string warm = run_to_json(s.name, s.args, 1, 1, &warm_cache);
-    EXPECT_EQ(warm, cold) << s.name << ": warm re-run drifted";
-    EXPECT_EQ(warm_cache.misses(), 0u) << s.name;
-    EXPECT_EQ(warm_cache.hits(), cold_cache.stored()) << s.name;
-    EXPECT_EQ(warm_cache.stored(), 0u) << s.name;
-  }
-}
 
 TEST_F(ScenarioCache, RackLocalityKeysCellsOnTopologyCoordinates) {
   // Topology coordinates (penalty kind, rack count) are part of the cell
@@ -382,6 +456,14 @@ TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {
     for (const auto& p : s->params)
       EXPECT_NE(catalog.find("`--" + p.name + "`"), std::string::npos)
           << s->name << " --" << p.name;
+    // Each description opens with the paper artifact it reproduces (a
+    // figure, theorem or section), or says it goes beyond the paper; no
+    // undefined experiment tags like "E10".
+    EXPECT_TRUE(std::regex_search(
+        s->description, std::regex("^(Fig\\. |Theorem |§|Extension: )")))
+        << s->name << ": " << s->description;
+    EXPECT_FALSE(std::regex_search(s->description, std::regex("\\bE[0-9]")))
+        << s->name << ": " << s->description;
   }
   // The global-flag section documents the full rlb_run CLI.
   EXPECT_NE(catalog.find("## Common flags"), std::string::npos);

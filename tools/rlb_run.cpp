@@ -122,9 +122,8 @@ int main(int argc, char** argv) {
     const Scenario& scenario = ScenarioRegistry::global().get(name);
 
     const int threads =
-        rlb::engine::resolve_threads(static_cast<int>(cli.get_int(
-            "threads", 0)));
-    const int replicas = static_cast<int>(cli.get_int("replicas", 1));
+        rlb::engine::resolve_threads(cli.get_int<int>("threads", 0));
+    const int replicas = cli.get_int<int>("replicas", 1);
     if (replicas < 1) {
       std::cerr << "error: --replicas must be >= 1\n";
       return 2;
