@@ -85,14 +85,14 @@ ScenarioOutput run(ScenarioContext& ctx) {
   });
 
   // The simulated reference: the real system, sharded across --replicas
-  // chains.
+  // chains. A fixed plan: this row ignores --target-ci.
   rlb::sim::FastSqdConfig cfg;
   cfg.params = p;
-  cfg.jobs = jobs;
-  cfg.warmup = jobs / 10;
-  cfg.seed = rlb::engine::cell_seed(seed, 0);
-  cfg.replicas = ctx.replicas();
-  const auto sim = rlb::sim::simulate_sqd_fast(cfg, ctx.budget());
+  const auto sim = rlb::sim::simulate_sqd_fast(
+      cfg,
+      rlb::sim::AdaptivePlan::fixed(ctx.replicas(), jobs, jobs / 10,
+                                    rlb::engine::cell_seed(seed, 0)),
+      ctx.budget());
 
   ScenarioOutput out;
   out.preamble = "§V: threshold sweep, N = " + std::to_string(n) +

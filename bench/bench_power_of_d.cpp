@@ -78,35 +78,31 @@ ScenarioOutput run(ScenarioContext& ctx) {
         using namespace rlb::sim;
         ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
+        const auto arr = make_exponential(rho * n);
+        RenewalArrivals arrivals(*arr);
+        const auto svc = make_exponential(1.0);
+        const auto policy = make_policy(n, task);
         // One seed per rho row (not per cell): all policy columns see the
         // same random streams, so column differences isolate the policy
         // effect (common random numbers, as the original bench did).
-        cfg.seed = rlb::engine::cell_seed(seed, i / kTasks);
-        cfg.replicas = ctx.replicas();
-        const auto arr = make_exponential(rho * n);
-        const auto svc = make_exponential(1.0);
-        const auto policy = make_policy(n, task);
+        const auto plan =
+            ctx.plan(rlb::engine::cell_seed(seed, i / kTasks), jobs,
+                     jobs / 10);
+        ClusterRoundState state;
+        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
+        const ClusterResult res =
+            refine_from != nullptr
+                ? simulate_cluster_refine(cfg, *policy, arrivals, *svc, plan,
+                                          refine_from->round_state,
+                                          ctx.budget(), checkpoint)
+                : simulate_cluster(cfg, *policy, arrivals, *svc, plan,
+                                   ctx.budget(), checkpoint);
+        rec.values = {res.mean_sojourn};
         if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn};
           rec.report = res.adaptive;
           rec.round_state = state;
           rec.has_round_state = true;
-          return rec;
         }
-        rec.values = {
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget())
-                .mean_sojourn};
         return rec;
       });
 

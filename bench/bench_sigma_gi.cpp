@@ -104,41 +104,27 @@ ScenarioOutput run(ScenarioContext& ctx) {
     if (i < 4) {
       rlb::sim::ClusterConfig cfg;
       cfg.servers = n;
-      cfg.jobs = jobs;
-      cfg.warmup = jobs / 10;
-      cfg.seed = rlb::engine::cell_seed(seed, 0);
-      cfg.replicas = ctx.replicas();
       rlb::sim::SqdPolicy policy(n, 2);
       const auto arr = des_sampler(i);
+      rlb::sim::RenewalArrivals arrivals(*arr);
       const auto svc = rlb::sim::make_exponential(1.0);
-      if (adaptive) {
-        const auto res = rlb::sim::simulate_cluster_adaptive(
-            cfg, policy, *arr, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-            ctx.budget());
-        return Cell{res.mean_sojourn, res.adaptive};
-      }
-      return Cell{rlb::sim::simulate_cluster(cfg, policy, *arr, *svc,
-                                             ctx.budget())
-                      .mean_sojourn,
-                  {}};
+      const auto res = rlb::sim::simulate_cluster(
+          cfg, policy, arrivals, *svc,
+          ctx.plan(rlb::engine::cell_seed(seed, 0), jobs, jobs / 10),
+          ctx.budget());
+      return Cell{res.mean_sojourn, res.adaptive};
     }
     const rlb::sqd::BoundModel lower(rlb::sqd::Params{n2, 2, rho2, 1.0}, 2,
                                      rlb::sqd::BoundKind::Lower);
     const auto sampler = tail_sampler(i - 4);
-    const std::uint64_t cell = rlb::engine::cell_seed(seed, 1);
-    if (adaptive) {
-      // The stopping target is the waiting-jobs CI (the level ratio has
-      // no interval of its own); the tail estimate rides along.
-      const auto res = rlb::sim::simulate_gi_lower_bound_adaptive(
-          lower, *sampler, ctx.adaptive_plan(cell, 4 * jobs), ctx.budget());
-      return Cell{res.level_tail_ratio, res.adaptive};
-    }
-    return Cell{rlb::sim::simulate_gi_lower_bound(lower, *sampler, 4 * jobs,
-                                                  jobs / 2, cell,
-                                                  ctx.replicas(),
-                                                  ctx.budget())
-                    .level_tail_ratio,
-                {}};
+    // Under --target-ci the stopping target is the waiting-jobs CI (the
+    // level ratio has no interval of its own); the tail estimate rides
+    // along.
+    const auto res = rlb::sim::simulate_gi_lower_bound(
+        lower, *sampler,
+        ctx.plan(rlb::engine::cell_seed(seed, 1), 4 * jobs, jobs / 2),
+        ctx.budget());
+    return Cell{res.level_tail_ratio, res.adaptive};
   });
 
   std::vector<std::string> des_header{"arrivals", "sigma", "sim mean delay"};

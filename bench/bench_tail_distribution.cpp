@@ -40,19 +40,13 @@ ScenarioOutput run(ScenarioContext& ctx) {
       ctx.map<rlb::sim::FastSqdResult>(1, [&](std::size_t i) {
         rlb::sim::FastSqdConfig cfg;
         cfg.params = p;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
         cfg.tail_kmax = kmax;
-        cfg.seed = rlb::engine::cell_seed(seed, i);
         // A single simulation cell: --replicas is the only parallelism
-        // here.
-        cfg.replicas = ctx.replicas();
-        if (adaptive)
-          // Target statistic: the mean delay; the tail histogram rides
-          // along on the budget the mean needed.
-          return rlb::sim::simulate_sqd_fast_adaptive(
-              cfg, ctx.adaptive_plan(cfg.seed, jobs), ctx.budget());
-        return rlb::sim::simulate_sqd_fast(cfg, ctx.budget());
+        // here. Under --target-ci the target statistic is the mean delay;
+        // the tail histogram rides along on the budget the mean needed.
+        return rlb::sim::simulate_sqd_fast(
+            cfg, ctx.plan(rlb::engine::cell_seed(seed, i), jobs, jobs / 10),
+            ctx.budget());
       });
 
   ScenarioOutput out;

@@ -27,7 +27,7 @@ struct CellResult {
   double p_wait = 0.0;
   double model_p50 = 0.0, model_p95 = 0.0, model_p99 = 0.0;
   double sim_p50 = 0.0, sim_p95 = 0.0, sim_p99 = 0.0;
-  rlb::sim::AdaptiveReport report;  ///< default in fixed mode
+  rlb::sim::AdaptiveReport report;  ///< shown under --target-ci only
 };
 
 ScenarioOutput run(ScenarioContext& ctx) {
@@ -46,26 +46,19 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
         rlb::sim::ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        cfg.seed = rlb::engine::cell_seed(seed, i);
-        cfg.replicas = ctx.replicas();
         rlb::sim::SqdPolicy policy(n, d);
         const auto arr = rlb::sim::make_exponential(rhos[i] * n);
+        rlb::sim::RenewalArrivals arrivals(*arr);
         const auto svc = rlb::sim::make_exponential(1.0);
+        // Under --target-ci the stopping target is the mean-sojourn CI;
+        // the quantile columns ride along on whatever budget the mean
+        // needed.
+        const rlb::sim::ClusterResult sim = rlb::sim::simulate_cluster(
+            cfg, policy, arrivals, *svc,
+            ctx.plan(rlb::engine::cell_seed(seed, i), jobs, jobs / 10),
+            ctx.budget());
         CellResult cell;
-        rlb::sim::ClusterResult sim;
-        if (ctx.adaptive().enabled()) {
-          // Stopping target: the mean-sojourn CI; the quantile columns
-          // ride along on whatever budget the mean needed.
-          sim = rlb::sim::simulate_cluster_adaptive(
-              cfg, policy, *arr, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-              ctx.budget());
-          cell.report = sim.adaptive;
-        } else {
-          sim = rlb::sim::simulate_cluster(cfg, policy, *arr, *svc,
-                                           ctx.budget());
-        }
+        cell.report = sim.adaptive;
 
         cell.p_wait = profile.ccdf(0.0);
         cell.model_p50 = profile.quantile(0.50);

@@ -81,16 +81,16 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const auto cells = ctx.map<ClusterResult>(fleet.size(), [&](std::size_t i) {
     ClusterConfig cfg;
     cfg.servers = fleet[i];
-    cfg.jobs = jobs;
-    cfg.warmup = jobs / 10;
-    cfg.seed = rlb::engine::cell_seed(seed, i);
-    cfg.replicas = ctx.replicas();
     cfg.window_width = window;
     cfg.sla_threshold = sla;
     const auto arrivals = proto->clone();
     const auto service = make_exponential(1.0);
     SqdPolicy policy(fleet[i], d);
-    return simulate_cluster(cfg, policy, *arrivals, *service, ctx.budget());
+    // A fixed plan: this scenario ignores --target-ci.
+    const auto plan = AdaptivePlan::fixed(ctx.replicas(), jobs, jobs / 10,
+                                          rlb::engine::cell_seed(seed, i));
+    return simulate_cluster(cfg, policy, *arrivals, *service, plan,
+                            ctx.budget());
   });
 
   ScenarioOutput out;

@@ -40,7 +40,8 @@ std::uint64_t seed_for(std::uint64_t base, const Cell& c) {
           static_cast<std::uint64_t>(c.d));
 }
 
-/// One simulation cell's result; the report stays default in fixed mode.
+/// One simulation cell's result; the report is shown under --target-ci
+/// only.
 struct CellResult {
   double delay = 0.0;
   rlb::sim::AdaptiveReport report;
@@ -54,17 +55,9 @@ CellResult simulate_cell(const ScenarioContext& ctx, const Cell& c,
                          std::uint64_t jobs, std::uint64_t seed) {
   rlb::sim::FastSqdConfig cfg;
   cfg.params = {c.n, c.d, c.rho, 1.0};
-  cfg.jobs = jobs;
-  cfg.warmup = jobs / 10;
-  cfg.seed = seed;
-  cfg.replicas = ctx.replicas();
-  if (ctx.adaptive().enabled()) {
-    const auto res = rlb::sim::simulate_sqd_fast_adaptive(
-        cfg, ctx.adaptive_plan(cfg.seed, jobs), ctx.budget());
-    return CellResult{res.mean_delay, res.adaptive};
-  }
-  return CellResult{rlb::sim::simulate_sqd_fast(cfg, ctx.budget()).mean_delay,
-                    {}};
+  const auto res = rlb::sim::simulate_sqd_fast(
+      cfg, ctx.plan(seed, jobs, jobs / 10), ctx.budget());
+  return CellResult{res.mean_delay, res.adaptive};
 }
 
 ScenarioOutput run(ScenarioContext& ctx) {

@@ -36,7 +36,7 @@ struct CellResult {
   std::string upper = "unstable";
   double sim = 0.0;
   double lower = 0.0;
-  rlb::sim::AdaptiveReport report;  ///< default in fixed mode
+  rlb::sim::AdaptiveReport report;  ///< shown under --target-ci only
 };
 
 ScenarioOutput run(ScenarioContext& ctx) {
@@ -75,24 +75,16 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
         rlb::sim::FastSqdConfig cfg;
         cfg.params = p;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
         // Seed from (N, rho) — not the position in the --panel-filtered
         // cell list — so a single-panel run reproduces the full sweep's
         // numbers (and panels sharing N, like a and b, share streams).
-        cfg.seed = rlb::engine::cell_seed(
+        const std::uint64_t sim_seed = rlb::engine::cell_seed(
             rlb::engine::cell_seed(seed, static_cast<std::uint64_t>(def.n)),
             static_cast<std::uint64_t>(std::llround(rho * 10000)));
-        cfg.replicas = ctx.replicas();
-        if (ctx.adaptive().enabled()) {
-          const auto res = rlb::sim::simulate_sqd_fast_adaptive(
-              cfg, ctx.adaptive_plan(cfg.seed, jobs), ctx.budget());
-          cell.sim = res.mean_delay;
-          cell.report = res.adaptive;
-        } else {
-          cell.sim =
-              rlb::sim::simulate_sqd_fast(cfg, ctx.budget()).mean_delay;
-        }
+        const auto res = rlb::sim::simulate_sqd_fast(
+            cfg, ctx.plan(sim_seed, jobs, jobs / 10), ctx.budget());
+        cell.sim = res.mean_delay;
+        cell.report = res.adaptive;
 
         cell.lower = rlb::sqd::solve_lower_improved(
                          BoundModel(p, def.t, BoundKind::Lower))

@@ -72,12 +72,13 @@ ScenarioOutput run(ScenarioContext& ctx) {
     const int n = fleet_sizes[r];
     ClusterConfig cfg;
     cfg.servers = n;
-    cfg.jobs = jobs_per_server * static_cast<std::uint64_t>(n);
-    cfg.warmup = cfg.jobs / 10;
-    // One seed per fleet size: policy columns share random streams.
-    cfg.seed = rlb::engine::cell_seed(seed, r);
-    cfg.replicas = ctx.replicas();
+    const std::uint64_t jobs = jobs_per_server * static_cast<std::uint64_t>(n);
+    // One seed per fleet size: policy columns share random streams. A
+    // fixed plan: this scenario ignores --target-ci.
+    const auto plan = AdaptivePlan::fixed(ctx.replicas(), jobs, jobs / 10,
+                                          rlb::engine::cell_seed(seed, r));
     const auto arr = make_exponential(rho * n);
+    RenewalArrivals arrivals(*arr);
     const auto svc = make_exponential(1.0);
     const auto policy = make_policy(i % kPolicies, n, d);
     // With --time=1 each cell reruns the identical simulation
@@ -90,13 +91,13 @@ ScenarioOutput run(ScenarioContext& ctx) {
     double ns = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      res = simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
+      res = simulate_cluster(cfg, *policy, arrivals, *svc, plan, ctx.budget());
       const auto t1 = std::chrono::steady_clock::now();
       const double rep_ns =
           static_cast<double>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                   .count()) /
-          static_cast<double>(cfg.jobs);
+          static_cast<double>(jobs);
       if (rep == 0 || rep_ns < ns) ns = rep_ns;
     }
     rlb::engine::CellRecord rec;

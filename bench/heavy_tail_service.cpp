@@ -11,7 +11,8 @@
 // Each (row, family) simulation is one sweep cell; the family columns of
 // a row share random streams (common random numbers), and the
 // exponential column is bit-identical with a direct simulate_cluster
-// call of the same config (tests/test_scenarios.cpp pins this).
+// call of the same config and plan (tests/test_scenarios.cpp pins this).
+// Both tables run fixed plans: this scenario ignores --target-ci.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -90,17 +91,17 @@ ScenarioOutput run(ScenarioContext& ctx) {
         const std::size_t row = i / cols;
         ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        // One seed per alpha row: the family columns differ only in the
-        // service law, so they share random streams (CRN).
-        cfg.seed = rlb::engine::cell_seed(seed, row);
-        cfg.replicas = ctx.replicas();
         const auto interarrival = make_exponential(rho * n);
+        RenewalArrivals arrivals(*interarrival);
         const auto service = service_for(families[i % cols], alphas[row]);
         SqdPolicy policy(n, d);
-        const auto res = simulate_cluster(cfg, policy, *interarrival,
-                                          *service, ctx.budget());
+        // One seed per alpha row: the family columns differ only in the
+        // service law, so they share random streams (CRN).
+        const auto res = simulate_cluster(
+            cfg, policy, arrivals, *service,
+            AdaptivePlan::fixed(ctx.replicas(), jobs, jobs / 10,
+                                rlb::engine::cell_seed(seed, row)),
+            ctx.budget());
         return CellResult{res.mean_sojourn, res.p99_sojourn};
       });
 
@@ -109,11 +110,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
   // stationary delay).
   FastSqdConfig fast;
   fast.params = {n, d, rho, 1.0};
-  fast.jobs = jobs;
-  fast.warmup = jobs / 10;
-  fast.seed = rlb::engine::cell_seed(seed, alphas.size());
-  fast.replicas = ctx.replicas();
-  const FastSqdResult fast_res = simulate_sqd_fast(fast, ctx.budget());
+  const FastSqdResult fast_res = simulate_sqd_fast(
+      fast,
+      AdaptivePlan::fixed(ctx.replicas(), jobs, jobs / 10,
+                          rlb::engine::cell_seed(seed, alphas.size())),
+      ctx.budget());
 
   ScenarioOutput out;
   out.preamble =

@@ -96,23 +96,16 @@ ScenarioOutput run(ScenarioContext& ctx) {
     const std::size_t s = i / kPolicies;
     rlb::sim::ClusterConfig cfg;
     cfg.servers = n;
-    cfg.jobs = arrivals;
-    cfg.warmup = arrivals / 10;
-    cfg.seed = rlb::engine::cell_seed(seed, s);
     cfg.server_speeds = rank_speeds(skews[s]);
-    cfg.replicas = ctx.replicas();
     const auto arr = rlb::sim::make_exponential(rho * n);
+    rlb::sim::RenewalArrivals arrival_process(*arr);
     const auto svc = rlb::sim::make_exponential(1.0);
     const auto policy = make_policy(i % kPolicies);
-    if (adaptive) {
-      const auto res = rlb::sim::simulate_cluster_adaptive(
-          cfg, *policy, *arr, *svc, ctx.adaptive_plan(cfg.seed, arrivals),
-          ctx.budget());
-      return Cell{res.mean_sojourn, res.adaptive, res.p99_sojourn};
-    }
-    const auto res =
-        rlb::sim::simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-    return Cell{res.mean_sojourn, {}, res.p99_sojourn};
+    const auto res = rlb::sim::simulate_cluster(
+        cfg, *policy, arrival_process, *svc,
+        ctx.plan(rlb::engine::cell_seed(seed, s), arrivals, arrivals / 10),
+        ctx.budget());
+    return Cell{res.mean_sojourn, res.adaptive, res.p99_sojourn};
   };
   const std::size_t bound_cells = skews.size() * kSims;
   const auto cells = ctx.map<Cell>(
@@ -124,9 +117,10 @@ ScenarioOutput run(ScenarioContext& ctx) {
         const std::uint64_t cell = rlb::engine::cell_seed(seed, s);
         // Little's-law scaling (below) maps a waiting-jobs half-width to
         // a delay half-width, so the CTMC/GI targets are requested in
-        // delay units too: target scales by lambda * N.
+        // delay units too: target scales by lambda * N (a fixed plan's
+        // infinite target stays infinite).
         const auto bound_plan = [&](std::uint64_t budget_jobs) {
-          auto plan = ctx.adaptive_plan(cell, budget_jobs);
+          auto plan = ctx.plan(cell, budget_jobs, budget_jobs / 10);
           plan.target_ci *= p.lambda * p.N;
           return plan;
         };
@@ -135,34 +129,18 @@ ScenarioOutput run(ScenarioContext& ctx) {
         rlb::sim::AdaptiveReport report;
         if (sim == 1) {
           const auto arr = rlb::sim::make_exponential(rho * n);
-          if (adaptive) {
-            const auto res = rlb::sim::simulate_gi_lower_bound_adaptive(
-                BoundModel(p, t, BoundKind::Lower), *arr,
-                bound_plan(arrivals), ctx.budget(), speeds);
-            waiting_jobs = res.mean_waiting_jobs;
-            report = res.adaptive;
-          } else {
-            waiting_jobs =
-                rlb::sim::simulate_gi_lower_bound(
-                    BoundModel(p, t, BoundKind::Lower), *arr, arrivals,
-                    arrivals / 10, cell, ctx.replicas(), ctx.budget(),
-                    speeds)
-                    .mean_waiting_jobs;
-          }
+          const auto res = rlb::sim::simulate_gi_lower_bound(
+              BoundModel(p, t, BoundKind::Lower), *arr, bound_plan(arrivals),
+              ctx.budget(), speeds);
+          waiting_jobs = res.mean_waiting_jobs;
+          report = res.adaptive;
         } else {
           const BoundModel model(
               p, t, sim == 0 ? BoundKind::Lower : BoundKind::Upper);
-          if (adaptive) {
-            const auto res = rlb::sim::simulate_bound_model_adaptive(
-                model, bound_plan(steps), ctx.budget(), speeds);
-            waiting_jobs = res.mean_waiting_jobs;
-            report = res.adaptive;
-          } else {
-            waiting_jobs = rlb::sim::simulate_bound_model(
-                               model, steps, steps / 10, cell,
-                               ctx.replicas(), ctx.budget(), speeds)
-                               .mean_waiting_jobs;
-          }
+          const auto res = rlb::sim::simulate_bound_model(
+              model, bound_plan(steps), ctx.budget(), speeds);
+          waiting_jobs = res.mean_waiting_jobs;
+          report = res.adaptive;
         }
         // Solver convention: delay = E[W] + 1/mu, Little's law over the
         // original arrival rate lambda*N.

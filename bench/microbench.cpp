@@ -81,15 +81,15 @@ BENCHMARK(BM_ImprovedBoundSolve)->Arg(3)->Arg(6);
 
 void BM_FastSimulatorThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  constexpr std::uint64_t kJobs = 200'000;
   rlb::sim::FastSqdConfig cfg;
   cfg.params = {n, 2, 0.9, 1.0};
-  cfg.jobs = 200'000;
-  cfg.warmup = 1'000;
+  const auto plan = rlb::sim::AdaptivePlan::fixed(1, kJobs, 1'000, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rlb::sim::simulate_sqd_fast(cfg));
+    benchmark::DoNotOptimize(rlb::sim::simulate_sqd_fast(
+        cfg, plan, rlb::util::ThreadBudget::serial()));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cfg.jobs));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kJobs));
 }
 BENCHMARK(BM_FastSimulatorThroughput)->Arg(10)->Arg(100);
 
@@ -97,19 +97,20 @@ BENCHMARK(BM_FastSimulatorThroughput)->Arg(10)->Arg(100);
 /// in n but for the O(log n) departure heap and cache misses.
 void BM_CompactClusterThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  constexpr std::uint64_t kJobs = 100'000;
   rlb::sim::ClusterConfig cfg;
   cfg.servers = n;
-  cfg.jobs = 100'000;
-  cfg.warmup = 1'000;
+  const auto plan = rlb::sim::AdaptivePlan::fixed(1, kJobs, 1'000, 1);
   rlb::sim::SqdPolicy policy(n, 2);
   const auto arr = rlb::sim::make_exponential(0.9 * n);
+  rlb::sim::RenewalArrivals arrivals(*arr);
   const auto svc = rlb::sim::make_exponential(1.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        rlb::sim::simulate_cluster(cfg, policy, *arr, *svc));
+    benchmark::DoNotOptimize(rlb::sim::simulate_cluster(
+        cfg, policy, arrivals, *svc, plan,
+        rlb::util::ThreadBudget::serial()));
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cfg.jobs));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kJobs));
 }
 BENCHMARK(BM_CompactClusterThroughput)
     ->Arg(10)

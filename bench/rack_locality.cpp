@@ -143,34 +143,29 @@ ScenarioOutput run(ScenarioContext& ctx) {
                    : static_cast<int>((i - main_cells) / kDTasks) + 1;
         ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        cfg.seed = rlb::engine::cell_seed(seed, row_of(i));
-        cfg.replicas = ctx.replicas();
         cfg.topology = topology_of(penalty);
         const auto arr = make_exponential((check ? check_rho : rho) * n);
+        RenewalArrivals arrivals(*arr);
         const auto svc = make_exponential(1.0);
         const auto policy = make_main_policy(n, racks, cell_d, task);
+        const auto plan =
+            ctx.plan(rlb::engine::cell_seed(seed, row_of(i)), jobs, jobs / 10);
+        ClusterRoundState state;
+        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
+        const ClusterResult res =
+            refine_from != nullptr
+                ? simulate_cluster_refine(cfg, *policy, arrivals, *svc, plan,
+                                          refine_from->round_state,
+                                          ctx.budget(), checkpoint)
+                : simulate_cluster(cfg, *policy, arrivals, *svc, plan,
+                                   ctx.budget(), checkpoint);
         rlb::engine::CellRecord rec;
+        rec.values = {res.mean_sojourn, res.p99_sojourn};
         if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn, res.p99_sojourn};
           rec.report = res.adaptive;
           rec.round_state = state;
           rec.has_round_state = true;
-          return rec;
         }
-        const ClusterResult res =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        rec.values = {res.mean_sojourn, res.p99_sojourn};
         return rec;
       });
 

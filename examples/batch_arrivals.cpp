@@ -47,12 +47,6 @@ ScenarioOutput run(ScenarioContext& ctx) {
                               : BatchArrivalProcess::BatchSizes::Fixed;
         ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        // One seed per batch-size row (common random numbers across the
-        // two size-law columns).
-        cfg.seed = rlb::engine::cell_seed(seed, b);
-        cfg.replicas = ctx.replicas();
         // Batch epochs at rate rho*n / mean: the job rate stays rho*n.
         const auto epoch_gap = make_exponential(rho * n / mean_batch);
         BatchArrivalProcess arrivals(
@@ -60,15 +54,13 @@ ScenarioOutput run(ScenarioContext& ctx) {
             kind);
         const auto svc = make_exponential(1.0);
         SqdPolicy policy(n, d);
-        if (adaptive) {
-          const auto res = simulate_cluster_adaptive(
-              cfg, policy, arrivals, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-              ctx.budget());
-          return CellResult{res.mean_sojourn, res.p99_sojourn, res.adaptive};
-        }
-        const auto res =
-            simulate_cluster(cfg, policy, arrivals, *svc, ctx.budget());
-        return CellResult{res.mean_sojourn, res.p99_sojourn, {}};
+        // One seed per batch-size row (common random numbers across the
+        // two size-law columns).
+        const auto res = simulate_cluster(
+            cfg, policy, arrivals, *svc,
+            ctx.plan(rlb::engine::cell_seed(seed, b), jobs, jobs / 10),
+            ctx.budget());
+        return CellResult{res.mean_sojourn, res.p99_sojourn, res.adaptive};
       });
 
   ScenarioOutput out;

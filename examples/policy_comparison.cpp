@@ -86,38 +86,33 @@ ScenarioOutput run(ScenarioContext& ctx) {
         const std::size_t r = i / kPolicies;
         ClusterConfig cfg;
         cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        // One seed per rho row: policy columns share random streams
-        // (common random numbers), isolating the policy effect.
-        cfg.seed = rlb::engine::cell_seed(seed, r);
-        cfg.replicas = ctx.replicas();
         const auto arr =
             arrival_scv > 1.0
                 ? make_hyperexp_fitted(1.0 / (rhos[r] * n), arrival_scv)
                 : make_exponential(rhos[r] * n);
+        RenewalArrivals arrivals(*arr);
         const auto svc = parse_distribution(service);
         const auto policy = make_policy(i % kPolicies);
+        // One seed per rho row: policy columns share random streams
+        // (common random numbers), isolating the policy effect.
+        const auto plan =
+            ctx.plan(rlb::engine::cell_seed(seed, r), jobs, jobs / 10);
+        ClusterRoundState state;
+        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
+        const ClusterResult res =
+            refine_from != nullptr
+                ? simulate_cluster_refine(cfg, *policy, arrivals, *svc, plan,
+                                          refine_from->round_state,
+                                          ctx.budget(), checkpoint)
+                : simulate_cluster(cfg, *policy, arrivals, *svc, plan,
+                                   ctx.budget(), checkpoint);
         rlb::engine::CellRecord rec;
+        rec.values = {res.mean_sojourn, res.p99_sojourn};
         if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn, res.p99_sojourn};
           rec.report = res.adaptive;
           rec.round_state = state;
           rec.has_round_state = true;
-          return rec;
         }
-        const auto res =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        rec.values = {res.mean_sojourn, res.p99_sojourn};
         return rec;
       });
 

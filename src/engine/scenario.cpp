@@ -40,8 +40,11 @@ AdaptiveSpec AdaptiveSpec::parse(const util::Cli& cli) {
   return spec;
 }
 
-sim::AdaptivePlan ScenarioContext::adaptive_plan(
-    std::uint64_t base_seed, std::uint64_t fixed_jobs) const {
+sim::AdaptivePlan ScenarioContext::plan(std::uint64_t base_seed,
+                                        std::uint64_t jobs,
+                                        std::uint64_t warmup) const {
+  if (!adaptive_.enabled())
+    return sim::AdaptivePlan::fixed(replicas_, jobs, warmup, base_seed);
   const auto replicas = static_cast<std::uint64_t>(replicas_);
   sim::AdaptivePlan plan;
   plan.replicas = replicas_;
@@ -53,7 +56,7 @@ sim::AdaptivePlan ScenarioContext::adaptive_plan(
   plan.warmup_fraction = adaptive_.warmup_fraction;
   plan.initial_jobs = adaptive_.initial_jobs != 0
                           ? adaptive_.initial_jobs
-                          : std::max(fixed_jobs / 8, replicas * 30);
+                          : std::max(jobs / 8, replicas * 30);
   plan.max_jobs = adaptive_.max_jobs != 0 ? adaptive_.max_jobs
                                           : 32 * plan.initial_jobs;
   plan.warmup_jobs = adaptive_.warmup_jobs_set

@@ -55,7 +55,7 @@ struct ParamSpec {
 /// `--target-ci` flag family (docs/PRECISION.md). `target_ci == 0` —
 /// the default — means adaptive mode is off and scenarios run their
 /// fixed budgets. Zero-valued job fields mean "derive from the
-/// scenario's fixed budget" (see ScenarioContext::adaptive_plan).
+/// scenario's fixed budget" (see ScenarioContext::plan).
 struct AdaptiveSpec {
   double target_ci = 0.0;
   double confidence = 0.95;
@@ -109,24 +109,28 @@ class ScenarioContext {
   [[nodiscard]] int replicas() const { return replicas_; }
 
   /// The precision-targeted run-length request (--target-ci family).
-  /// Scenarios that support adaptive mode branch on
-  /// adaptive().enabled() and report half_width / jobs_used / converged
-  /// columns; scenarios that do not simply ignore it (documented in the
-  /// catalog's Common flags section).
+  /// Scenarios that support adaptive mode run every cell on plan() and
+  /// branch on adaptive().enabled() only to add the half_width /
+  /// jobs_used / converged columns; scenarios that do not pass
+  /// sim::AdaptivePlan::fixed directly and so ignore it (documented in
+  /// the catalog's Common flags section).
   [[nodiscard]] const AdaptiveSpec& adaptive() const { return adaptive_; }
 
-  /// Build the sim::AdaptivePlan for one adaptive cell: `base_seed` is
-  /// the cell's seed, `fixed_jobs` the budget the scenario would burn in
-  /// fixed mode. Explicit --initial-jobs/--max-jobs/--warmup-jobs win;
-  /// the derived defaults are initial = max(fixed_jobs / 8,
-  /// 30 * replicas) (round 0 is an eighth of the fixed budget, floored
-  /// so every replica gets a measurable shard), max = 32 * initial
-  /// (adaptive may spend up to 4x the fixed budget before giving up),
-  /// and per-replica warmup = initial / (10 * replicas) (round 0
-  /// discards the usual 10%; under the default kFixed policy later
-  /// rounds keep that ABSOLUTE warmup).
-  [[nodiscard]] sim::AdaptivePlan adaptive_plan(
-      std::uint64_t base_seed, std::uint64_t fixed_jobs) const;
+  /// The sim::AdaptivePlan for one simulation cell: `base_seed` is the
+  /// cell's seed, `jobs` and `warmup` its fixed budget. Without
+  /// --target-ci this is sim::AdaptivePlan::fixed(replicas(), jobs,
+  /// warmup, base_seed). With it, explicit
+  /// --initial-jobs/--max-jobs/--warmup-jobs win; the derived defaults
+  /// are initial = max(jobs / 8, 30 * replicas) (round 0 is an eighth of
+  /// the fixed budget, floored so every replica gets a measurable
+  /// shard), max = 32 * initial (adaptive may spend up to 4x the fixed
+  /// budget before giving up), and per-replica warmup = initial /
+  /// (10 * replicas) (round 0 discards the usual 10%; under the default
+  /// kFixed policy later rounds keep that ABSOLUTE warmup). `warmup`
+  /// plays no part in the adaptive plan.
+  [[nodiscard]] sim::AdaptivePlan plan(std::uint64_t base_seed,
+                                       std::uint64_t jobs,
+                                       std::uint64_t warmup) const;
 
   /// The run-wide worker budget; hand it to the simulators so replica
   /// parallelism shares the pool with cell parallelism.

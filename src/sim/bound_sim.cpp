@@ -99,47 +99,18 @@ BoundSimResult assemble(const Accum& acc) {
 }  // namespace
 
 BoundSimResult simulate_bound_model(const sqd::BoundModel& model,
-                                    std::uint64_t steps,
-                                    std::uint64_t warmup_steps,
-                                    std::uint64_t seed) {
-  return simulate_bound_model(model, steps, warmup_steps, seed, 1,
-                              util::ThreadBudget::serial());
-}
-
-BoundSimResult simulate_bound_model(const sqd::BoundModel& model,
-                                    std::uint64_t steps,
-                                    std::uint64_t warmup_steps,
-                                    std::uint64_t seed, int replicas,
+                                    const AdaptivePlan& plan,
                                     util::ThreadBudget& budget,
                                     const std::vector<double>& rank_speeds) {
   validate_rank_speeds(model, rank_speeds);
-  const ReplicaPlan plan =
-      ReplicaPlan::split(replicas, steps, warmup_steps, seed);
-  const std::uint64_t batch = plan.batch_size(0);
-
-  const Accum acc = run_replicas<Accum>(
-      plan, budget,
-      [&](int /*replica*/, std::uint64_t replica_seed) {
-        return run_one_replica(model, plan.jobs_per_replica, plan.warmup,
-                               batch, replica_seed, rank_speeds);
-      },
-      [](Accum& into, const Accum& from) { into.merge(from); });
-
-  return assemble(acc);
-}
-
-BoundSimResult simulate_bound_model_adaptive(
-    const sqd::BoundModel& model, const AdaptivePlan& plan,
-    util::ThreadBudget& budget, const std::vector<double>& rank_speeds) {
-  validate_rank_speeds(model, rank_speeds);
   plan.validate();
-  const std::uint64_t batch = plan.batch_size(0);
+  const std::uint64_t batch = plan.batch_size();
 
   AdaptiveReport report;
-  const Accum acc = run_replicas_adaptive<Accum>(
+  const Accum acc = run_replicas<Accum>(
       plan, budget,
-      [&](int /*global_replica*/, std::uint64_t seed, std::uint64_t steps,
-          std::uint64_t warmup) {
+      [&](std::uint64_t /*global_replica*/, std::uint64_t seed,
+          std::uint64_t steps, std::uint64_t warmup) {
         return run_one_replica(model, steps, warmup, batch, seed,
                                rank_speeds);
       },

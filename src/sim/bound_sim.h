@@ -28,38 +28,25 @@ struct BoundSimResult {
   /// (holding-time-weighted batch means, df = total batches - 1).
   double ci95_waiting_jobs = 0.0;
 
-  /// Filled by simulate_bound_model_adaptive only.
+  /// The run's stopping report (a fixed plan reports its one round).
   AdaptiveReport adaptive;
 };
 
-/// Single replica on the calling thread (legacy entry point).
+/// Run `plan` (sim/replica.h): rounds of plan.replicas jump chains,
+/// seeded replica_seed(plan.base_seed, r); a "job" of the plan is one
+/// chain step here. AdaptivePlan::fixed is one round of a fixed step
+/// budget; a --target-ci plan grows the budget until the pooled CI
+/// half-width of the MEAN WAITING JOBS time average
+/// (holding-time-weighted batch means) at plan.confidence drops to
+/// plan.target_ci or plan.max_jobs caps out (docs/PRECISION.md).
+/// Bit-identical for every budget. `rank_speeds` selects the
+/// heterogeneous-rate variant of the model (see
+/// BoundModel::transitions(m, rank_speeds)); empty — the default — is the
+/// homogeneous model.
 BoundSimResult simulate_bound_model(const sqd::BoundModel& model,
-                                    std::uint64_t steps,
-                                    std::uint64_t warmup_steps,
-                                    std::uint64_t seed);
-
-/// The step budget sharded into `replicas` independent chains, with
-/// worker threads drawn from `budget`; bit-identical for every budget.
-/// `rank_speeds` selects the heterogeneous-rate variant of the model
-/// (see BoundModel::transitions(m, rank_speeds)); empty — the default —
-/// is the homogeneous model, bit-identical with the legacy streams.
-BoundSimResult simulate_bound_model(const sqd::BoundModel& model,
-                                    std::uint64_t steps,
-                                    std::uint64_t warmup_steps,
-                                    std::uint64_t seed, int replicas,
+                                    const AdaptivePlan& plan,
                                     util::ThreadBudget& budget,
                                     const std::vector<double>& rank_speeds =
                                         {});
-
-/// Sequential-stopping run (docs/PRECISION.md): rounds of plan.replicas
-/// jump chains grow the step budget until the pooled CI half-width of
-/// the MEAN WAITING JOBS time average (holding-time-weighted batch
-/// means) at plan.confidence drops to plan.target_ci or plan.max_jobs
-/// caps out (a "job" of the plan is one chain step here). Bit-identical
-/// for every budget.
-BoundSimResult simulate_bound_model_adaptive(
-    const sqd::BoundModel& model, const AdaptivePlan& plan,
-    util::ThreadBudget& budget,
-    const std::vector<double>& rank_speeds = {});
 
 }  // namespace rlb::sim

@@ -1,6 +1,7 @@
 #include "sim/cluster_sim.h"
 
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "sim/cluster_accum.h"
@@ -93,12 +94,10 @@ ClusterResult assemble(const ClusterConfig& cfg, const ClusterAccum& acc) {
 
 /// Checkpoint the merged accumulator + stopping report into a
 /// ClusterRoundState (see cluster_sim.h). Windowed recorders cannot be
-/// checkpointed, so capture refuses when they are armed.
+/// checkpointed; run_plan refuses a checkpoint when they are armed.
 ClusterRoundState snapshot_round_state(const ClusterAccum& acc,
                                        const AdaptiveReport& report,
                                        std::uint64_t batch) {
-  RLB_REQUIRE(!acc.windowed_sojourn.has_value(),
-              "round-state checkpoints require windowed statistics off");
   ClusterRoundState s;
   s.rounds = report.rounds;
   s.jobs_used = report.jobs_used;
@@ -132,81 +131,36 @@ ClusterAccum restore_round_state(const ClusterRoundState& s) {
   return acc;
 }
 
-}  // namespace
-
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               const Distribution& interarrival,
-                               const Distribution& service) {
-  return simulate_cluster(cfg, policy, interarrival, service,
-                          util::ThreadBudget::serial());
-}
-
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               ArrivalProcess& arrivals,
-                               const Distribution& service) {
-  return simulate_cluster(cfg, policy, arrivals, service,
-                          util::ThreadBudget::serial());
-}
-
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               const Distribution& interarrival,
-                               const Distribution& service,
-                               util::ThreadBudget& budget) {
-  RenewalArrivals arrivals(interarrival);
-  return simulate_cluster(cfg, policy, arrivals, service, budget);
-}
-
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               ArrivalProcess& arrivals,
-                               const Distribution& service,
-                               util::ThreadBudget& budget) {
-  validate_config(cfg, policy);
-  const ReplicaPlan plan =
-      ReplicaPlan::split(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
-
-  const ClusterAccum acc = run_replicas<ClusterAccum>(
-      plan, budget,
-      [&](int /*replica*/, std::uint64_t seed) {
-        return run_one_replica(cfg, policy, arrivals, service,
-                               plan.jobs_per_replica, plan.warmup, batch,
-                               seed);
-      },
-      [](ClusterAccum& into, const ClusterAccum& from) { into.merge(from); });
-
-  return assemble(cfg, acc);
-}
-
-ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
-                                        Policy& policy,
-                                        const Distribution& interarrival,
-                                        const Distribution& service,
-                                        const AdaptivePlan& plan,
-                                        util::ThreadBudget& budget,
-                                        ClusterRoundState* round_state) {
-  RenewalArrivals arrivals(interarrival);
-  return simulate_cluster_adaptive(cfg, policy, arrivals, service, plan,
-                                   budget, round_state);
-}
-
-ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
-                                        Policy& policy,
-                                        ArrivalProcess& arrivals,
-                                        const Distribution& service,
-                                        const AdaptivePlan& plan,
-                                        util::ThreadBudget& budget,
-                                        ClusterRoundState* round_state) {
+/// The one body behind every entry point: run `plan`, resuming from
+/// `resume` when non-null, checkpointing into `checkpoint` when non-null.
+ClusterResult run_plan(const ClusterConfig& cfg, Policy& policy,
+                       ArrivalProcess& arrivals, const Distribution& service,
+                       const AdaptivePlan& plan, util::ThreadBudget& budget,
+                       const ClusterRoundState* resume,
+                       ClusterRoundState* checkpoint) {
   validate_config(cfg, policy);
   plan.validate();
-  RLB_REQUIRE(round_state == nullptr || cfg.window_width == 0.0,
+  RLB_REQUIRE((resume == nullptr && checkpoint == nullptr) ||
+                  cfg.window_width == 0.0,
               "round-state checkpoints require windowed statistics off");
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  const std::uint64_t batch = plan.batch_size();
+  std::optional<ResumeState<ClusterAccum>> from;
+  if (resume != nullptr) {
+    // The checkpointed statistics were batched at the original run's
+    // batch size; resuming with a different one would mix batch
+    // granularities and break the cold-run equivalence.
+    RLB_REQUIRE(batch == resume->batch,
+                "refine plan derives a different batch size than the "
+                "checkpointed run used");
+    from = ResumeState<ClusterAccum>{resume->rounds, resume->jobs_used,
+                                     restore_round_state(*resume)};
+  }
 
   AdaptiveReport report;
-  const ClusterAccum acc = run_replicas_adaptive<ClusterAccum>(
+  const ClusterAccum acc = run_replicas<ClusterAccum>(
       plan, budget,
-      [&](int /*global_replica*/, std::uint64_t seed, std::uint64_t jobs,
-          std::uint64_t warmup) {
+      [&](std::uint64_t /*global_replica*/, std::uint64_t seed,
+          std::uint64_t jobs, std::uint64_t warmup) {
         return run_one_replica(cfg, policy, arrivals, service, jobs,
                                warmup, batch, seed);
       },
@@ -214,26 +168,25 @@ ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
       [&](const ClusterAccum& merged) {
         return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
       },
-      report);
+      report, std::move(from));
 
-  if (round_state != nullptr)
-    *round_state = snapshot_round_state(acc, report, batch);
+  if (checkpoint != nullptr)
+    *checkpoint = snapshot_round_state(acc, report, batch);
   ClusterResult out = assemble(cfg, acc);
   out.adaptive = report;
   return out;
 }
 
-ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
-                                      Policy& policy,
-                                      const Distribution& interarrival,
-                                      const Distribution& service,
-                                      const AdaptivePlan& plan,
-                                      const ClusterRoundState& state,
-                                      util::ThreadBudget& budget,
-                                      ClusterRoundState* round_state) {
-  RenewalArrivals arrivals(interarrival);
-  return simulate_cluster_refine(cfg, policy, arrivals, service, plan, state,
-                                 budget, round_state);
+}  // namespace
+
+ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
+                               ArrivalProcess& arrivals,
+                               const Distribution& service,
+                               const AdaptivePlan& plan,
+                               util::ThreadBudget& budget,
+                               ClusterRoundState* checkpoint) {
+  return run_plan(cfg, policy, arrivals, service, plan, budget, nullptr,
+                  checkpoint);
 }
 
 ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
@@ -243,39 +196,30 @@ ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
                                       const AdaptivePlan& plan,
                                       const ClusterRoundState& state,
                                       util::ThreadBudget& budget,
-                                      ClusterRoundState* round_state) {
-  validate_config(cfg, policy);
-  plan.validate();
-  RLB_REQUIRE(cfg.window_width == 0.0,
-              "refine resumption requires windowed statistics off");
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
-  // The checkpointed statistics were batched at the original run's batch
-  // size; resuming with a different one would mix batch granularities
-  // and break the cold-run equivalence.
-  RLB_REQUIRE(batch == state.batch,
-              "refine plan derives a different batch size than the "
-              "checkpointed run used");
+                                      ClusterRoundState* checkpoint) {
+  return run_plan(cfg, policy, arrivals, service, plan, budget, &state,
+                  checkpoint);
+}
 
-  AdaptiveReport report;
-  const ClusterAccum acc = run_replicas_adaptive_resume<ClusterAccum>(
-      plan, AdaptiveResume{state.rounds, state.jobs_used},
-      restore_round_state(state), budget,
-      [&](int /*global_replica*/, std::uint64_t seed, std::uint64_t jobs,
-          std::uint64_t warmup) {
-        return run_one_replica(cfg, policy, arrivals, service, jobs,
-                               warmup, batch, seed);
-      },
-      [](ClusterAccum& into, const ClusterAccum& from) { into.merge(from); },
-      [&](const ClusterAccum& merged) {
-        return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
-      },
-      report);
-
-  if (round_state != nullptr)
-    *round_state = snapshot_round_state(acc, report, batch);
-  ClusterResult out = assemble(cfg, acc);
-  out.adaptive = report;
+ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
+                               ArrivalProcess& arrivals,
+                               const Distribution& service,
+                               util::ThreadBudget& budget) {
+  ClusterResult out = simulate_cluster(
+      cfg, policy, arrivals, service,
+      AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed),
+      budget);
+  out.adaptive = AdaptiveReport{};
   return out;
+}
+
+ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
+                                        Policy& policy,
+                                        ArrivalProcess& arrivals,
+                                        const Distribution& service,
+                                        const AdaptivePlan& plan,
+                                        util::ThreadBudget& budget) {
+  return simulate_cluster(cfg, policy, arrivals, service, plan, budget);
 }
 
 }  // namespace rlb::sim

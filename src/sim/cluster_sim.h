@@ -21,16 +21,13 @@ namespace rlb::sim {
 
 struct ClusterConfig {
   int servers = 1;
-  std::uint64_t jobs = 1'000'000;  ///< arrivals, total across all replicas
-  std::uint64_t warmup = 100'000;  ///< leading arrivals discarded; total,
-                                   ///< split evenly per replica
-  std::uint64_t seed = 1;
-  std::uint64_t batch_size = 0;  ///< 0: auto (per-replica measured / 30)
 
-  /// Independent replicas the job budget is sharded into (sim/replica.h).
-  /// Each replica clones the policy and arrival process and is seeded
-  /// replica_seed(seed, r); replicas == 1 reproduces the legacy serial
-  /// run bit-for-bit.
+  /// The fixed budget read only by the plan-less simulate_cluster
+  /// forwarder below (AdaptivePlan::fixed(replicas, jobs, warmup, seed));
+  /// the plan entry ignores them. perf/ still sets them.
+  std::uint64_t jobs = 1'000'000;
+  std::uint64_t warmup = 100'000;
+  std::uint64_t seed = 1;
   int replicas = 1;
 
   /// Per-server speed factors for heterogeneous fleets (service time =
@@ -108,38 +105,16 @@ struct ClusterResult {
   /// Per-window transient statistics; empty unless cfg.window_width > 0.
   std::vector<WindowSummary> windows;
 
-  /// Filled by simulate_cluster_adaptive only; default-initialized on
-  /// the fixed-budget paths.
+  /// The run's stopping report (a fixed plan reports its one round);
+  /// default-initialized by the plan-less forwarder.
   AdaptiveReport adaptive;
 };
-
-/// Renewal arrivals: i.i.d. interarrival draws from `interarrival`.
-/// Replicas run serially on the calling thread.
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               const Distribution& interarrival,
-                               const Distribution& service);
-
-/// General (possibly correlated / Markov-modulated) arrival stream.
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               ArrivalProcess& arrivals,
-                               const Distribution& service);
-
-/// As above, with replica workers drawn from `budget`; the result is
-/// bit-identical for every budget.
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               const Distribution& interarrival,
-                               const Distribution& service,
-                               util::ThreadBudget& budget);
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               ArrivalProcess& arrivals,
-                               const Distribution& service,
-                               util::ThreadBudget& budget);
 
 /// Exact checkpoint of an adaptive run's merged statistics after its
 /// last completed round — the "round state" a result-cache entry stores
 /// so a later --refine can resume the round schedule instead of starting
-/// over (docs/CACHING.md). Restoring this state and continuing with
-/// run_replicas_adaptive_resume reproduces, under the geometric planner,
+/// over (docs/CACHING.md). Restoring this state and resuming run_replicas
+/// from it reproduces, under the geometric planner,
 /// the exact rounds a cold run at the tighter target would execute.
 ///
 /// Windowed recorders are NOT checkpointable (they hold per-window
@@ -161,52 +136,35 @@ struct ClusterRoundState {
   double sla_threshold = 0.0;
 };
 
-/// Sequential-stopping run (docs/PRECISION.md): rounds of plan.replicas
-/// replicas grow the budget until the pooled CI half-width of the MEAN
-/// SOJOURN TIME (the target statistic) at plan.confidence drops to
-/// plan.target_ci or plan.max_jobs caps out. The plan supersedes
-/// cfg.jobs / cfg.warmup / cfg.replicas / cfg.seed; every replica of
-/// every round clones the policy and arrival process, exactly like the
-/// fixed path. Result fields merge all rounds; result.adaptive reports
-/// the stopping outcome. Bit-identical for every budget.
+/// Run `plan` (sim/replica.h): rounds of plan.replicas replicas, each
+/// with fresh clones of the policy and arrival process, seeded
+/// replica_seed(plan.base_seed, r). AdaptivePlan::fixed is one round of a
+/// fixed budget; a --target-ci plan grows the budget until the pooled CI
+/// half-width of the MEAN SOJOURN TIME (the target statistic) at
+/// plan.confidence drops to plan.target_ci or plan.max_jobs caps out
+/// (docs/PRECISION.md). Result fields merge all rounds; result.adaptive
+/// reports the stopping outcome. Bit-identical for every budget. Wrap a
+/// renewal interarrival law in RenewalArrivals; pass
+/// util::ThreadBudget::serial() to run on the calling thread only.
 ///
-/// When `round_state` is non-null the merged statistics are checkpointed
+/// When `checkpoint` is non-null the merged statistics are checkpointed
 /// into it after the run stops (requires cfg.window_width == 0); the
 /// checkpoint changes no output bit.
-ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
-                                        Policy& policy,
-                                        const Distribution& interarrival,
-                                        const Distribution& service,
-                                        const AdaptivePlan& plan,
-                                        util::ThreadBudget& budget,
-                                        ClusterRoundState* round_state =
-                                            nullptr);
-ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
-                                        Policy& policy,
-                                        ArrivalProcess& arrivals,
-                                        const Distribution& service,
-                                        const AdaptivePlan& plan,
-                                        util::ThreadBudget& budget,
-                                        ClusterRoundState* round_state =
-                                            nullptr);
+ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
+                               ArrivalProcess& arrivals,
+                               const Distribution& service,
+                               const AdaptivePlan& plan,
+                               util::ThreadBudget& budget,
+                               ClusterRoundState* checkpoint = nullptr);
 
-/// Resume a previously checkpointed adaptive run at a (typically
-/// tighter) plan.target_ci — the --refine path. `state` must be the
-/// checkpoint of a run with the same cfg and the same plan apart from
-/// target_ci; the round schedule continues from state.rounds with fresh
-/// replica streams, so no randomness is ever reused. Under the geometric
-/// planner the result is bit-identical to a cold adaptive run at the new
-/// target; under the variance planner it is statistically equivalent.
-/// `round_state` re-checkpoints the refined statistics when non-null.
-ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
-                                      Policy& policy,
-                                      const Distribution& interarrival,
-                                      const Distribution& service,
-                                      const AdaptivePlan& plan,
-                                      const ClusterRoundState& state,
-                                      util::ThreadBudget& budget,
-                                      ClusterRoundState* round_state =
-                                          nullptr);
+/// Resume a checkpointed run at a (typically tighter) plan.target_ci —
+/// the --refine path. `state` must be the checkpoint of a run with the
+/// same cfg and the same plan apart from target_ci; the round schedule
+/// continues from state.rounds with fresh replica streams, so no
+/// randomness is ever reused. Under the geometric planner the result is
+/// bit-identical to a cold run at the new target; under the variance
+/// planner it is statistically equivalent. `checkpoint` re-checkpoints
+/// the refined statistics when non-null.
 ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
                                       Policy& policy,
                                       ArrivalProcess& arrivals,
@@ -214,7 +172,22 @@ ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
                                       const AdaptivePlan& plan,
                                       const ClusterRoundState& state,
                                       util::ThreadBudget& budget,
-                                      ClusterRoundState* round_state =
+                                      ClusterRoundState* checkpoint =
                                           nullptr);
+
+/// Forwarders kept because perf/ still calls them; no scenario does.
+/// The first runs AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup,
+/// cfg.seed) and leaves result.adaptive default-initialized; the second
+/// is the plan entry without a checkpoint.
+ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
+                               ArrivalProcess& arrivals,
+                               const Distribution& service,
+                               util::ThreadBudget& budget);
+ClusterResult simulate_cluster_adaptive(const ClusterConfig& cfg,
+                                        Policy& policy,
+                                        ArrivalProcess& arrivals,
+                                        const Distribution& service,
+                                        const AdaptivePlan& plan,
+                                        util::ThreadBudget& budget);
 
 }  // namespace rlb::sim

@@ -130,40 +130,18 @@ FastSqdResult assemble(const FastSqdConfig& cfg, const Accum& acc) {
 
 }  // namespace
 
-FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg) {
-  return simulate_sqd_fast(cfg, util::ThreadBudget::serial());
-}
-
 FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg,
+                                const AdaptivePlan& plan,
                                 util::ThreadBudget& budget) {
   cfg.params.validate();
-  const ReplicaPlan plan =
-      ReplicaPlan::split(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
-
-  const Accum acc = run_replicas<Accum>(
-      plan, budget,
-      [&](int /*replica*/, std::uint64_t seed) {
-        return run_one_replica(cfg, plan.jobs_per_replica, plan.warmup,
-                               batch, seed);
-      },
-      [](Accum& into, const Accum& from) { into.merge(from); });
-
-  return assemble(cfg, acc);
-}
-
-FastSqdResult simulate_sqd_fast_adaptive(const FastSqdConfig& cfg,
-                                         const AdaptivePlan& plan,
-                                         util::ThreadBudget& budget) {
-  cfg.params.validate();
   plan.validate();
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  const std::uint64_t batch = plan.batch_size();
 
   AdaptiveReport report;
-  const Accum acc = run_replicas_adaptive<Accum>(
+  const Accum acc = run_replicas<Accum>(
       plan, budget,
-      [&](int /*global_replica*/, std::uint64_t seed, std::uint64_t jobs,
-          std::uint64_t warmup) {
+      [&](std::uint64_t /*global_replica*/, std::uint64_t seed,
+          std::uint64_t jobs, std::uint64_t warmup) {
         return run_one_replica(cfg, jobs, warmup, batch, seed);
       },
       [](Accum& into, const Accum& from) { into.merge(from); },
@@ -174,6 +152,15 @@ FastSqdResult simulate_sqd_fast_adaptive(const FastSqdConfig& cfg,
 
   FastSqdResult out = assemble(cfg, acc);
   out.adaptive = report;
+  return out;
+}
+
+FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg,
+                                util::ThreadBudget& budget) {
+  FastSqdResult out = simulate_sqd_fast(
+      cfg, AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed),
+      budget);
+  out.adaptive = AdaptiveReport{};
   return out;
 }
 

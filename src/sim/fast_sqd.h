@@ -25,14 +25,13 @@ namespace rlb::sim {
 
 struct FastSqdConfig {
   sqd::Params params;
-  std::uint64_t jobs = 4'000'000;  ///< total across all replicas
-  std::uint64_t warmup = 400'000;  ///< total; split evenly per replica
-  std::uint64_t seed = 1;
-  std::uint64_t batch_size = 0;  ///< 0: auto (per-replica measured / 30)
 
-  /// Independent replicas the job budget is sharded into. Replica r is
-  /// seeded replica_seed(seed, r); replicas == 1 reproduces the legacy
-  /// serial stream bit-for-bit.
+  /// The fixed budget read only by the plan-less simulate_sqd_fast
+  /// forwarder below (AdaptivePlan::fixed(replicas, jobs, warmup, seed));
+  /// the plan entry ignores them. perf/ still sets them.
+  std::uint64_t jobs = 4'000'000;
+  std::uint64_t warmup = 400'000;
+  std::uint64_t seed = 1;
   int replicas = 1;
 
   /// When > 0, also estimate the marginal queue-length tail P(Q >= k) for
@@ -52,30 +51,28 @@ struct FastSqdResult {
   /// with sqd::marginal_queue_tail.
   std::vector<double> marginal_tail;
 
-  /// Filled by simulate_sqd_fast_adaptive only; default-initialized
-  /// (converged = false, jobs_used = 0) on the fixed-budget paths.
+  /// The run's stopping report (a fixed plan reports its one round);
+  /// default-initialized by the plan-less forwarder.
   AdaptiveReport adaptive;
 };
 
-/// Replicas run serially on the calling thread.
-FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg);
-
-/// Replicas additionally recruit worker threads from `budget`; the result
-/// is bit-identical for every budget.
-FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg,
-                                util::ThreadBudget& budget);
-
-/// Sequential-stopping run (docs/PRECISION.md): rounds of plan.replicas
-/// replicas grow the budget until the pooled CI half-width of the MEAN
-/// DELAY (the target statistic) at plan.confidence drops to
-/// plan.target_ci or plan.max_jobs caps out. The plan supersedes
-/// cfg.jobs / cfg.warmup / cfg.replicas / cfg.seed; cfg supplies the
-/// system parameters, tail_kmax and the (round-0-derived) batch size.
-/// Result fields are the merged statistics over every round;
+/// Run `plan` (sim/replica.h): rounds of plan.replicas jump chains,
+/// seeded replica_seed(plan.base_seed, r). AdaptivePlan::fixed is one
+/// round of a fixed budget; a --target-ci plan grows the budget until the
+/// pooled CI half-width of the MEAN DELAY (the target statistic) at
+/// plan.confidence drops to plan.target_ci or plan.max_jobs caps out
+/// (docs/PRECISION.md). cfg supplies the system parameters and
+/// tail_kmax. Result fields are the merged statistics over every round;
 /// result.adaptive reports the stopping outcome. Bit-identical for every
 /// budget.
-FastSqdResult simulate_sqd_fast_adaptive(const FastSqdConfig& cfg,
-                                         const AdaptivePlan& plan,
-                                         util::ThreadBudget& budget);
+FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg,
+                                const AdaptivePlan& plan,
+                                util::ThreadBudget& budget);
+
+/// Forwarder kept because perf/ still calls it; no scenario does.
+/// Runs AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed)
+/// and leaves result.adaptive default-initialized.
+FastSqdResult simulate_sqd_fast(const FastSqdConfig& cfg,
+                                util::ThreadBudget& budget);
 
 }  // namespace rlb::sim

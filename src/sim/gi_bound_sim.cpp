@@ -240,50 +240,18 @@ GiBoundSimResult assemble(const sqd::BoundModel& model, const Accum& acc) {
 
 GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,
-                                         std::uint64_t arrivals,
-                                         std::uint64_t warmup,
-                                         std::uint64_t seed) {
-  return simulate_gi_lower_bound(model, interarrival, arrivals, warmup,
-                                 seed, 1, util::ThreadBudget::serial());
-}
-
-GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
-                                         const Distribution& interarrival,
-                                         std::uint64_t arrivals,
-                                         std::uint64_t warmup,
-                                         std::uint64_t seed, int replicas,
+                                         const AdaptivePlan& plan,
                                          util::ThreadBudget& budget,
                                          const std::vector<double>&
                                              rank_speeds) {
   validate_model(model, rank_speeds);
-  const ReplicaPlan plan =
-      ReplicaPlan::split(replicas, arrivals, warmup, seed);
-  const std::uint64_t batch = plan.batch_size(0);
-
-  const Accum acc = run_replicas<Accum>(
-      plan, budget,
-      [&](int /*replica*/, std::uint64_t replica_seed) {
-        return run_one_replica(model, interarrival, plan.jobs_per_replica,
-                               plan.warmup, batch, replica_seed,
-                               rank_speeds);
-      },
-      [](Accum& into, const Accum& from) { into.merge(from); });
-
-  return assemble(model, acc);
-}
-
-GiBoundSimResult simulate_gi_lower_bound_adaptive(
-    const sqd::BoundModel& model, const Distribution& interarrival,
-    const AdaptivePlan& plan, util::ThreadBudget& budget,
-    const std::vector<double>& rank_speeds) {
-  validate_model(model, rank_speeds);
   plan.validate();
-  const std::uint64_t batch = plan.batch_size(0);
+  const std::uint64_t batch = plan.batch_size();
 
   AdaptiveReport report;
-  const Accum acc = run_replicas_adaptive<Accum>(
+  const Accum acc = run_replicas<Accum>(
       plan, budget,
-      [&](int /*global_replica*/, std::uint64_t seed,
+      [&](std::uint64_t /*global_replica*/, std::uint64_t seed,
           std::uint64_t arrivals, std::uint64_t warmup) {
         return run_one_replica(model, interarrival, arrivals, warmup,
                                batch, seed, rank_speeds);

@@ -36,50 +36,33 @@ struct GiBoundSimResult {
   /// (dt-weighted batch means over measured events).
   double ci95_waiting_jobs = 0.0;
 
-  /// Filled by simulate_gi_lower_bound_adaptive only.
+  /// The run's stopping report (a fixed plan reports its one round).
   AdaptiveReport adaptive;
 };
 
 /// Simulate the lower bound model with i.i.d. `interarrival` times and
-/// Exp(mu) services for `arrivals` arrival events (after `warmup`).
-/// Requires model.kind() == BoundKind::Lower. Replicas run serially on
-/// the calling thread.
-GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
-                                         const Distribution& interarrival,
-                                         std::uint64_t arrivals,
-                                         std::uint64_t warmup,
-                                         std::uint64_t seed);
-
-/// The arrival budget sharded into `replicas` independent runs
-/// (sim/replica.h) whose occupancy histograms merge time-weighted before
-/// the level-tail ratio is estimated; worker threads come from `budget`
-/// and the result is bit-identical for every budget.
+/// Exp(mu) services under `plan` (sim/replica.h); a "job" of the plan is
+/// one arrival event here. Requires model.kind() == BoundKind::Lower.
+/// Replicas are seeded replica_seed(plan.base_seed, r), and their
+/// occupancy histograms merge time-weighted before the level-tail ratio
+/// is estimated. AdaptivePlan::fixed is one round of a fixed arrival
+/// budget; a --target-ci plan grows the budget until the pooled CI
+/// half-width of the MEAN WAITING JOBS time average (dt-weighted batch
+/// means) at plan.confidence drops to plan.target_ci or plan.max_jobs
+/// caps out (docs/PRECISION.md). Bit-identical for every budget.
+///
 /// `rank_speeds` selects the heterogeneous-rate variant: the queue at
 /// sorted position k is served at rate rank_speeds[k] * mu while busy,
 /// and departures pick a busy rank proportionally to its rate (see
 /// BoundModel::transitions(m, rank_speeds) for the rank-based rate
-/// model). Empty — the default — is the homogeneous model, bit-identical
-/// with the legacy streams. Theorem 2's sigma^N prediction applies to the
-/// homogeneous model only; the hetero level_tail_ratio is an empirical
-/// output.
+/// model). Empty — the default — is the homogeneous model. Theorem 2's
+/// sigma^N prediction applies to the homogeneous model only; the hetero
+/// level_tail_ratio is an empirical output.
 GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,
-                                         std::uint64_t arrivals,
-                                         std::uint64_t warmup,
-                                         std::uint64_t seed, int replicas,
+                                         const AdaptivePlan& plan,
                                          util::ThreadBudget& budget,
                                          const std::vector<double>&
                                              rank_speeds = {});
-
-/// Sequential-stopping run (docs/PRECISION.md): rounds of plan.replicas
-/// event-driven runs grow the arrival budget until the pooled CI
-/// half-width of the MEAN WAITING JOBS time average (dt-weighted batch
-/// means) at plan.confidence drops to plan.target_ci or plan.max_jobs
-/// caps out (a "job" of the plan is one arrival event here).
-/// Bit-identical for every budget.
-GiBoundSimResult simulate_gi_lower_bound_adaptive(
-    const sqd::BoundModel& model, const Distribution& interarrival,
-    const AdaptivePlan& plan, util::ThreadBudget& budget,
-    const std::vector<double>& rank_speeds = {});
 
 }  // namespace rlb::sim

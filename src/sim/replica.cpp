@@ -2,36 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/stats.h"
 #include "util/splitmix.h"
 
 namespace rlb::sim {
 
-void ReplicaPlan::validate() const {
-  RLB_REQUIRE(replicas >= 1, "replica count must be positive");
-  RLB_REQUIRE(warmup < jobs_per_replica,
-              "per-replica warmup must be below the per-replica job count");
-}
-
-std::uint64_t ReplicaPlan::batch_size(std::uint64_t requested) const {
-  RLB_REQUIRE(requested <= measured_per_replica(),
-              "batch size exceeds the per-replica measured job count");
-  if (requested > 0) return requested;
-  return std::max<std::uint64_t>(1, measured_per_replica() / 30);
-}
-
-ReplicaPlan ReplicaPlan::split(int replicas, std::uint64_t total_jobs,
-                               std::uint64_t total_warmup,
-                               std::uint64_t base_seed) {
+AdaptivePlan AdaptivePlan::fixed(int replicas, std::uint64_t total_jobs,
+                                 std::uint64_t total_warmup,
+                                 std::uint64_t base_seed) {
   RLB_REQUIRE(replicas >= 1, "replica count must be positive");
   RLB_REQUIRE(total_warmup < total_jobs, "warmup must be below job count");
-  ReplicaPlan plan;
+  const auto replicas64 = static_cast<std::uint64_t>(replicas);
+  AdaptivePlan plan;
   plan.replicas = replicas;
-  plan.jobs_per_replica = total_jobs / static_cast<std::uint64_t>(replicas);
-  plan.warmup = total_warmup / static_cast<std::uint64_t>(replicas);
+  plan.target_ci = std::numeric_limits<double>::infinity();
+  plan.initial_jobs = total_jobs;
+  plan.max_jobs = total_jobs;
+  plan.warmup_jobs = total_warmup / replicas64;
   plan.base_seed = base_seed;
-  RLB_REQUIRE(plan.warmup < plan.jobs_per_replica,
+  RLB_REQUIRE(plan.warmup_jobs < total_jobs / replicas64,
               "too many replicas: per-replica job budget is all warmup");
   return plan;
 }
@@ -85,14 +76,10 @@ std::uint64_t AdaptivePlan::warmup_for(std::uint64_t jobs_per_replica)
       warmup_fraction * static_cast<double>(jobs_per_replica));
 }
 
-std::uint64_t AdaptivePlan::batch_size(std::uint64_t requested) const {
+std::uint64_t AdaptivePlan::batch_size() const {
   const std::uint64_t round0 =
       initial_jobs / static_cast<std::uint64_t>(replicas);
-  const std::uint64_t measured = round0 - warmup_for(round0);
-  RLB_REQUIRE(requested <= measured,
-              "batch size exceeds the round-0 per-replica measured count");
-  if (requested > 0) return requested;
-  return std::max<std::uint64_t>(1, measured / 30);
+  return std::max<std::uint64_t>(1, (round0 - warmup_for(round0)) / 30);
 }
 
 namespace {
@@ -158,14 +145,13 @@ std::unique_ptr<RoundPlanner> make_planner(const AdaptivePlan& plan) {
   return std::make_unique<GeometricPlanner>(plan);
 }
 
-std::uint64_t replica_seed(std::uint64_t base, int replica) {
+std::uint64_t replica_seed(std::uint64_t base, std::uint64_t replica) {
   if (replica == 0) return base;
   // Two rounds decorrelate neighbouring (base, replica) pairs, mirroring
   // engine::cell_seed; the xor constant keeps replica streams away from
   // the cell-seed family for the same base.
-  return util::splitmix64(
-      util::splitmix64(base ^ 0x5851f42d4c957f2dULL) ^
-      util::splitmix64(static_cast<std::uint64_t>(replica)));
+  return util::splitmix64(util::splitmix64(base ^ 0x5851f42d4c957f2dULL) ^
+                          util::splitmix64(replica));
 }
 
 }  // namespace rlb::sim

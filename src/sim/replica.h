@@ -15,6 +15,11 @@
 // Helpers are recruited opportunistically between replicas: a lone long
 // cell at the tail of a sweep picks up the slots the finished cells
 // released.
+//
+// Every run goes through one round loop, run_replicas. A fixed budget is
+// the one-round plan AdaptivePlan::fixed, the one-stage case of a
+// sequential stopping procedure (Law & Carson, Operations Research 27(5),
+// 1979); --target-ci plans add rounds until the CI is narrow enough.
 #pragma once
 
 #include <algorithm>
@@ -31,49 +36,12 @@
 
 namespace rlb::sim {
 
-/// How one simulation is sharded into independent replicas. `warmup` is
-/// per replica: every replica pays its own transient, the price of the
-/// wall-clock speedup.
-struct ReplicaPlan {
-  int replicas = 1;
-  std::uint64_t jobs_per_replica = 0;
-  std::uint64_t warmup = 0;  ///< per replica
-  std::uint64_t base_seed = 1;
-
-  void validate() const;
-
-  [[nodiscard]] std::uint64_t measured_per_replica() const {
-    return jobs_per_replica - warmup;
-  }
-
-  /// The batch-means batch size to use: `requested`, or the auto choice
-  /// (per-replica measured / 30, at least 1) when 0. Throws when a
-  /// requested batch exceeds the per-replica measured count — that would
-  /// silently yield zero completed batches and a 0-width CI.
-  [[nodiscard]] std::uint64_t batch_size(std::uint64_t requested) const;
-
-  /// Shard a total budget of `total_jobs` jobs (with `total_warmup` of
-  /// them warmup) evenly across `replicas` replicas. Remainder jobs are
-  /// dropped (at 1e6+ jobs per cell the bias is nil), which keeps every
-  /// replica identical and the split independent of the thread count.
-  ///
-  /// The warmup splits with the jobs, i.e. each replica discards the
-  /// same FRACTION of its chain that the serial run would. Absolute
-  /// per-replica transients therefore shrink as R grows; with R around
-  /// the core count (the intended regime) this is well inside the usual
-  /// 10% warmup margin, but R >> jobs/mixing-time would bias the merged
-  /// estimate — keep R modest or raise total_warmup with it. (Adaptive
-  /// warmup is a ROADMAP item.)
-  static ReplicaPlan split(int replicas, std::uint64_t total_jobs,
-                           std::uint64_t total_warmup,
-                           std::uint64_t base_seed);
-};
-
 /// Seed for replica `replica` of a run with base seed `base`: splitmix64
 /// mixing of the replica index. Replica 0 keeps the base seed itself, so a
 /// single-replica run is bit-identical with the pre-replica serial path
-/// (legacy seeds, committed baselines and golden tests stay valid).
-std::uint64_t replica_seed(std::uint64_t base, int replica);
+/// (legacy seeds, committed baselines and golden tests stay valid). The
+/// index is 64-bit because the round loop numbers replicas across rounds.
+std::uint64_t replica_seed(std::uint64_t base, std::uint64_t replica);
 
 /// How the per-replica warmup is chosen when the run length is not fixed
 /// up front (the adaptive path, and docs/PRECISION.md's contract):
@@ -82,10 +50,10 @@ std::uint64_t replica_seed(std::uint64_t base, int replica);
 ///   jobs, independent of how large its measurement budget is. This is
 ///   the adaptive default — it keeps the transient discard honest when
 ///   replica counts are extreme or rounds start small (the fractional
-///   split's bias noted in ReplicaPlan::split cannot occur).
-/// - kFraction: every replica discards a fixed FRACTION of its jobs, the
-///   behaviour of ReplicaPlan::split. Cheap for huge per-replica budgets,
-///   biased when the absolute transient shrinks below the mixing time.
+///   split's bias noted at AdaptivePlan::fixed cannot occur).
+/// - kFraction: every replica discards a fixed FRACTION of its jobs.
+///   Cheap for huge per-replica budgets, biased when the absolute
+///   transient shrinks below the mixing time.
 enum class WarmupPolicy { kFixed, kFraction };
 
 /// Which RoundPlanner chooses the size of each adaptive round
@@ -105,12 +73,12 @@ enum class WarmupPolicy { kFixed, kFraction };
 ///
 /// Both planners read only the plan and merged statistics, so either
 /// schedule is bit-identical across thread counts; round 0 is
-/// initial_jobs for both, so one-round runs match the fixed-budget path
-/// regardless of planner.
+/// initial_jobs for both, so a one-round run is the same for either
+/// planner.
 enum class PlannerKind { kGeometric, kVariance };
 
 /// Sequential-stopping ("run until the answer is ±ε") configuration for
-/// run_replicas_adaptive. The run proceeds in ROUNDS: round r launches
+/// run_replicas. The run proceeds in ROUNDS: round r launches
 /// `replicas` fresh replicas with a per-replica budget of
 /// round_jobs(r) / replicas jobs; after the round's replicas merge (in
 /// global replica-index order), the pooled CI half-width of the target
@@ -118,7 +86,7 @@ enum class PlannerKind { kGeometric, kVariance };
 /// warmups, seeds — is a pure function of this struct, never of timing or
 /// the thread count, so adaptive output is bit-identical across
 /// --threads (rounds are barriers; within a round replicas seed and
-/// merge in index order exactly like run_replicas).
+/// merge in index order).
 struct AdaptivePlan {
   int replicas = 1;             ///< replicas launched per round
   double target_ci = 0.0;       ///< stop when half-width <= this (> 0)
@@ -136,11 +104,29 @@ struct AdaptivePlan {
   /// estimate; undershooting costs an extra round, so predict high).
   double planner_safety = 1.2;
 
+  /// A fixed budget as a one-round plan: `total_jobs` jobs, `total_warmup`
+  /// of them warmup, split evenly across `replicas` replicas. The target
+  /// is +infinity, so the run stops after round 0. Remainder jobs are
+  /// dropped (at 1e6+ jobs per cell the bias is nil), which keeps every
+  /// replica identical and the split independent of the thread count.
+  ///
+  /// The warmup splits with the jobs: each replica discards
+  /// total_warmup / replicas, the same FRACTION of its chain that a
+  /// single replica would. Absolute per-replica transients therefore
+  /// shrink as R grows; with R around the core count (the intended
+  /// regime) this is well inside the usual 10% warmup margin, but
+  /// R >> jobs/mixing-time would bias the merged estimate — keep R modest
+  /// or raise total_warmup with it. Throws when replicas < 1, when
+  /// total_warmup >= total_jobs, or when a replica's share is all warmup.
+  static AdaptivePlan fixed(int replicas, std::uint64_t total_jobs,
+                            std::uint64_t total_warmup,
+                            std::uint64_t base_seed);
+
   void validate() const;
 
   /// Total job budget requested for round `round` (before the max_jobs
   /// clamp): initial_jobs * growth_factor^round, saturating at max_jobs.
-  /// This is the GEOMETRIC schedule; run_replicas_adaptive consults the
+  /// This is the GEOMETRIC schedule; run_replicas consults the
   /// plan's RoundPlanner (make_planner), which may size rounds from the
   /// observed half-width instead.
   [[nodiscard]] std::uint64_t round_jobs(int round) const;
@@ -155,12 +141,10 @@ struct AdaptivePlan {
   [[nodiscard]] std::uint64_t warmup_for(std::uint64_t jobs_per_replica)
       const;
 
-  /// The batch-means batch size: `requested`, or the auto choice derived
-  /// from ROUND 0's per-replica measured count (mirroring
-  /// ReplicaPlan::batch_size). One size serves every round — BatchMeans
-  /// merging requires it — so later, larger rounds simply complete more
-  /// batches.
-  [[nodiscard]] std::uint64_t batch_size(std::uint64_t requested) const;
+  /// The batch-means batch size: ROUND 0's per-replica measured count
+  /// / 30, at least 1. One size serves every round — BatchMeans merging
+  /// requires it — so later, larger rounds simply complete more batches.
+  [[nodiscard]] std::uint64_t batch_size() const;
 };
 
 /// Chooses the total job budget of each adaptive round. Implementations
@@ -172,8 +156,8 @@ class RoundPlanner {
  public:
   virtual ~RoundPlanner() = default;
 
-  /// Job budget to request for round `round` (run_replicas_adaptive
-  /// clamps the request to the remaining max_jobs allowance).
+  /// Job budget to request for round `round` (run_replicas clamps the
+  /// request to the remaining max_jobs allowance).
   /// `jobs_used` is the cumulative budget burned by earlier rounds
   /// (warmup included) and `half_width` the pooled CI half-width after
   /// the last merge — +infinity before round 0 or while fewer than two
@@ -216,89 +200,93 @@ struct AdaptiveReport {
   }
 };
 
-/// Run plan.replicas independent replicas — run(replica_index, seed) must
-/// derive ALL its randomness from the passed seed — and fold them with
-/// merge(accumulator&, other const&) in replica-index order. Extra worker
-/// threads come from `budget` via util::budgeted_for (pass
-/// util::ThreadBudget::serial() to run on the calling thread only); the
-/// merged result is invariant under the budget. A replica that throws
-/// stops the remaining replicas and the first exception is rethrown on
-/// the calling thread after all helpers retire.
-template <typename Result, typename RunFn, typename MergeFn>
-Result run_replicas(const ReplicaPlan& plan, util::ThreadBudget& budget,
-                    RunFn&& run, MergeFn&& merge) {
-  plan.validate();
-  const auto count = static_cast<std::size_t>(plan.replicas);
-  std::vector<std::optional<Result>> results(count);
-  util::budgeted_for(count, budget, [&](std::size_t i) {
-    const int replica = static_cast<int>(i);
-    results[i] = run(replica, replica_seed(plan.base_seed, replica));
-  });
-
-  // Merge in index order on this thread: deterministic for any budget.
-  Result merged = std::move(*results[0]);
-  for (std::size_t i = 1; i < count; ++i) merge(merged, *results[i]);
-  return merged;
-}
-
-/// Where a previously stopped adaptive run left off, for
-/// run_replicas_adaptive_resume: how many rounds it executed and the
-/// cumulative budget (warmup included) those rounds burned. The merged
-/// Result itself travels separately (the caller checkpoints and restores
-/// it — e.g. ClusterRoundState for the cluster simulators).
-struct AdaptiveResume {
+/// Where a stopped run left off, to resume it (the --refine path,
+/// docs/CACHING.md): the rounds it completed, the budget (warmup
+/// included) they burned, and the EXACT merged Result after them — a
+/// bit-exact checkpoint restore, e.g. ClusterRoundState for the cluster
+/// simulator.
+template <typename Result>
+struct ResumeState {
   int rounds = 0;
   std::uint64_t jobs_used = 0;
+  Result merged;
 };
 
-namespace detail {
-
-/// The shared round loop behind run_replicas_adaptive (resume.rounds ==
-/// 0, merged empty) and run_replicas_adaptive_resume. Continuing from
-/// round k with the exact merged state the cold run had after round k
-/// reproduces the cold run's remaining rounds bit-for-bit under the
-/// GEOMETRIC planner, whose round sizes depend only on the round index.
-/// (The variance planner sizes rounds from target_ci, so a resumed run
-/// at a tighter target takes a different — still valid, still
-/// deterministic — schedule than a cold run at that target.)
+/// The replica runner. Rounds of plan.replicas fresh replicas run until
+/// half_width(merged) <= plan.target_ci or the cumulative job budget hits
+/// plan.max_jobs (then report.converged is false — the estimate is still
+/// the best available, just not at the requested precision). A fixed
+/// budget, AdaptivePlan::fixed, is exactly one round.
+///
+/// - run(global_replica, seed, jobs, warmup) -> Result simulates one
+///   replica and must derive ALL its randomness from `seed`.
+///   `global_replica` numbers replicas consecutively ACROSS rounds (round
+///   r owns indices r*R .. r*R + R - 1) and `seed` is
+///   replica_seed(plan.base_seed, global_replica), so the round schedule
+///   never reuses a stream and every plan of the same round-0 shape runs
+///   the same first round.
+/// - merge(accumulator&, other const&) folds results in global-index
+///   order on the calling thread.
+/// - half_width(merged) -> double reports the pooled CI half-width of
+///   the designated target statistic at plan.confidence; return
+///   +infinity while the estimate is not yet CI-capable (< 2 completed
+///   batches) so the run keeps going.
+///
+/// Extra worker threads come from `budget` via util::budgeted_for (pass
+/// util::ThreadBudget::serial() to run on the calling thread only).
+/// Rounds are barriers: round r+1 starts only after round r merged, and
+/// the stopping decision depends only on merged statistics — output is
+/// bit-identical for every `budget`. A replica that throws stops the
+/// remaining replicas and the first exception is rethrown on the calling
+/// thread after all helpers retire.
+///
+/// With `resume` the run continues a stopped one, typically at a tighter
+/// plan.target_ci; the plan must match the original in every other
+/// field. Replica numbering continues globally, so no stream is reused.
+/// Under the GEOMETRIC planner, whose round sizes depend only on the
+/// round index, the result is bit-identical to a cold run at the new
+/// target. (The variance planner sizes rounds from target_ci, so a
+/// resumed run takes a different — still valid, still deterministic —
+/// schedule than a cold run.) The report covers the WHOLE run:
+/// `report.jobs_used - resume->jobs_used` is the budget the resumption
+/// actually simulated.
 template <typename Result, typename RunFn, typename MergeFn,
           typename HalfWidthFn>
-Result run_adaptive_rounds(const AdaptivePlan& plan,
-                           const AdaptiveResume& resume,
-                           std::optional<Result> merged,
-                           util::ThreadBudget& budget, RunFn&& run,
-                           MergeFn&& merge, HalfWidthFn&& half_width,
-                           AdaptiveReport& report) {
+Result run_replicas(const AdaptivePlan& plan, util::ThreadBudget& budget,
+                    RunFn&& run, MergeFn&& merge, HalfWidthFn&& half_width,
+                    AdaptiveReport& report,
+                    std::optional<ResumeState<Result>> resume = {}) {
   plan.validate();
-  RLB_REQUIRE(resume.rounds >= 0, "resume round count must be >= 0");
-  RLB_REQUIRE((resume.rounds > 0) == merged.has_value(),
-              "resume state and merged result must arrive together");
   const auto count = static_cast<std::size_t>(plan.replicas);
   const auto replicas64 = static_cast<std::uint64_t>(plan.replicas);
   const std::unique_ptr<RoundPlanner> planner = make_planner(plan);
   report = AdaptiveReport{};
-  report.rounds = resume.rounds;
-  report.jobs_used = resume.jobs_used;
-  // The half-width the planner sizes the next round from; infinite until
-  // the first merge produces an interval.
-  double observed_hw = std::numeric_limits<double>::infinity();
-  if (merged) {
-    // Re-derive the stopping state exactly as the cold loop would have
-    // observed it after `resume.rounds` rounds: the run may already meet
-    // the (possibly loosened) target, or already sit at the cap.
-    report.half_width = half_width(*merged);
-    observed_hw = report.half_width;
-    if (report.half_width <= plan.target_ci) {
-      report.converged = true;
-      return std::move(*merged);
-    }
-    if (report.jobs_used >= plan.max_jobs) return std::move(*merged);
+  std::optional<Result> merged;
+  if (resume) {
+    RLB_REQUIRE(resume->rounds >= 1,
+                "resume requires at least one completed round");
+    report.rounds = resume->rounds;
+    report.jobs_used = resume->jobs_used;
+    merged = std::move(resume->merged);
   }
-  for (int round = resume.rounds;; ++round) {
-    const std::uint64_t remaining = plan.max_jobs - report.jobs_used;
-    const std::uint64_t round_total = std::min(
-        planner->round_jobs(round, report.jobs_used, observed_hw),
-        remaining);
+  for (int round = report.rounds;; ++round) {
+    if (merged) {
+      report.half_width = half_width(*merged);
+      if (report.half_width <= plan.target_ci) {
+        report.converged = true;
+        break;
+      }
+      if (report.jobs_used >= plan.max_jobs) break;
+      // report.rounds is an int: stop rather than overflow it.
+      if (round == std::numeric_limits<int>::max()) break;
+    }
+    // The planner sees an infinite half-width until the first merge
+    // produces an interval.
+    const double observed_hw = merged ? report.half_width
+                                      : std::numeric_limits<double>::infinity();
+    const std::uint64_t round_total =
+        std::min(planner->round_jobs(round, report.jobs_used, observed_hw),
+                 plan.max_jobs - report.jobs_used);
     const std::uint64_t jobs_per_replica = round_total / replicas64;
     const std::uint64_t warmup = plan.warmup_for(jobs_per_replica);
     // The clamped tail of the budget may be too thin to measure anything;
@@ -306,11 +294,11 @@ Result run_adaptive_rounds(const AdaptivePlan& plan,
     if (jobs_per_replica == 0 || warmup >= jobs_per_replica) break;
 
     std::vector<std::optional<Result>> results(count);
+    const std::uint64_t first = static_cast<std::uint64_t>(round) * replicas64;
     util::budgeted_for(count, budget, [&](std::size_t i) {
-      const int global = round * plan.replicas + static_cast<int>(i);
-      results[i] =
-          run(global, replica_seed(plan.base_seed, global),
-              jobs_per_replica, warmup);
+      const std::uint64_t global = first + i;
+      results[i] = run(global, replica_seed(plan.base_seed, global),
+                       jobs_per_replica, warmup);
     });
     for (auto& result : results) {
       if (!merged)
@@ -318,86 +306,11 @@ Result run_adaptive_rounds(const AdaptivePlan& plan,
       else
         merge(*merged, *result);
     }
-
     report.rounds = round + 1;
     report.jobs_used += jobs_per_replica * replicas64;
-    report.half_width = half_width(*merged);
-    observed_hw = report.half_width;
-    if (report.half_width <= plan.target_ci) {
-      report.converged = true;
-      break;
-    }
-    if (report.jobs_used >= plan.max_jobs) break;
   }
-  RLB_ASSERT(merged.has_value(), "adaptive run executed zero rounds");
+  RLB_ASSERT(merged.has_value(), "replica run executed zero rounds");
   return std::move(*merged);
-}
-
-}  // namespace detail
-
-/// Sequential-stopping replica runner. Rounds of plan.replicas fresh
-/// replicas run until half_width(merged) <= plan.target_ci or the
-/// cumulative job budget hits plan.max_jobs (then report.converged is
-/// false — the estimate is still the best available, just not at the
-/// requested precision).
-///
-/// - run(global_replica, seed, jobs, warmup) -> Result simulates one
-///   replica: `global_replica` numbers replicas consecutively ACROSS
-///   rounds (round r owns indices r*R .. r*R + R - 1), and `seed` is
-///   replica_seed(plan.base_seed, global_replica) — so the round
-///   schedule never reuses a stream, and a one-round adaptive run is
-///   bit-identical with the fixed-budget run_replicas of the same shape.
-/// - merge folds results in global-index order on the calling thread.
-/// - half_width(merged) -> double reports the pooled CI half-width of
-///   the designated target statistic at plan.confidence; return
-///   +infinity while the estimate is not yet CI-capable (< 2 completed
-///   batches) so the run keeps going.
-///
-/// Rounds are barriers: round r+1 starts only after round r merged, and
-/// the stopping decision depends only on merged statistics — output is
-/// bit-identical for every `budget`.
-template <typename Result, typename RunFn, typename MergeFn,
-          typename HalfWidthFn>
-Result run_replicas_adaptive(const AdaptivePlan& plan,
-                             util::ThreadBudget& budget, RunFn&& run,
-                             MergeFn&& merge, HalfWidthFn&& half_width,
-                             AdaptiveReport& report) {
-  return detail::run_adaptive_rounds<Result>(
-      plan, AdaptiveResume{}, std::optional<Result>{}, budget,
-      std::forward<RunFn>(run), std::forward<MergeFn>(merge),
-      std::forward<HalfWidthFn>(half_width), report);
-}
-
-/// Resume a stopped adaptive run from its checkpointed merged state —
-/// the --refine path (docs/CACHING.md): tighten plan.target_ci below the
-/// original target and continue the round schedule instead of
-/// re-simulating the rounds already paid for.
-///
-/// `merged` must be the EXACT merged Result after `resume.rounds` rounds
-/// (a bit-exact checkpoint restore) and the plan must match the original
-/// in every field except target_ci. Replica numbering continues globally
-/// (round k still owns indices k*R ..), so no stream is ever reused.
-/// Under the geometric planner the resumed run is bit-identical to a
-/// cold run at the tighter target; under the variance planner the
-/// schedule differs but every statistical guarantee holds. The returned
-/// report covers the WHOLE run: rounds/jobs_used include the resumed
-/// prefix, so `report.jobs_used - resume.jobs_used` is the budget the
-/// refinement actually simulated.
-template <typename Result, typename RunFn, typename MergeFn,
-          typename HalfWidthFn>
-Result run_replicas_adaptive_resume(const AdaptivePlan& plan,
-                                    const AdaptiveResume& resume,
-                                    Result merged,
-                                    util::ThreadBudget& budget, RunFn&& run,
-                                    MergeFn&& merge,
-                                    HalfWidthFn&& half_width,
-                                    AdaptiveReport& report) {
-  RLB_REQUIRE(resume.rounds >= 1,
-              "resume requires at least one completed round");
-  return detail::run_adaptive_rounds<Result>(
-      plan, resume, std::optional<Result>(std::move(merged)), budget,
-      std::forward<RunFn>(run), std::forward<MergeFn>(merge),
-      std::forward<HalfWidthFn>(half_width), report);
 }
 
 }  // namespace rlb::sim

@@ -67,7 +67,7 @@ double mm1_coverage(double confidence, PlannerKind planner) {
     rlb::sim::FastSqdConfig cfg;
     cfg.params = {1, 1, kRho, 1.0};  // SQ(1), N = 1: exactly M/M/1
     const auto seed = static_cast<std::uint64_t>(1000 + 7 * cell);
-    const auto res = rlb::sim::simulate_sqd_fast_adaptive(
+    const auto res = rlb::sim::simulate_sqd_fast(
         cfg, coverage_plan(0.08, confidence, seed, planner),
         ThreadBudget::serial());
     if (std::abs(res.mean_delay - exact.mean_sojourn()) <=
@@ -121,7 +121,7 @@ TEST(AdaptiveCoverage, BoundCtmcWaitingJobsAtNominal95) {
   constexpr int kCtmcCells = 40;  // CTMC steps cost more than jumps
   for (int cell = 0; cell < kCtmcCells; ++cell) {
     const auto seed = static_cast<std::uint64_t>(9000 + 13 * cell);
-    const auto res = rlb::sim::simulate_bound_model_adaptive(
+    const auto res = rlb::sim::simulate_bound_model(
         model, coverage_plan(0.10, 0.95, seed, PlannerKind::kGeometric),
         ThreadBudget::serial());
     if (std::abs(res.mean_waiting_jobs - exact.mean_waiting_jobs()) <=
@@ -136,7 +136,7 @@ TEST(AdaptiveCoverage, BoundCtmcWaitingJobsAtNominal95) {
 TEST(AdaptiveCoverage, IntervalsAreNotVacuouslyWide) {
   // Coverage bands alone could be gamed by infinite intervals; pin the
   // other side: converged cells certify at most the requested target.
-  const auto res = rlb::sim::simulate_sqd_fast_adaptive(
+  const auto res = rlb::sim::simulate_sqd_fast(
       [] {
         rlb::sim::FastSqdConfig cfg;
         cfg.params = {1, 1, kRho, 1.0};

@@ -85,17 +85,18 @@ TEST(MmppArrivals, ClusterDelayExceedsPoissonAtEqualRate) {
   const double rho = 0.8;
   ClusterConfig cfg;
   cfg.servers = n;
-  cfg.jobs = 400'000;
-  cfg.warmup = 40'000;
-  cfg.seed = 17;
+  const auto plan = AdaptivePlan::fixed(1, 400'000, 40'000, 17);
+  auto& serial = rlb::util::ThreadBudget::serial();
   const auto svc = make_exponential(1.0);
 
   SqdPolicy policy(n, 2);
   const auto arr_poisson = make_exponential(rho * n);
-  const auto base = simulate_cluster(cfg, policy, *arr_poisson, *svc);
+  RenewalArrivals poisson(*arr_poisson);
+  const auto base = simulate_cluster(cfg, policy, poisson, *svc, plan, serial);
 
   MmppArrivals bursty = MmppArrivals::bursty(rho * n, 4.0, 25.0);
-  const auto modulated = simulate_cluster(cfg, policy, bursty, *svc);
+  const auto modulated =
+      simulate_cluster(cfg, policy, bursty, *svc, plan, serial);
 
   EXPECT_GT(modulated.mean_sojourn, 1.3 * base.mean_sojourn);
 }

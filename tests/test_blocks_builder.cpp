@@ -48,7 +48,9 @@ TEST(BlocksBuilder, OffDiagonalsNonNegative) {
   const auto check_offdiag = [](const rlb::linalg::Matrix& m, bool square) {
     for (std::size_t i = 0; i < m.rows(); ++i)
       for (std::size_t j = 0; j < m.cols(); ++j)
-        if (!square || i != j) EXPECT_GE(m(i, j), 0.0);
+        if (!square || i != j) {
+          EXPECT_GE(m(i, j), 0.0);
+        }
   };
   check_offdiag(q.blocks.B00, true);
   check_offdiag(q.blocks.B01, false);

@@ -173,17 +173,19 @@ TEST(BoundModel, RedirectsArePrecedenceMonotone) {
           if (raw.end() ==
               std::find_if(raw.begin(), raw.end(), [&](const auto& t) {
                 return t.to == to;
-              }))
+              })) {
             EXPECT_TRUE(precedes(to, orig.to))
                 << ss::to_string(to) << " vs " << ss::to_string(orig.to);
+          }
         }
       }
       // Upper redirect: any batch target (total jump >= 2) must dominate
       // the original single-arrival target; departures are dropped.
       for (const auto& [to, rate] : up) {
         (void)rate;
-        if (ss::total_jobs(to) >= ss::total_jobs(m) + 2)
+        if (ss::total_jobs(to) >= ss::total_jobs(m) + 2) {
           EXPECT_TRUE(precedes(orig.to, to));
+        }
       }
     }
   };

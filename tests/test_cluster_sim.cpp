@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,6 +14,27 @@
 namespace {
 
 using namespace rlb::sim;
+
+/// The plan entry on the fixed plan of cfg's budget fields, on the
+/// calling thread unless a budget is given.
+ClusterResult simulate(
+    const ClusterConfig& cfg, Policy& policy, ArrivalProcess& arrivals,
+    const Distribution& service,
+    rlb::util::ThreadBudget& budget = rlb::util::ThreadBudget::serial()) {
+  return simulate_cluster(
+      cfg, policy, arrivals, service,
+      AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed),
+      budget);
+}
+
+/// As above, with renewal arrivals drawn from `interarrival`.
+ClusterResult simulate(
+    const ClusterConfig& cfg, Policy& policy,
+    const Distribution& interarrival, const Distribution& service,
+    rlb::util::ThreadBudget& budget = rlb::util::ThreadBudget::serial()) {
+  RenewalArrivals arrivals(interarrival);
+  return simulate(cfg, policy, arrivals, service, budget);
+}
 
 ClusterConfig quick_config(int servers, std::uint64_t jobs = 400'000) {
   ClusterConfig cfg;
@@ -29,7 +51,7 @@ TEST(ClusterSim, Mm1SojournMatchesClosedForm) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(lambda);
   const auto svc = make_exponential(1.0);
-  const auto r = simulate_cluster(quick_config(1), policy, *arr, *svc);
+  const auto r = simulate(quick_config(1), policy, *arr, *svc);
   EXPECT_NEAR(r.mean_sojourn, ref.mean_sojourn(), 4.0 * r.ci95_sojourn + 0.05);
   EXPECT_NEAR(r.mean_wait, ref.mean_wait(), 4.0 * r.ci95_sojourn + 0.05);
   EXPECT_NEAR(r.utilization, lambda, 0.02);
@@ -40,7 +62,7 @@ TEST(ClusterSim, LittleLawHolds) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(lambda);
   const auto svc = make_exponential(1.0);
-  const auto r = simulate_cluster(quick_config(1), policy, *arr, *svc);
+  const auto r = simulate(quick_config(1), policy, *arr, *svc);
   // L = lambda * T over the measured window.
   EXPECT_NEAR(r.mean_jobs_in_system, lambda * r.mean_sojourn, 0.1);
 }
@@ -51,7 +73,7 @@ TEST(ClusterSim, MdOneKingmanShape) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(lambda);
   const auto svc = make_deterministic(1.0);
-  const auto r = simulate_cluster(quick_config(1, 600'000), policy, *arr, *svc);
+  const auto r = simulate(quick_config(1, 600'000), policy, *arr, *svc);
   const double expected_wait = lambda / (2.0 * (1.0 - lambda));
   EXPECT_NEAR(r.mean_wait, expected_wait, 0.1);
 }
@@ -65,8 +87,8 @@ TEST(ClusterSim, JsqEquivalentToSqN) {
   const auto svc = make_exponential(1.0);
   SqdPolicy sqn(n, n);
   JsqPolicy jsq;
-  const auto a = simulate_cluster(cfg, sqn, *arr, *svc);
-  const auto b = simulate_cluster(cfg, jsq, *arr, *svc);
+  const auto a = simulate(cfg, sqn, *arr, *svc);
+  const auto b = simulate(cfg, jsq, *arr, *svc);
   EXPECT_NEAR(a.mean_sojourn, b.mean_sojourn,
               3.0 * (a.ci95_sojourn + b.ci95_sojourn) + 0.02);
 }
@@ -80,9 +102,9 @@ TEST(ClusterSim, PowerOfTwoOrdering) {
   const auto svc = make_exponential(1.0);
   SqdPolicy sq1(n, 1), sq2(n, 2);
   JsqPolicy jsq;
-  const double d1 = simulate_cluster(cfg, sq1, *arr, *svc).mean_sojourn;
-  const double d2 = simulate_cluster(cfg, sq2, *arr, *svc).mean_sojourn;
-  const double dn = simulate_cluster(cfg, jsq, *arr, *svc).mean_sojourn;
+  const double d1 = simulate(cfg, sq1, *arr, *svc).mean_sojourn;
+  const double d2 = simulate(cfg, sq2, *arr, *svc).mean_sojourn;
+  const double dn = simulate(cfg, jsq, *arr, *svc).mean_sojourn;
   EXPECT_GT(d1, 2.0 * d2);  // the power of two
   EXPECT_GT(d2, dn);
 }
@@ -96,8 +118,8 @@ TEST(ClusterSim, RoundRobinBeatsRandomForDeterministicService) {
   SqdPolicy random_policy(n, 1);
   RoundRobinPolicy rr;
   const double rand_delay =
-      simulate_cluster(cfg, random_policy, *arr, *svc).mean_sojourn;
-  const double rr_delay = simulate_cluster(cfg, rr, *arr, *svc).mean_sojourn;
+      simulate(cfg, random_policy, *arr, *svc).mean_sojourn;
+  const double rr_delay = simulate(cfg, rr, *arr, *svc).mean_sojourn;
   EXPECT_LT(rr_delay, rand_delay);
 }
 
@@ -106,8 +128,8 @@ TEST(ClusterSim, DeterministicSeedsReproduce) {
   const auto arr = make_exponential(1.2);
   const auto svc = make_exponential(1.0);
   const auto cfg = quick_config(2, 50'000);
-  const auto a = simulate_cluster(cfg, policy, *arr, *svc);
-  const auto b = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto a = simulate(cfg, policy, *arr, *svc);
+  const auto b = simulate(cfg, policy, *arr, *svc);
   EXPECT_DOUBLE_EQ(a.mean_sojourn, b.mean_sojourn);
   EXPECT_EQ(a.jobs_measured, b.jobs_measured);
 }
@@ -117,7 +139,7 @@ TEST(ClusterSim, CountsMeasuredJobs) {
   SqdPolicy policy(2, 2);
   const auto arr = make_exponential(1.0);
   const auto svc = make_exponential(1.0);
-  const auto r = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto r = simulate(cfg, policy, *arr, *svc);
   EXPECT_EQ(r.jobs_measured, cfg.jobs - cfg.warmup);
   EXPECT_GT(r.sim_time, 0.0);
 }
@@ -128,7 +150,7 @@ TEST(ClusterSim, RejectsBadWarmup) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(0.5);
   const auto svc = make_exponential(1.0);
-  EXPECT_THROW(simulate_cluster(cfg, policy, *arr, *svc),
+  EXPECT_THROW(simulate(cfg, policy, *arr, *svc),
                std::invalid_argument);
 }
 
@@ -142,7 +164,7 @@ TEST(ClusterSim, QuantilesMatchMm1ClosedForm) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(lambda);
   const auto svc = make_exponential(1.0);
-  const auto r = simulate_cluster(quick_config(1, 600'000), policy, *arr, *svc);
+  const auto r = simulate(quick_config(1, 600'000), policy, *arr, *svc);
   const double rate = 1.0 - lambda;
   EXPECT_NEAR(r.p50_sojourn, std::log(2.0) / rate, 0.1);
   EXPECT_NEAR(r.p95_sojourn, -std::log(0.05) / rate, 0.4);
@@ -158,7 +180,7 @@ TEST(ClusterSim, HeterogeneousSpeedsScaleService) {
   SqdPolicy policy(1, 1);
   const auto arr = make_exponential(1.0);  // rho = 0.5 against mu = 2
   const auto svc = make_exponential(1.0);
-  const auto r = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto r = simulate(cfg, policy, *arr, *svc);
   const rlb::sqd::Mm1 ref{1.0, 2.0};
   EXPECT_NEAR(r.mean_sojourn, ref.mean_sojourn(), 0.05);
 }
@@ -172,13 +194,13 @@ TEST(ClusterSim, HeterogeneityHurtsSpeedObliviousPolicies) {
   SqdPolicy policy(n, 2);
   const auto arr = make_exponential(rho * n);
   const auto svc = make_exponential(1.0);
-  const auto homo = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto homo = simulate(cfg, policy, *arr, *svc);
   cfg.server_speeds.assign(n, 1.0);
   for (int s = 0; s < n / 2; ++s) {
     cfg.server_speeds[s] = 1.6;
     cfg.server_speeds[n / 2 + s] = 0.4;
   }
-  const auto hetero = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto hetero = simulate(cfg, policy, *arr, *svc);
   EXPECT_GT(hetero.mean_sojourn, 1.1 * homo.mean_sojourn);
 }
 
@@ -188,10 +210,10 @@ TEST(ClusterSim, SpeedVectorValidated) {
   SqdPolicy policy(2, 1);
   const auto arr = make_exponential(1.0);
   const auto svc = make_exponential(1.0);
-  EXPECT_THROW(simulate_cluster(cfg, policy, *arr, *svc),
+  EXPECT_THROW(simulate(cfg, policy, *arr, *svc),
                std::invalid_argument);
   cfg.server_speeds = {1.0, -1.0};
-  EXPECT_THROW(simulate_cluster(cfg, policy, *arr, *svc),
+  EXPECT_THROW(simulate(cfg, policy, *arr, *svc),
                std::invalid_argument);
 }
 
@@ -226,7 +248,7 @@ TEST(ClusterSim, IdleQueueViewMatchesQueueLengths) {
   IdleAuditPolicy policy(&audits);
   const auto arr = make_exponential(0.8 * 4);
   const auto svc = make_exponential(1.0);
-  simulate_cluster(cfg, policy, *arr, *svc);
+  simulate(cfg, policy, *arr, *svc);
   EXPECT_EQ(audits, 20'000);
 }
 
@@ -264,7 +286,7 @@ TEST(ClusterSim, JiqServesFirstIdleFirst) {
   RecordingPolicy policy(std::make_unique<JiqPolicy>(2), &log);
   const auto arr = make_deterministic(1.0);
   const auto svc = make_deterministic(0.5);
-  simulate_cluster(cfg, policy, *arr, *svc);
+  simulate(cfg, policy, *arr, *svc);
   ASSERT_EQ(log.size(), 10u);
   for (std::size_t i = 0; i < log.size(); ++i)
     EXPECT_EQ(log[i], static_cast<int>(i % 2)) << i;
@@ -279,8 +301,8 @@ TEST(ClusterSim, JiqMatchesJsqWhileServersStayIdle) {
   JsqPolicy jsq;
   const auto arr = make_deterministic(1.0);
   const auto svc = make_deterministic(0.5);
-  const auto r_jiq = simulate_cluster(cfg, jiq, *arr, *svc);
-  const auto r_jsq = simulate_cluster(cfg, jsq, *arr, *svc);
+  const auto r_jiq = simulate(cfg, jiq, *arr, *svc);
+  const auto r_jsq = simulate(cfg, jsq, *arr, *svc);
   EXPECT_DOUBLE_EQ(r_jiq.mean_wait, 0.0);
   EXPECT_DOUBLE_EQ(r_jsq.mean_wait, 0.0);
   EXPECT_DOUBLE_EQ(r_jiq.mean_sojourn, 0.5);
@@ -296,8 +318,8 @@ TEST(ClusterSim, JiqNearJsqAtLowLoadStochastically) {
   JsqPolicy jsq;
   const auto arr = make_exponential(rho * 8);
   const auto svc = make_exponential(1.0);
-  const auto r_jiq = simulate_cluster(cfg, jiq, *arr, *svc);
-  const auto r_jsq = simulate_cluster(cfg, jsq, *arr, *svc);
+  const auto r_jiq = simulate(cfg, jiq, *arr, *svc);
+  const auto r_jsq = simulate(cfg, jsq, *arr, *svc);
   EXPECT_NEAR(r_jiq.mean_sojourn, r_jsq.mean_sojourn,
               0.03 * r_jsq.mean_sojourn);
 }
@@ -313,12 +335,12 @@ TEST(ClusterSim, BatchArrivalsInflateDelayAtEqualLoad) {
 
   const auto plain_gap = make_exponential(rho * n);
   RenewalArrivals plain(*plain_gap);
-  const auto plain_r = simulate_cluster(cfg, policy, plain, *svc);
+  const auto plain_r = simulate(cfg, policy, plain, *svc);
 
   const auto batch_gap = make_exponential(rho * n / 4.0);
   BatchArrivalProcess batched(std::make_unique<RenewalArrivals>(*batch_gap),
                               4.0, BatchArrivalProcess::BatchSizes::Fixed);
-  const auto batch_r = simulate_cluster(cfg, policy, batched, *svc);
+  const auto batch_r = simulate(cfg, policy, batched, *svc);
 
   EXPECT_NEAR(plain_r.utilization, batch_r.utilization, 0.02);
   EXPECT_GT(batch_r.mean_sojourn, 1.2 * plain_r.mean_sojourn);
@@ -332,14 +354,14 @@ TEST(ClusterSim, QuantileKnobsTouchOnlyTheQuantiles) {
   SqdPolicy policy(4, 2);
   const auto arr = make_exponential(0.9 * 4);
   const auto svc = make_exponential(1.0);
-  const auto ref = simulate_cluster(base, policy, *arr, *svc);
+  const auto ref = simulate(base, policy, *arr, *svc);
 
   ClusterConfig salted = base;
   salted.quantile_seed_salt = 0x1234'5678ull;
-  const auto r1 = simulate_cluster(salted, policy, *arr, *svc);
+  const auto r1 = simulate(salted, policy, *arr, *svc);
   ClusterConfig small = base;
   small.quantile_reservoir = 500;  // heavy reservoir subsampling
-  const auto r2 = simulate_cluster(small, policy, *arr, *svc);
+  const auto r2 = simulate(small, policy, *arr, *svc);
 
   for (const auto& r : {r1, r2}) {
     EXPECT_DOUBLE_EQ(r.mean_sojourn, ref.mean_sojourn);
@@ -353,7 +375,7 @@ TEST(ClusterSim, QuantileKnobsTouchOnlyTheQuantiles) {
 
   ClusterConfig bad = base;
   bad.quantile_reservoir = 0;
-  EXPECT_THROW(simulate_cluster(bad, policy, *arr, *svc),
+  EXPECT_THROW(simulate(bad, policy, *arr, *svc),
                std::invalid_argument);
 }
 
@@ -365,14 +387,14 @@ TEST(ClusterSim, WindowsAndSlaLeaveClassicOutputsUntouched) {
   SqdPolicy policy(4, 2);
   const auto arr = make_exponential(0.85 * 4);
   const auto svc = make_exponential(1.0);
-  const auto ref = simulate_cluster(base, policy, *arr, *svc);
+  const auto ref = simulate(base, policy, *arr, *svc);
   EXPECT_TRUE(ref.windows.empty());
   EXPECT_EQ(ref.sla_violations, 0u);
 
   ClusterConfig windowed = base;
   windowed.window_width = 500.0;
   windowed.sla_threshold = 4.0;
-  const auto r = simulate_cluster(windowed, policy, *arr, *svc);
+  const auto r = simulate(windowed, policy, *arr, *svc);
   EXPECT_DOUBLE_EQ(r.mean_sojourn, ref.mean_sojourn);
   EXPECT_DOUBLE_EQ(r.mean_wait, ref.mean_wait);
   EXPECT_DOUBLE_EQ(r.ci95_sojourn, ref.ci95_sojourn);
@@ -389,7 +411,7 @@ TEST(ClusterSim, WindowsAndSlaLeaveClassicOutputsUntouched) {
 
   ClusterConfig bad = base;
   bad.window_width = -1.0;
-  EXPECT_THROW(simulate_cluster(bad, policy, *arr, *svc),
+  EXPECT_THROW(simulate(bad, policy, *arr, *svc),
                std::invalid_argument);
 }
 
@@ -404,10 +426,9 @@ TEST(ClusterSim, WindowedOutputsAreReplicaAndBudgetInvariant) {
     const auto arr = make_exponential(0.85 * 6);
     const auto svc = make_exponential(1.0);
     SqdPolicy policy(6, 2);
-    const auto serial = simulate_cluster(cfg, policy, *arr, *svc,
-                                         rlb::util::ThreadBudget::serial());
+    const auto serial = simulate(cfg, policy, *arr, *svc);
     rlb::util::ThreadBudget four(4);
-    const auto parallel = simulate_cluster(cfg, policy, *arr, *svc, four);
+    const auto parallel = simulate(cfg, policy, *arr, *svc, four);
     EXPECT_EQ(parallel.sla_violations, serial.sla_violations);
     ASSERT_EQ(parallel.windows.size(), serial.windows.size());
     for (std::size_t w = 0; w < serial.windows.size(); ++w) {
@@ -430,8 +451,8 @@ TEST(ClusterSim, HeavyTailServiceInflatesDelayAtEqualMeanLoad) {
   const auto arr = make_exponential(0.85 * 8);
   const auto exp_svc = make_exponential(1.0);
   const auto pareto_svc = make_pareto_mean(1.0, 1.6);
-  const auto light = simulate_cluster(cfg, policy, *arr, *exp_svc);
-  const auto heavy = simulate_cluster(cfg, policy, *arr, *pareto_svc);
+  const auto light = simulate(cfg, policy, *arr, *exp_svc);
+  const auto heavy = simulate(cfg, policy, *arr, *pareto_svc);
   EXPECT_GT(heavy.mean_sojourn, light.mean_sojourn);
   EXPECT_GT(heavy.p99_sojourn, 1.5 * light.p99_sojourn);
   EXPECT_NEAR(heavy.utilization, light.utilization, 0.05);
@@ -449,16 +470,85 @@ TEST(ClusterSim, NewPoliciesAreReplicaAndBudgetInvariant) {
     JbtPolicy jbt(6, 2, 3);
     for (Policy* policy : {static_cast<Policy*>(&jiq),
                            static_cast<Policy*>(&jbt)}) {
-      const auto serial = simulate_cluster(cfg, *policy, *arr, *svc,
-                                           rlb::util::ThreadBudget::serial());
+      const auto serial = simulate(cfg, *policy, *arr, *svc);
       rlb::util::ThreadBudget four(4);
-      const auto parallel = simulate_cluster(cfg, *policy, *arr, *svc, four);
+      const auto parallel = simulate(cfg, *policy, *arr, *svc, four);
       EXPECT_DOUBLE_EQ(parallel.mean_sojourn, serial.mean_sojourn)
           << policy->name() << " replicas=" << replicas;
       EXPECT_DOUBLE_EQ(parallel.p99_sojourn, serial.p99_sojourn)
           << policy->name() << " replicas=" << replicas;
     }
   }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Every ClusterResult statistic, bit for bit (the report aside).
+void expect_same_statistics(const ClusterResult& a, const ClusterResult& b) {
+  EXPECT_TRUE(same_bits(a.mean_sojourn, b.mean_sojourn));
+  EXPECT_TRUE(same_bits(a.mean_wait, b.mean_wait));
+  EXPECT_TRUE(same_bits(a.ci95_sojourn, b.ci95_sojourn));
+  EXPECT_TRUE(same_bits(a.mean_jobs_in_system, b.mean_jobs_in_system));
+  EXPECT_TRUE(same_bits(a.utilization, b.utilization));
+  EXPECT_TRUE(same_bits(a.p50_sojourn, b.p50_sojourn));
+  EXPECT_TRUE(same_bits(a.p95_sojourn, b.p95_sojourn));
+  EXPECT_TRUE(same_bits(a.p99_sojourn, b.p99_sojourn));
+  EXPECT_EQ(a.jobs_measured, b.jobs_measured);
+  EXPECT_TRUE(same_bits(a.sim_time, b.sim_time));
+  EXPECT_EQ(a.sla_violations, b.sla_violations);
+}
+
+TEST(ClusterSim, FixedForwarderRunsTheFixedPlanFromItsConfig) {
+  // The plan-less forwarder is the plan entry on AdaptivePlan::fixed of
+  // cfg's budget fields, with the stopping report left default.
+  ClusterConfig cfg = quick_config(5, 60'000);
+  cfg.replicas = 3;
+  cfg.sla_threshold = 3.0;
+  SqdPolicy policy(5, 2);
+  const auto arr = make_exponential(0.85 * 5);
+  RenewalArrivals arrivals(*arr);
+  const auto svc = make_exponential(1.0);
+  rlb::util::ThreadBudget budget(2);
+  const auto forwarded = simulate_cluster(cfg, policy, arrivals, *svc, budget);
+  const auto planned = simulate_cluster(
+      cfg, policy, arrivals, *svc,
+      AdaptivePlan::fixed(3, 60'000, 6'000, 12345), budget);
+  expect_same_statistics(forwarded, planned);
+  EXPECT_EQ(planned.adaptive.rounds, 1);
+  EXPECT_EQ(forwarded.adaptive.rounds, 0);
+  EXPECT_EQ(forwarded.adaptive.jobs_used, 0u);
+  EXPECT_EQ(forwarded.adaptive.half_width, 0.0);
+  EXPECT_FALSE(forwarded.adaptive.converged);
+}
+
+TEST(ClusterSim, AdaptiveForwarderIsThePlanEntry) {
+  ClusterConfig cfg;
+  cfg.servers = 5;
+  SqdPolicy policy(5, 2);
+  const auto arr = make_exponential(0.85 * 5);
+  RenewalArrivals arrivals(*arr);
+  const auto svc = make_exponential(1.0);
+  AdaptivePlan plan;
+  plan.replicas = 2;
+  plan.target_ci = 0.05;
+  plan.initial_jobs = 20'000;
+  plan.max_jobs = 160'000;
+  plan.warmup_jobs = 1'000;
+  plan.base_seed = 77;
+  rlb::util::ThreadBudget budget(2);
+  const auto forwarded =
+      simulate_cluster_adaptive(cfg, policy, arrivals, *svc, plan, budget);
+  const auto planned =
+      simulate_cluster(cfg, policy, arrivals, *svc, plan, budget);
+  expect_same_statistics(forwarded, planned);
+  EXPECT_GT(planned.adaptive.rounds, 1);
+  EXPECT_EQ(forwarded.adaptive.rounds, planned.adaptive.rounds);
+  EXPECT_EQ(forwarded.adaptive.jobs_used, planned.adaptive.jobs_used);
+  EXPECT_TRUE(same_bits(forwarded.adaptive.half_width,
+                        planned.adaptive.half_width));
+  EXPECT_EQ(forwarded.adaptive.converged, planned.adaptive.converged);
 }
 
 }  // namespace

@@ -344,26 +344,60 @@ ClusterAccum run_replica(const ClusterConfig& cfg, const Policy& policy,
   return engine.run();
 }
 
-/// Runs every replica of cfg's replica plan (jobs, warmup and seed split
-/// as simulate_cluster splits them) on the oracle and on the engine, and
+using Replicas = std::vector<ClusterAccum>;
+
+/// Every replica the round loop runs for `plan` on `Engine`, in merge
+/// order, set up as simulate_cluster sets them up. The stopping
+/// statistic is the pooled sojourn CI of the replicas so far.
+template <typename Engine>
+Replicas run_plan(const ClusterConfig& cfg, const Policy& policy,
+                  const ArrivalProcess& arrivals, const Distribution& service,
+                  const AdaptivePlan& plan, AdaptiveReport& report) {
+  const std::uint64_t batch = plan.batch_size();
+  rlb::util::ThreadBudget budget(2);
+  return run_replicas<Replicas>(
+      plan, budget,
+      [&](std::uint64_t, std::uint64_t seed, std::uint64_t jobs,
+          std::uint64_t warmup) {
+        return Replicas{run_replica<Engine>(cfg, policy, arrivals, service,
+                                            jobs, warmup, batch, seed)};
+      },
+      [](Replicas& into, const Replicas& from) {
+        into.insert(into.end(), from.begin(), from.end());
+      },
+      [&](const Replicas& replicas) {
+        ClusterAccum merged = replicas.front();
+        for (std::size_t r = 1; r < replicas.size(); ++r)
+          merged.merge(replicas[r]);
+        return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
+      },
+      report);
+}
+
+/// Runs every replica of `plan` on the oracle and on the engine, and
 /// compares each pair bitwise.
 void expect_engines_agree(const ClusterConfig& cfg, const Policy& policy,
                           const ArrivalProcess& arrivals,
                           const Distribution& service,
-                          const std::string& label) {
-  const ReplicaPlan plan =
-      ReplicaPlan::split(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
-  for (int r = 0; r < plan.replicas; ++r) {
-    const std::uint64_t seed = replica_seed(plan.base_seed, r);
-    const ClusterAccum oracle = run_replica<ReferenceClusterEngine>(
-        cfg, policy, arrivals, service, plan.jobs_per_replica, plan.warmup,
-        batch, seed);
-    const ClusterAccum engine = run_replica<CompactClusterEngine>(
-        cfg, policy, arrivals, service, plan.jobs_per_replica, plan.warmup,
-        batch, seed);
-    expect_identical(oracle, engine, label + " replica " + std::to_string(r));
-  }
+                          const AdaptivePlan& plan, const std::string& label) {
+  AdaptiveReport oracle_report, engine_report;
+  const Replicas oracle = run_plan<ReferenceClusterEngine>(
+      cfg, policy, arrivals, service, plan, oracle_report);
+  const Replicas engine = run_plan<CompactClusterEngine>(
+      cfg, policy, arrivals, service, plan, engine_report);
+  ASSERT_EQ(oracle.size(), engine.size()) << label;
+  for (std::size_t r = 0; r < oracle.size(); ++r)
+    expect_identical(oracle[r], engine[r],
+                     label + " replica " + std::to_string(r));
+  EXPECT_EQ(oracle_report.rounds, engine_report.rounds) << label;
+  EXPECT_EQ(oracle_report.jobs_used, engine_report.jobs_used) << label;
+  EXPECT_EQ(bits(oracle_report.half_width), bits(engine_report.half_width))
+      << label;
+}
+
+/// cfg's fixed budget as a one-round plan.
+AdaptivePlan fixed_plan(const ClusterConfig& cfg) {
+  return AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
 }
 
 ClusterConfig base_config(int n, std::uint64_t jobs = 60'000) {
@@ -381,7 +415,7 @@ void expect_engines_agree_mm(const ClusterConfig& cfg, const Policy& policy,
   const auto arr = make_exponential(rho * cfg.servers);
   const auto svc = make_exponential(1.0);
   RenewalArrivals arrivals(*arr);
-  expect_engines_agree(cfg, policy, arrivals, *svc, label);
+  expect_engines_agree(cfg, policy, arrivals, *svc, fixed_plan(cfg), label);
 }
 
 /// The engine through the public entry point (validation, replica
@@ -391,9 +425,11 @@ ClusterResult run_cluster(Policy& policy, int n, int replicas = 1,
   ClusterConfig cfg = base_config(n, jobs);
   cfg.replicas = replicas;
   const auto arr = make_exponential(0.9 * n);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
-  return simulate_cluster(cfg, policy, *arr, *svc, budget);
+  return simulate_cluster(cfg, policy, arrivals, *svc, fixed_plan(cfg),
+                          budget);
 }
 
 void expect_identical(const ClusterResult& a, const ClusterResult& b,
@@ -470,28 +506,6 @@ TEST(CompactCluster, BitIdenticalWithHeterogeneousSpeeds) {
     expect_engines_agree_mm(cfg, *policy, 0.8, policy->name() + " hetero");
 }
 
-/// The adaptive round driver over `Engine`, with the replicas set up as
-/// simulate_cluster_adaptive sets them up.
-template <typename Engine>
-ClusterAccum run_adaptive(const ClusterConfig& cfg, const Policy& policy,
-                          const ArrivalProcess& arrivals,
-                          const Distribution& service,
-                          const AdaptivePlan& plan, AdaptiveReport& report) {
-  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
-  rlb::util::ThreadBudget budget(2);
-  return run_replicas_adaptive<ClusterAccum>(
-      plan, budget,
-      [&](int, std::uint64_t seed, std::uint64_t jobs, std::uint64_t warmup) {
-        return run_replica<Engine>(cfg, policy, arrivals, service, jobs,
-                                   warmup, batch, seed);
-      },
-      [](ClusterAccum& into, const ClusterAccum& from) { into.merge(from); },
-      [&](const ClusterAccum& merged) {
-        return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
-      },
-      report);
-}
-
 TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   // Every round's replicas (their budgets, warmups and seeds set by the
   // geometric planner), and hence the stopping decision, must agree bit
@@ -509,19 +523,9 @@ TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   plan.base_seed = 99;
   ClusterConfig cfg;
   cfg.servers = n;
-  for (const auto& policy : blind_policies(n)) {
-    AdaptiveReport oracle_report, engine_report;
-    const ClusterAccum oracle = run_adaptive<ReferenceClusterEngine>(
-        cfg, *policy, arrivals, *svc, plan, oracle_report);
-    const ClusterAccum engine = run_adaptive<CompactClusterEngine>(
-        cfg, *policy, arrivals, *svc, plan, engine_report);
-    expect_identical(oracle, engine, policy->name() + " adaptive");
-    EXPECT_EQ(oracle_report.rounds, engine_report.rounds) << policy->name();
-    EXPECT_EQ(oracle_report.jobs_used, engine_report.jobs_used)
-        << policy->name();
-    EXPECT_EQ(bits(oracle_report.half_width), bits(engine_report.half_width))
-        << policy->name();
-  }
+  for (const auto& policy : blind_policies(n))
+    expect_engines_agree(cfg, *policy, arrivals, *svc, plan,
+                         policy->name() + " adaptive");
 }
 
 TEST(CompactCluster, IdentityAwarePoliciesMatchTheOracleWithEveryFeatureOn) {
@@ -547,7 +551,7 @@ TEST(CompactCluster, IdentityAwarePoliciesMatchTheOracleWithEveryFeatureOn) {
   LeastWorkLeftPolicy lw;
   for (const Policy* policy : {static_cast<const Policy*>(&rr),
                                static_cast<const Policy*>(&lw)})
-    expect_engines_agree(cfg, *policy, arrivals, *svc,
+    expect_engines_agree(cfg, *policy, arrivals, *svc, fixed_plan(cfg),
                          policy->name() + " all features");
 }
 
@@ -618,9 +622,11 @@ ClusterResult run_topology(Policy& policy, int n, const Topology& topo,
                            double rho = 0.9, std::uint64_t jobs = 60'000) {
   const ClusterConfig cfg = topology_config(n, topo, replicas, jobs);
   const auto arr = make_exponential(rho * n);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
-  return simulate_cluster(cfg, policy, *arr, *svc, budget);
+  return simulate_cluster(cfg, policy, arrivals, *svc, fixed_plan(cfg),
+                          budget);
 }
 
 std::vector<std::unique_ptr<Policy>> rack_policies(int n, int racks) {

@@ -58,7 +58,7 @@ TEST(ScenarioRegistry, UnknownScenarioThrowsWithKnownNames) {
   registry.add(make_scenario("alpha"));
   EXPECT_FALSE(registry.contains("nope"));
   try {
-    registry.get("nope");
+    (void)registry.get("nope");
     FAIL() << "expected UnknownScenarioError";
   } catch (const UnknownScenarioError& e) {
     const std::string message = e.what();
@@ -139,10 +139,10 @@ TEST(Sweep, FourThreadSweepEqualsOneThreadCellForCell) {
     const auto pt = grid.point(i);
     rlb::sim::FastSqdConfig cfg;
     cfg.params = {pt.n, pt.d, pt.rho, 1.0};
-    cfg.jobs = 20'000;
-    cfg.warmup = 2'000;
-    cfg.seed = pt.seed;
-    return rlb::sim::simulate_sqd_fast(cfg).mean_delay;
+    return rlb::sim::simulate_sqd_fast(
+               cfg, rlb::sim::AdaptivePlan::fixed(1, 20'000, 2'000, pt.seed),
+               rlb::util::ThreadBudget::serial())
+        .mean_delay;
   };
   const auto one = parallel_map<double>(grid.size(), 1, run_cell);
   const auto four = parallel_map<double>(grid.size(), 4, run_cell);
@@ -169,7 +169,7 @@ TEST(Sweep, GridEnumeratesAllCellsWithDistinctSeeds) {
   std::sort(seeds.begin(), seeds.end());
   EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end())
       << "per-cell seeds must be pairwise distinct";
-  EXPECT_THROW(grid.point(12), std::exception);
+  EXPECT_THROW((void)grid.point(12), std::exception);
 }
 
 TEST(Sweep, ParallelMapPropagatesExceptions) {
@@ -211,7 +211,7 @@ TEST(Sweep, ContextCarriesReplicaCountAndBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// AdaptiveSpec / adaptive_plan (--target-ci family)
+// AdaptiveSpec / ScenarioContext::plan (--target-ci family)
 // ---------------------------------------------------------------------------
 
 rlb::util::Cli make_cli(std::vector<std::string> args) {
@@ -260,7 +260,7 @@ TEST(AdaptiveSpec, RejectsMalformedValues) {
 TEST(AdaptiveSpec, AdaptivePlanDerivesDocumentedDefaults) {
   const auto cli = make_cli({"--target-ci=0.05"});
   ScenarioContext ctx(cli, 1, 4);
-  const auto plan = ctx.adaptive_plan(123, 80'000);
+  const auto plan = ctx.plan(123, 80'000, 8'000);
   EXPECT_EQ(plan.replicas, 4);
   EXPECT_EQ(plan.base_seed, 123u);
   EXPECT_DOUBLE_EQ(plan.target_ci, 0.05);
@@ -272,7 +272,7 @@ TEST(AdaptiveSpec, AdaptivePlanDerivesDocumentedDefaults) {
   // The documented floor: tiny fixed budgets with many replicas still
   // give every replica a measurable round-0 shard.
   ScenarioContext wide(cli, 1, 30);
-  const auto floored = wide.adaptive_plan(1, 1'000);
+  const auto floored = wide.plan(1, 1'000, 100);
   EXPECT_EQ(floored.initial_jobs, 900u);  // 30 jobs x 30 replicas
   floored.validate();
 
@@ -281,7 +281,23 @@ TEST(AdaptiveSpec, AdaptivePlanDerivesDocumentedDefaults) {
   const auto zero_warmup = make_cli({"--target-ci=0.05",
                                      "--warmup-jobs=0"});
   ScenarioContext zero_ctx(zero_warmup, 1, 4);
-  EXPECT_EQ(zero_ctx.adaptive_plan(1, 80'000).warmup_jobs, 0u);
+  EXPECT_EQ(zero_ctx.plan(1, 80'000, 8'000).warmup_jobs, 0u);
+}
+
+TEST(AdaptiveSpec, PlanWithoutTargetIsTheFixedPlan) {
+  // Without --target-ci a cell runs its fixed budget as one round; the
+  // --initial-jobs family is ignored.
+  const auto cli = make_cli({"--initial-jobs=500", "--warmup-jobs=7"});
+  ScenarioContext ctx(cli, 1, 4);
+  const auto plan = ctx.plan(123, 80'000, 8'000);
+  const auto fixed = rlb::sim::AdaptivePlan::fixed(4, 80'000, 8'000, 123);
+  EXPECT_EQ(plan.replicas, fixed.replicas);
+  EXPECT_EQ(plan.target_ci, fixed.target_ci);
+  EXPECT_EQ(plan.initial_jobs, fixed.initial_jobs);
+  EXPECT_EQ(plan.max_jobs, fixed.max_jobs);
+  EXPECT_EQ(plan.warmup_policy, fixed.warmup_policy);
+  EXPECT_EQ(plan.warmup_jobs, 2'000u);  // 8'000 over 4 replicas
+  EXPECT_EQ(plan.base_seed, fixed.base_seed);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,10 +12,23 @@
 
 namespace {
 
+using rlb::sim::AdaptivePlan;
 using rlb::sim::simulate_gi_lower_bound;
 using rlb::sqd::BoundKind;
 using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
+
+rlb::util::ThreadBudget& serial() { return rlb::util::ThreadBudget::serial(); }
+
+/// One run of `arrivals` arrivals, the first `warmup` of them discarded.
+rlb::sim::GiBoundSimResult run_one(const BoundModel& model,
+                                   const rlb::sim::Distribution& interarrival,
+                                   std::uint64_t arrivals,
+                                   std::uint64_t warmup, std::uint64_t seed) {
+  return simulate_gi_lower_bound(
+      model, interarrival, AdaptivePlan::fixed(1, arrivals, warmup, seed),
+      serial());
+}
 
 TEST(GiBoundSim, PoissonTailRatioIsRhoN) {
   // Theorem 3 special case: sigma = rho.
@@ -23,7 +36,7 @@ TEST(GiBoundSim, PoissonTailRatioIsRhoN) {
   const Params p{3, 2, rho, 1.0};
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto arr = rlb::sim::make_exponential(rho * 3);
-  const auto r = simulate_gi_lower_bound(model, *arr, 3'000'000, 300'000, 99);
+  const auto r = run_one(model, *arr, 3'000'000, 300'000, 99);
   EXPECT_NEAR(r.level_tail_ratio, std::pow(rho, 3), 0.05);
 }
 
@@ -35,11 +48,10 @@ TEST(GiBoundSim, UnitRankSpeedsMatchHomogeneousStatistically) {
   const Params p{3, 2, rho, 1.0};
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto arr = rlb::sim::make_exponential(rho * 3);
-  const auto homog =
-      simulate_gi_lower_bound(model, *arr, 2'000'000, 200'000, 17);
+  const auto homog = run_one(model, *arr, 2'000'000, 200'000, 17);
   const auto hetero = simulate_gi_lower_bound(
-      model, *arr, 2'000'000, 200'000, 17, 1,
-      rlb::util::ThreadBudget::serial(), {1.0, 1.0, 1.0});
+      model, *arr, AdaptivePlan::fixed(1, 2'000'000, 200'000, 17), serial(),
+      {1.0, 1.0, 1.0});
   EXPECT_NEAR(hetero.mean_jobs, homog.mean_jobs,
               0.03 * (1.0 + homog.mean_jobs));
   EXPECT_NEAR(hetero.mean_waiting_jobs, homog.mean_waiting_jobs,
@@ -56,10 +68,10 @@ TEST(GiBoundSim, HeteroAgreesWithCtmcJumpChain) {
   const std::vector<double> speeds{1.5, 1.5, 0.5, 0.5};
   const auto arr = rlb::sim::make_exponential(rho * 4);
   const auto gi = simulate_gi_lower_bound(
-      model, *arr, 2'000'000, 200'000, 19, 1,
-      rlb::util::ThreadBudget::serial(), speeds);
+      model, *arr, AdaptivePlan::fixed(1, 2'000'000, 200'000, 19), serial(),
+      speeds);
   const auto ctmc = rlb::sim::simulate_bound_model(
-      model, 2'000'000, 200'000, 23, 1, rlb::util::ThreadBudget::serial(),
+      model, AdaptivePlan::fixed(1, 2'000'000, 200'000, 23), serial(),
       speeds);
   EXPECT_NEAR(gi.mean_waiting_jobs, ctmc.mean_waiting_jobs,
               0.05 * (1.0 + ctmc.mean_waiting_jobs));
@@ -72,31 +84,27 @@ TEST(GiBoundSim, HeteroIsThreadBudgetInvariant) {
   const BoundModel model(p, 2, BoundKind::Lower);
   const std::vector<double> speeds{1.5, 1.0, 0.5};
   const auto arr = rlb::sim::make_exponential(rho * 3);
-  const auto serial = simulate_gi_lower_bound(
-      model, *arr, 120'000, 12'000, 29, 3,
-      rlb::util::ThreadBudget::serial(), speeds);
+  const auto plan = AdaptivePlan::fixed(3, 120'000, 12'000, 29);
+  const auto one = simulate_gi_lower_bound(model, *arr, plan, serial(),
+                                           speeds);
   rlb::util::ThreadBudget four(4);
   const auto parallel =
-      simulate_gi_lower_bound(model, *arr, 120'000, 12'000, 29, 3, four,
-                              speeds);
-  EXPECT_DOUBLE_EQ(parallel.mean_jobs, serial.mean_jobs);
-  EXPECT_DOUBLE_EQ(parallel.mean_waiting_jobs, serial.mean_waiting_jobs);
-  ASSERT_EQ(parallel.total_jobs_dist.size(), serial.total_jobs_dist.size());
+      simulate_gi_lower_bound(model, *arr, plan, four, speeds);
+  EXPECT_DOUBLE_EQ(parallel.mean_jobs, one.mean_jobs);
+  EXPECT_DOUBLE_EQ(parallel.mean_waiting_jobs, one.mean_waiting_jobs);
+  ASSERT_EQ(parallel.total_jobs_dist.size(), one.total_jobs_dist.size());
 }
 
 TEST(GiBoundSim, ValidatesRankSpeeds) {
   const Params p{3, 2, 0.8, 1.0};
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto arr = rlb::sim::make_exponential(0.8 * 3);
+  const auto plan = AdaptivePlan::fixed(1, 1000, 100, 1);
   EXPECT_THROW(
-      simulate_gi_lower_bound(model, *arr, 1000, 100, 1, 1,
-                              rlb::util::ThreadBudget::serial(),
-                              {1.0, 1.0}),
+      simulate_gi_lower_bound(model, *arr, plan, serial(), {1.0, 1.0}),
       std::invalid_argument);
   EXPECT_THROW(
-      simulate_gi_lower_bound(model, *arr, 1000, 100, 1, 1,
-                              rlb::util::ThreadBudget::serial(),
-                              {0.0, 1.0, 1.0}),
+      simulate_gi_lower_bound(model, *arr, plan, serial(), {0.0, 1.0, 1.0}),
       std::invalid_argument);
 }
 
@@ -106,7 +114,7 @@ TEST(GiBoundSim, PoissonMatchesMatrixGeometricSolver) {
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto solved = rlb::sqd::solve_lower_improved(model);
   const auto arr = rlb::sim::make_exponential(rho * 3);
-  const auto r = simulate_gi_lower_bound(model, *arr, 3'000'000, 300'000, 7);
+  const auto r = run_one(model, *arr, 3'000'000, 300'000, 7);
   EXPECT_NEAR(r.mean_waiting_jobs, solved.mean_waiting_jobs,
               0.03 * (1.0 + solved.mean_waiting_jobs));
 }
@@ -125,7 +133,7 @@ TEST(GiBoundSim, ErlangTailRatioIsSigmaN) {
   // tail of the N-server bound model uses the AGGREGATE service rate N*mu
   // between arrivals, which is exactly what beta_k encodes with mu -> N*mu.
   const double sigma = rlb::sqd::solve_sigma(analysis, n * 1.0).sigma;
-  const auto r = simulate_gi_lower_bound(model, *arr, 4'000'000, 400'000, 13);
+  const auto r = run_one(model, *arr, 4'000'000, 400'000, 13);
   // sigma is the per-job decay; levels span N jobs, so the level-mass
   // ratio is sigma^N (Theorem 2).
   EXPECT_NEAR(r.level_tail_ratio, std::pow(sigma, n), 0.05);
@@ -139,7 +147,7 @@ TEST(GiBoundSim, HyperExpTailHeavierThanPoisson) {
   const Params p{n, 2, rho, 1.0};
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto arr = rlb::sim::make_hyperexp_fitted(1.0 / (rho * n), 4.0);
-  const auto r = simulate_gi_lower_bound(model, *arr, 4'000'000, 400'000, 17);
+  const auto r = run_one(model, *arr, 4'000'000, 400'000, 17);
   EXPECT_GT(r.level_tail_ratio, std::pow(rho, n) + 0.02);
 }
 
@@ -147,7 +155,7 @@ TEST(GiBoundSim, DistributionIsNormalized) {
   const Params p{3, 2, 0.6, 1.0};
   const BoundModel model(p, 2, BoundKind::Lower);
   const auto arr = rlb::sim::make_exponential(0.6 * 3);
-  const auto r = simulate_gi_lower_bound(model, *arr, 500'000, 50'000, 3);
+  const auto r = run_one(model, *arr, 500'000, 50'000, 3);
   double total = 0.0;
   for (double v : r.total_jobs_dist) total += v;
   EXPECT_NEAR(total, 1.0, 1e-9);
@@ -156,7 +164,7 @@ TEST(GiBoundSim, DistributionIsNormalized) {
 TEST(GiBoundSim, RejectsUpperModel) {
   const BoundModel model(Params{2, 2, 0.5, 1.0}, 1, BoundKind::Upper);
   const auto arr = rlb::sim::make_exponential(1.0);
-  EXPECT_THROW(simulate_gi_lower_bound(model, *arr, 1000, 10, 1),
+  EXPECT_THROW(run_one(model, *arr, 1000, 10, 1),
                std::invalid_argument);
 }
 

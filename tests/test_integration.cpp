@@ -78,10 +78,9 @@ TEST(Anchors, ThreeWayAgreementModerateLoad) {
 
   rlb::sim::FastSqdConfig cfg;
   cfg.params = p;
-  cfg.jobs = 2'000'000;
-  cfg.warmup = 200'000;
-  cfg.seed = 2024;
-  const auto sim = rlb::sim::simulate_sqd_fast(cfg);
+  const auto sim = rlb::sim::simulate_sqd_fast(
+      cfg, rlb::sim::AdaptivePlan::fixed(1, 2'000'000, 200'000, 2024),
+      rlb::util::ThreadBudget::serial());
 
   const double lower =
       rlb::sqd::solve_lower_improved(BoundModel(p, 4, BoundKind::Lower))
@@ -106,11 +105,10 @@ TEST(Anchors, TailThreeWay) {
 
   rlb::sim::FastSqdConfig cfg;
   cfg.params = p;
-  cfg.jobs = 2'000'000;
-  cfg.warmup = 200'000;
   cfg.tail_kmax = 6;
-  cfg.seed = 77;
-  const auto sim = rlb::sim::simulate_sqd_fast(cfg);
+  const auto sim = rlb::sim::simulate_sqd_fast(
+      cfg, rlb::sim::AdaptivePlan::fixed(1, 2'000'000, 200'000, 77),
+      rlb::util::ThreadBudget::serial());
 
   for (int k = 1; k <= 6; ++k)
     EXPECT_NEAR(bound_tail.tail[k], sim.marginal_tail[k], 0.02) << k;

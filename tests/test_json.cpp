@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -54,7 +55,8 @@ double random_double(std::uint64_t& state) {
     {
       for (;;) {
         const std::uint64_t bits = next_random(state);
-        const double x = *reinterpret_cast<const double*>(&bits);
+        double x;
+        std::memcpy(&x, &bits, sizeof x);
         if (std::isfinite(x)) return x;
       }
     }

@@ -109,7 +109,7 @@ TEST(LevelSpace, ContainsChecksGapAndShape) {
 
 TEST(LevelSpace, LocateRejectsOutOfSpace) {
   const LevelSpace space(3, 2);
-  EXPECT_THROW(space.locate({5, 1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)space.locate({5, 1, 1}), std::invalid_argument);
 }
 
 TEST(LevelSpace, RequiresPositiveThreshold) {

@@ -118,10 +118,9 @@ TEST_P(SimSandwichTest, BoundsSandwichSimulatedDelay) {
   const Params p{c.n, c.d, c.rho, 1.0};
   rlb::sim::FastSqdConfig cfg;
   cfg.params = p;
-  cfg.jobs = 1'500'000;
-  cfg.warmup = 150'000;
-  cfg.seed = 4242;
-  const auto sim = rlb::sim::simulate_sqd_fast(cfg);
+  const auto sim = rlb::sim::simulate_sqd_fast(
+      cfg, rlb::sim::AdaptivePlan::fixed(1, 1'500'000, 150'000, 4242),
+      rlb::util::ThreadBudget::serial());
   const double margin = 5.0 * sim.ci95_delay + 0.01;
 
   const double lower =

@@ -20,12 +20,9 @@ using rlb::sim::AdaptivePlan;
 using rlb::sim::AdaptiveReport;
 using rlb::sim::BatchMeans;
 using rlb::sim::FastSqdConfig;
-using rlb::sim::ReplicaPlan;
 using rlb::sim::replica_seed;
 using rlb::sim::run_replicas;
-using rlb::sim::run_replicas_adaptive;
 using rlb::sim::simulate_sqd_fast;
-using rlb::sim::simulate_sqd_fast_adaptive;
 using rlb::sim::StreamingMoments;
 using rlb::sim::WarmupPolicy;
 using rlb::util::ThreadBudget;
@@ -59,27 +56,67 @@ TEST(ThreadBudget, RejectsEmptyBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// ReplicaPlan and seeds
+// The fixed plan and seeds
 // ---------------------------------------------------------------------------
 
+/// Logging stub: records every (global index, seed, jobs, warmup) the
+/// runner hands out, in merge order.
+struct Rec {
+  std::uint64_t global;
+  std::uint64_t seed, jobs, warmup;
+};
+using Log = std::vector<Rec>;
+
+Log run_logged(const AdaptivePlan& plan, ThreadBudget& budget,
+               std::size_t converge_after_replicas, AdaptiveReport& report) {
+  return run_replicas<Log>(
+      plan, budget,
+      [](std::uint64_t global, std::uint64_t seed, std::uint64_t jobs,
+         std::uint64_t warmup) {
+        return Log{{global, seed, jobs, warmup}};
+      },
+      [](Log& into, const Log& from) {
+        into.insert(into.end(), from.begin(), from.end());
+      },
+      [&](const Log& merged) {
+        return merged.size() >= converge_after_replicas ? 0.1 : 1.0;
+      },
+      report);
+}
+
 TEST(ReplicaPlan, SplitDividesJobsAndWarmupEvenly) {
-  const ReplicaPlan plan = ReplicaPlan::split(4, 1'000'000, 100'000, 7);
+  const AdaptivePlan plan = AdaptivePlan::fixed(4, 1'000'000, 100'000, 7);
   EXPECT_EQ(plan.replicas, 4);
-  EXPECT_EQ(plan.jobs_per_replica, 250'000u);
-  EXPECT_EQ(plan.warmup, 25'000u);
+  EXPECT_EQ(plan.initial_jobs, 1'000'000u);
+  EXPECT_EQ(plan.max_jobs, 1'000'000u);
+  EXPECT_EQ(plan.warmup_policy, WarmupPolicy::kFixed);
+  EXPECT_EQ(plan.warmup_jobs, 25'000u);
   EXPECT_EQ(plan.base_seed, 7u);
+  // One round of four equal shares, whatever the half-width says.
+  AdaptiveReport report;
+  const Log log = run_logged(plan, ThreadBudget::serial(), 1'000, report);
+  ASSERT_EQ(log.size(), 4u);
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(log[r].global, r);
+    EXPECT_EQ(log[r].seed, replica_seed(7, r));
+    EXPECT_EQ(log[r].jobs, 250'000u);
+    EXPECT_EQ(log[r].warmup, 25'000u);
+  }
+  EXPECT_EQ(report.rounds, 1);
+  EXPECT_EQ(report.jobs_used, 1'000'000u);
+  EXPECT_TRUE(report.converged);
 }
 
 TEST(ReplicaPlan, GuardsDegenerateConfigs) {
-  EXPECT_THROW(ReplicaPlan::split(0, 1000, 100, 1), std::invalid_argument);
-  EXPECT_THROW(ReplicaPlan::split(1, 1000, 1000, 1), std::invalid_argument);
-  EXPECT_THROW(ReplicaPlan::split(1, 100, 200, 1), std::invalid_argument);
+  EXPECT_THROW(AdaptivePlan::fixed(0, 1000, 100, 1), std::invalid_argument);
+  EXPECT_THROW(AdaptivePlan::fixed(1, 1000, 1000, 1), std::invalid_argument);
+  EXPECT_THROW(AdaptivePlan::fixed(1, 100, 200, 1), std::invalid_argument);
   // Sharding so thin every replica is pure warmup must be rejected, not
   // silently return zero-batch results.
-  EXPECT_THROW(ReplicaPlan::split(600, 1000, 900, 1), std::invalid_argument);
-  ReplicaPlan zero;
+  EXPECT_THROW(AdaptivePlan::fixed(600, 1000, 900, 1),
+               std::invalid_argument);
+  AdaptivePlan zero = AdaptivePlan::fixed(1, 10, 0, 1);
   zero.replicas = 0;
-  zero.jobs_per_replica = 10;
   EXPECT_THROW(zero.validate(), std::invalid_argument);
 }
 
@@ -88,31 +125,40 @@ TEST(ReplicaSeed, Replica0KeepsBaseSeedOthersDecorrelate) {
   // is bit-identical with the pre-replica code path.
   EXPECT_EQ(replica_seed(42, 0), 42u);
   std::vector<std::uint64_t> seeds;
-  for (int r = 0; r < 64; ++r) seeds.push_back(replica_seed(42, r));
+  for (std::uint64_t r = 0; r < 64; ++r) seeds.push_back(replica_seed(42, r));
   for (std::size_t a = 0; a < seeds.size(); ++a)
     for (std::size_t b = a + 1; b < seeds.size(); ++b)
       EXPECT_NE(seeds[a], seeds[b]) << "replicas " << a << ", " << b;
   EXPECT_EQ(replica_seed(42, 7), replica_seed(42, 7));
+  EXPECT_NE(replica_seed(42, 7), replica_seed(42, 8));
   EXPECT_NE(replica_seed(42, 7), replica_seed(43, 7));
 }
 
+TEST(ReplicaSeed, IndicesBeyond32BitsKeepTheirOwnStreams) {
+  // The round loop numbers replicas across rounds, so the index outgrows
+  // an int on long runs; it must not wrap onto replica 0's base seed or
+  // onto a low index.
+  const std::uint64_t wide = std::uint64_t{1} << 32;
+  EXPECT_NE(replica_seed(42, wide), 42u);
+  EXPECT_NE(replica_seed(42, wide + 7), replica_seed(42, 7));
+}
+
 // ---------------------------------------------------------------------------
-// run_replicas
+// run_replicas on a fixed plan
 // ---------------------------------------------------------------------------
 
-ReplicaPlan tiny_plan(int replicas) {
-  ReplicaPlan plan;
-  plan.replicas = replicas;
-  plan.jobs_per_replica = 10;
-  plan.warmup = 0;
-  plan.base_seed = 11;
-  return plan;
+/// One round of `replicas` replicas of 10 jobs each, no warmup.
+AdaptivePlan tiny_plan(int replicas) {
+  return AdaptivePlan::fixed(replicas,
+                             10 * static_cast<std::uint64_t>(replicas), 0,
+                             11);
 }
 
 TEST(RunReplicas, MergesInIndexOrderForAnyBudget) {
   // A merge that is NOT commutative (string concatenation) detects any
   // ordering leak from the thread schedule.
-  const auto run = [](int replica, std::uint64_t seed) {
+  const auto run = [](std::uint64_t replica, std::uint64_t seed,
+                      std::uint64_t, std::uint64_t) {
     rlb::sim::Rng rng(seed);
     return std::to_string(replica) + ":" +
            std::to_string(rng.next_u64() % 1000) + ";";
@@ -120,26 +166,33 @@ TEST(RunReplicas, MergesInIndexOrderForAnyBudget) {
   const auto merge = [](std::string& into, const std::string& from) {
     into += from;
   };
+  const auto half_width = [](const std::string&) { return 0.0; };
+  AdaptiveReport report;
   const std::string serial = run_replicas<std::string>(
-      tiny_plan(16), ThreadBudget::serial(), run, merge);
+      tiny_plan(16), ThreadBudget::serial(), run, merge, half_width, report);
   for (int trial = 0; trial < 5; ++trial) {
     ThreadBudget budget(4);
-    EXPECT_EQ(run_replicas<std::string>(tiny_plan(16), budget, run, merge),
+    EXPECT_EQ(run_replicas<std::string>(tiny_plan(16), budget, run, merge,
+                                        half_width, report),
               serial);
   }
 }
 
 TEST(RunReplicas, PropagatesExceptions) {
   ThreadBudget budget(4);
-  const auto run = [](int replica, std::uint64_t) -> int {
+  const auto run = [](std::uint64_t replica, std::uint64_t, std::uint64_t,
+                      std::uint64_t) -> int {
     if (replica == 5) throw std::runtime_error("replica 5 exploded");
-    return replica;
+    return static_cast<int>(replica);
   };
   const auto merge = [](int& into, const int& from) { into += from; };
-  EXPECT_THROW(run_replicas<int>(tiny_plan(8), budget, run, merge),
+  const auto half_width = [](const int&) { return 0.0; };
+  AdaptiveReport report;
+  EXPECT_THROW(run_replicas<int>(tiny_plan(8), budget, run, merge,
+                                 half_width, report),
                std::runtime_error);
   EXPECT_THROW(run_replicas<int>(tiny_plan(8), ThreadBudget::serial(), run,
-                                 merge),
+                                 merge, half_width, report),
                std::runtime_error);
 }
 
@@ -147,33 +200,39 @@ TEST(RunReplicas, PropagatesExceptions) {
 // Replica-mode simulators
 // ---------------------------------------------------------------------------
 
-FastSqdConfig fast_cfg(int replicas, std::uint64_t jobs = 400'000) {
+FastSqdConfig fast_cfg() {
   FastSqdConfig cfg;
   cfg.params = Params{4, 2, 0.8, 1.0};
-  cfg.jobs = jobs;
-  cfg.warmup = jobs / 10;
-  cfg.seed = 20240612;
-  cfg.replicas = replicas;
   return cfg;
 }
 
+constexpr std::uint64_t kFastSeed = 20240612;
+
+/// A fixed budget of `jobs` jobs (10% warmup) over `replicas` replicas.
+AdaptivePlan fast_plan(int replicas, std::uint64_t jobs = 400'000) {
+  return AdaptivePlan::fixed(replicas, jobs, jobs / 10, kFastSeed);
+}
+
 TEST(ReplicaSim, FastSqdSingleReplicaMatchesLegacySerialPath) {
-  // replicas == 1 must reproduce the plain entry point bit-for-bit.
-  const auto cfg = fast_cfg(1, 100'000);
-  const auto serial = simulate_sqd_fast(cfg);
+  // One replica has no work to hand out: a budget of 4 must reproduce
+  // the serial run bit-for-bit.
+  const auto plan = fast_plan(1, 100'000);
+  const auto serial = simulate_sqd_fast(fast_cfg(), plan,
+                                        ThreadBudget::serial());
   ThreadBudget budget(4);
-  const auto budgeted = simulate_sqd_fast(cfg, budget);
+  const auto budgeted = simulate_sqd_fast(fast_cfg(), plan, budget);
   EXPECT_DOUBLE_EQ(serial.mean_delay, budgeted.mean_delay);
   EXPECT_DOUBLE_EQ(serial.ci95_delay, budgeted.ci95_delay);
   EXPECT_EQ(serial.jobs_measured, budgeted.jobs_measured);
 }
 
 TEST(ReplicaSim, FastSqdReplicasDeterministicAcrossThreadCounts) {
-  const auto cfg = fast_cfg(8, 200'000);
-  const auto serial = simulate_sqd_fast(cfg);
+  const auto plan = fast_plan(8, 200'000);
+  const auto serial = simulate_sqd_fast(fast_cfg(), plan,
+                                        ThreadBudget::serial());
   for (int threads : {2, 4}) {
     ThreadBudget budget(threads);
-    const auto parallel = simulate_sqd_fast(cfg, budget);
+    const auto parallel = simulate_sqd_fast(fast_cfg(), plan, budget);
     EXPECT_DOUBLE_EQ(serial.mean_delay, parallel.mean_delay);
     EXPECT_DOUBLE_EQ(serial.mean_wait, parallel.mean_wait);
     EXPECT_DOUBLE_EQ(serial.ci95_delay, parallel.ci95_delay);
@@ -185,8 +244,9 @@ TEST(ReplicaSim, FastSqdReplicasDeterministicAcrossThreadCounts) {
 TEST(ReplicaSim, FastSqdReplicasAgreeWithSingleStream) {
   // R independent replicas estimate the same stationary quantity; the
   // merged mean must agree with a single long run within joint CIs.
-  const auto one = simulate_sqd_fast(fast_cfg(1));
-  const auto eight = simulate_sqd_fast(fast_cfg(8));
+  auto& serial = ThreadBudget::serial();
+  const auto one = simulate_sqd_fast(fast_cfg(), fast_plan(1), serial);
+  const auto eight = simulate_sqd_fast(fast_cfg(), fast_plan(8), serial);
   EXPECT_EQ(eight.jobs_measured,
             8u * (400'000u / 8 - 40'000u / 8));
   EXPECT_NEAR(one.mean_delay, eight.mean_delay,
@@ -194,31 +254,32 @@ TEST(ReplicaSim, FastSqdReplicasAgreeWithSingleStream) {
 }
 
 TEST(ReplicaSim, FastSqdGuardsDegenerateConfigs) {
-  auto cfg = fast_cfg(0);
-  EXPECT_THROW(simulate_sqd_fast(cfg), std::invalid_argument);
-  cfg = fast_cfg(1);
-  cfg.warmup = cfg.jobs;  // jobs <= warmup
-  EXPECT_THROW(simulate_sqd_fast(cfg), std::invalid_argument);
-  cfg = fast_cfg(4);
-  cfg.batch_size = cfg.jobs;  // bigger than the per-replica measured count
-  EXPECT_THROW(simulate_sqd_fast(cfg), std::invalid_argument);
+  auto& serial = ThreadBudget::serial();
+  AdaptivePlan plan = fast_plan(1);
+  plan.replicas = 0;
+  EXPECT_THROW(simulate_sqd_fast(fast_cfg(), plan, serial),
+               std::invalid_argument);
+  plan = fast_plan(1);
+  plan.warmup_jobs = plan.initial_jobs;  // jobs <= warmup
+  EXPECT_THROW(simulate_sqd_fast(fast_cfg(), plan, serial),
+               std::invalid_argument);
 }
 
 TEST(ReplicaSim, CiHalfwidthShrinksLikeSqrtReplicas) {
   // Fixed per-replica effort: R times the data should shrink the pooled
   // CI half-width like 1/sqrt(R). Compare R=2 vs R=32 (ratio 4) with wide
-  // statistical tolerance.
-  FastSqdConfig small = fast_cfg(2);
-  small.jobs = 2 * 100'000;
-  small.warmup = 2 * 10'000;
-  FastSqdConfig large = fast_cfg(32);
-  large.jobs = 32 * 100'000;
-  large.warmup = 32 * 10'000;
-  // Equal batch sizes so only the batch COUNT differs.
-  small.batch_size = 3'000;
-  large.batch_size = 3'000;
-  const double hw_small = simulate_sqd_fast(small).ci95_delay;
-  const double hw_large = simulate_sqd_fast(large).ci95_delay;
+  // statistical tolerance. Both derive the same batch size (90 000
+  // measured jobs per replica / 30), so only the batch COUNT differs.
+  const auto small = AdaptivePlan::fixed(2, 2 * 100'000, 2 * 10'000,
+                                         kFastSeed);
+  const auto large = AdaptivePlan::fixed(32, 32 * 100'000, 32 * 10'000,
+                                         kFastSeed);
+  ASSERT_EQ(small.batch_size(), large.batch_size());
+  auto& serial = ThreadBudget::serial();
+  const double hw_small =
+      simulate_sqd_fast(fast_cfg(), small, serial).ci95_delay;
+  const double hw_large =
+      simulate_sqd_fast(fast_cfg(), large, serial).ci95_delay;
   ASSERT_GT(hw_small, 0.0);
   ASSERT_GT(hw_large, 0.0);
   const double ratio = hw_small / hw_large;
@@ -229,18 +290,17 @@ TEST(ReplicaSim, CiHalfwidthShrinksLikeSqrtReplicas) {
 TEST(ReplicaSim, ClusterReplicasDeterministicAcrossThreadCounts) {
   rlb::sim::ClusterConfig cfg;
   cfg.servers = 5;
-  cfg.jobs = 120'000;
-  cfg.warmup = 12'000;
-  cfg.seed = 999;
-  cfg.replicas = 6;
+  const auto plan = AdaptivePlan::fixed(6, 120'000, 12'000, 999);
   const auto arr = rlb::sim::make_exponential(0.85 * 5);
+  rlb::sim::RenewalArrivals arrivals(*arr);
   const auto svc = rlb::sim::make_exponential(1.0);
 
   rlb::sim::SqdPolicy policy(5, 2);
-  const auto serial = rlb::sim::simulate_cluster(cfg, policy, *arr, *svc);
+  const auto serial = rlb::sim::simulate_cluster(
+      cfg, policy, arrivals, *svc, plan, ThreadBudget::serial());
   ThreadBudget budget(4);
   const auto parallel =
-      rlb::sim::simulate_cluster(cfg, policy, *arr, *svc, budget);
+      rlb::sim::simulate_cluster(cfg, policy, arrivals, *svc, plan, budget);
   EXPECT_DOUBLE_EQ(serial.mean_sojourn, parallel.mean_sojourn);
   EXPECT_DOUBLE_EQ(serial.ci95_sojourn, parallel.ci95_sojourn);
   EXPECT_DOUBLE_EQ(serial.p99_sojourn, parallel.p99_sojourn);
@@ -249,7 +309,7 @@ TEST(ReplicaSim, ClusterReplicasDeterministicAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// AdaptivePlan and run_replicas_adaptive
+// AdaptivePlan and the round schedule
 // ---------------------------------------------------------------------------
 
 AdaptivePlan small_adaptive_plan() {
@@ -376,31 +436,6 @@ TEST(AdaptivePlan, WarmupPolicyFixedVsFraction) {
   EXPECT_EQ(plan.warmup_for(200'000), 20'000u);
 }
 
-/// Logging stub: records every (global index, seed, jobs, warmup) the
-/// runner hands out, in merge order.
-struct Rec {
-  int global;
-  std::uint64_t seed, jobs, warmup;
-};
-using Log = std::vector<Rec>;
-
-Log run_logged(const AdaptivePlan& plan, ThreadBudget& budget,
-               std::size_t converge_after_replicas, AdaptiveReport& report) {
-  return run_replicas_adaptive<Log>(
-      plan, budget,
-      [](int global, std::uint64_t seed, std::uint64_t jobs,
-         std::uint64_t warmup) {
-        return Log{{global, seed, jobs, warmup}};
-      },
-      [](Log& into, const Log& from) {
-        into.insert(into.end(), from.begin(), from.end());
-      },
-      [&](const Log& merged) {
-        return merged.size() >= converge_after_replicas ? 0.1 : 1.0;
-      },
-      report);
-}
-
 TEST(RunReplicasAdaptive, RoundScheduleIsGloballySeededAndInOrder) {
   const AdaptivePlan plan = small_adaptive_plan();
   AdaptiveReport report;
@@ -414,7 +449,7 @@ TEST(RunReplicasAdaptive, RoundScheduleIsGloballySeededAndInOrder) {
   EXPECT_EQ(report.jobs_used, 700u);
   ASSERT_EQ(log.size(), 6u);
   const std::uint64_t expected_jobs[] = {50, 50, 100, 100, 200, 200};
-  for (int i = 0; i < 6; ++i) {
+  for (std::uint64_t i = 0; i < 6; ++i) {
     EXPECT_EQ(log[i].global, i);  // merge order == global replica order
     EXPECT_EQ(log[i].seed, replica_seed(plan.base_seed, i));
     EXPECT_EQ(log[i].jobs, expected_jobs[i]);
@@ -495,30 +530,31 @@ TEST(RunReplicasAdaptive, StopsWhenTheClampedTailCannotClearWarmup) {
 // ---------------------------------------------------------------------------
 
 TEST(AdaptiveSim, OneRoundRunMatchesFixedBudgetBitForBit) {
-  // A one-round adaptive run has the same replica shape, seeds, warmup
-  // and batch size as the fixed-budget path — the outputs must be
-  // bit-identical, which pins the "adaptive is a superset" contract.
-  // Both planners request the same round 0, so the identity holds for
-  // either.
-  const auto cfg = fast_cfg(4, 200'000);
-  const auto fixed = simulate_sqd_fast(cfg);
+  // A --target-ci plan that stops after round 0 has the same replica
+  // shape, seeds, warmup and batch size as the fixed plan — the outputs
+  // must be bit-identical, which pins "a fixed budget is a one-round
+  // plan". Both planners request the same round 0, so the identity holds
+  // for either.
+  const auto fixed =
+      simulate_sqd_fast(fast_cfg(), fast_plan(4, 200'000),
+                        ThreadBudget::serial());
 
   for (const auto kind : {rlb::sim::PlannerKind::kGeometric,
                           rlb::sim::PlannerKind::kVariance}) {
     AdaptivePlan plan;
     plan.replicas = 4;
     plan.target_ci = 100.0;  // trivially met after round 0
-    plan.initial_jobs = cfg.jobs;
-    plan.max_jobs = 2 * cfg.jobs;
-    plan.warmup_jobs = cfg.warmup / 4;  // what ReplicaPlan::split would use
-    plan.base_seed = cfg.seed;
+    plan.initial_jobs = 200'000;
+    plan.max_jobs = 2 * 200'000;
+    plan.warmup_jobs = 20'000 / 4;  // the fixed plan's per-replica share
+    plan.base_seed = kFastSeed;
     plan.planner = kind;
     const auto adaptive =
-        simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+        simulate_sqd_fast(fast_cfg(), plan, ThreadBudget::serial());
 
     EXPECT_TRUE(adaptive.adaptive.converged);
     EXPECT_EQ(adaptive.adaptive.rounds, 1);
-    EXPECT_EQ(adaptive.adaptive.jobs_used, cfg.jobs);
+    EXPECT_EQ(adaptive.adaptive.jobs_used, 200'000u);
     EXPECT_DOUBLE_EQ(adaptive.mean_delay, fixed.mean_delay);
     EXPECT_DOUBLE_EQ(adaptive.ci95_delay, fixed.ci95_delay);
     EXPECT_EQ(adaptive.jobs_measured, fixed.jobs_measured);
@@ -531,21 +567,21 @@ TEST(AdaptiveSim, VariancePlannerConvergesWithNoMoreJobsThanGeometric) {
   // walking the powers of the growth factor, so it must certify the same
   // target with no more total jobs than the geometric schedule — and in
   // no more rounds.
-  const auto cfg = fast_cfg(2, 400'000);
+  const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 2;
   plan.target_ci = 0.03;  // needs several geometric doublings
   plan.initial_jobs = 20'000;
   plan.max_jobs = 128 * 20'000;
   plan.warmup_jobs = 1'000;
-  plan.base_seed = cfg.seed;
+  plan.base_seed = kFastSeed;
 
   plan.planner = rlb::sim::PlannerKind::kGeometric;
   const auto geometric =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   plan.planner = rlb::sim::PlannerKind::kVariance;
   const auto variance =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
 
   ASSERT_TRUE(geometric.adaptive.converged);
   ASSERT_TRUE(variance.adaptive.converged);
@@ -555,16 +591,16 @@ TEST(AdaptiveSim, VariancePlannerConvergesWithNoMoreJobsThanGeometric) {
 }
 
 TEST(AdaptiveSim, ConvergesUnderTargetOnAnEasyCell) {
-  auto cfg = fast_cfg(2);
+  const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 2;
   plan.target_ci = 0.05;  // easy at rho = 0.8, N = 4
   plan.initial_jobs = 40'000;
   plan.max_jobs = 32 * 40'000;
   plan.warmup_jobs = 40'000 / (10 * 2);
-  plan.base_seed = cfg.seed;
+  plan.base_seed = kFastSeed;
   const auto res =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   EXPECT_TRUE(res.adaptive.converged);
   EXPECT_LE(res.adaptive.half_width, plan.target_ci);
   EXPECT_GT(res.adaptive.half_width, 0.0);
@@ -573,35 +609,35 @@ TEST(AdaptiveSim, ConvergesUnderTargetOnAnEasyCell) {
 }
 
 TEST(AdaptiveSim, CapsAtMaxJobsOnAHardCell) {
-  auto cfg = fast_cfg(4);
+  const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 4;
   plan.target_ci = 1e-7;  // unreachable inside the cap
   plan.initial_jobs = 20'000;
   plan.max_jobs = 100'000;
   plan.warmup_jobs = 20'000 / (10 * 4);
-  plan.base_seed = cfg.seed;
+  plan.base_seed = kFastSeed;
   const auto res =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   EXPECT_FALSE(res.adaptive.converged);
   EXPECT_GT(res.adaptive.half_width, plan.target_ci);
   EXPECT_EQ(res.adaptive.jobs_used, plan.max_jobs);  // burned the cap
 }
 
 TEST(AdaptiveSim, FastSqdAdaptiveDeterministicAcrossThreadCounts) {
-  auto cfg = fast_cfg(4);
+  const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 4;
   plan.target_ci = 0.02;  // forces a few rounds
   plan.initial_jobs = 40'000;
   plan.max_jobs = 640'000;
   plan.warmup_jobs = 1'000;
-  plan.base_seed = cfg.seed;
+  plan.base_seed = kFastSeed;
   const auto serial =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   for (int threads : {2, 4}) {
     ThreadBudget budget(threads);
-    const auto parallel = simulate_sqd_fast_adaptive(cfg, plan, budget);
+    const auto parallel = simulate_sqd_fast(cfg, plan, budget);
     EXPECT_DOUBLE_EQ(serial.mean_delay, parallel.mean_delay);
     EXPECT_DOUBLE_EQ(serial.ci95_delay, parallel.ci95_delay);
     EXPECT_DOUBLE_EQ(serial.adaptive.half_width,
@@ -618,32 +654,32 @@ TEST(AdaptiveSim, WarmupPolicyControlsTheMeasuredShare) {
   // 10% of each replica (100 of 1000 jobs); the fixed policy keeps an
   // absolute 400-job transient — at high replica counts the two differ
   // by design, and the measured-job accounting shows it exactly.
-  auto cfg = fast_cfg(32);
+  const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 32;
   plan.target_ci = 100.0;  // one round
   plan.initial_jobs = 32'000;
   plan.max_jobs = 64'000;
-  plan.base_seed = cfg.seed;
+  plan.base_seed = kFastSeed;
 
   plan.warmup_policy = WarmupPolicy::kFixed;
   plan.warmup_jobs = 400;
   const auto fixed =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   EXPECT_EQ(fixed.jobs_measured, 32u * (1'000 - 400));
 
   plan.warmup_policy = WarmupPolicy::kFraction;
   plan.warmup_fraction = 0.1;
   const auto fraction =
-      simulate_sqd_fast_adaptive(cfg, plan, ThreadBudget::serial());
+      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
   EXPECT_EQ(fraction.jobs_measured, 32u * (1'000 - 100));
 }
 
 TEST(AdaptiveSim, ClusterAdaptiveDeterministicAcrossThreadCounts) {
   rlb::sim::ClusterConfig cfg;
   cfg.servers = 5;
-  cfg.seed = 999;
   const auto arr = rlb::sim::make_exponential(0.85 * 5);
+  rlb::sim::RenewalArrivals arrivals(*arr);
   const auto svc = rlb::sim::make_exponential(1.0);
 
   AdaptivePlan plan;
@@ -652,14 +688,14 @@ TEST(AdaptiveSim, ClusterAdaptiveDeterministicAcrossThreadCounts) {
   plan.initial_jobs = 30'000;
   plan.max_jobs = 240'000;
   plan.warmup_jobs = 1'000;
-  plan.base_seed = cfg.seed;
+  plan.base_seed = 999;
 
   rlb::sim::SqdPolicy policy(5, 2);
-  const auto serial = rlb::sim::simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, plan, ThreadBudget::serial());
+  const auto serial = rlb::sim::simulate_cluster(
+      cfg, policy, arrivals, *svc, plan, ThreadBudget::serial());
   ThreadBudget budget(4);
-  const auto parallel = rlb::sim::simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, plan, budget);
+  const auto parallel =
+      rlb::sim::simulate_cluster(cfg, policy, arrivals, *svc, plan, budget);
   EXPECT_DOUBLE_EQ(serial.mean_sojourn, parallel.mean_sojourn);
   EXPECT_DOUBLE_EQ(serial.ci95_sojourn, parallel.ci95_sojourn);
   EXPECT_DOUBLE_EQ(serial.p99_sojourn, parallel.p99_sojourn);
@@ -670,18 +706,19 @@ TEST(AdaptiveSim, ClusterAdaptiveDeterministicAcrossThreadCounts) {
 }
 
 TEST(ReplicaSim, ClusterReplicasAgreeWithSingleStream) {
-  rlb::sim::ClusterConfig one;
-  one.servers = 4;
-  one.jobs = 400'000;
-  one.warmup = 40'000;
-  one.seed = 4242;
-  auto eight = one;
-  eight.replicas = 8;
+  rlb::sim::ClusterConfig cfg;
+  cfg.servers = 4;
   const auto arr = rlb::sim::make_exponential(0.8 * 4);
+  rlb::sim::RenewalArrivals arrivals(*arr);
   const auto svc = rlb::sim::make_exponential(1.0);
   rlb::sim::SqdPolicy policy(4, 2);
-  const auto a = rlb::sim::simulate_cluster(one, policy, *arr, *svc);
-  const auto b = rlb::sim::simulate_cluster(eight, policy, *arr, *svc);
+  auto& serial = ThreadBudget::serial();
+  const auto a = rlb::sim::simulate_cluster(
+      cfg, policy, arrivals, *svc,
+      AdaptivePlan::fixed(1, 400'000, 40'000, 4242), serial);
+  const auto b = rlb::sim::simulate_cluster(
+      cfg, policy, arrivals, *svc,
+      AdaptivePlan::fixed(8, 400'000, 40'000, 4242), serial);
   EXPECT_NEAR(a.mean_sojourn, b.mean_sojourn,
               4.0 * (a.ci95_sojourn + b.ci95_sojourn) + 0.02);
   EXPECT_NEAR(a.utilization, b.utilization, 0.02);

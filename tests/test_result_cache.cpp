@@ -313,7 +313,7 @@ TEST_F(ResultCacheDir, SummaryLineReportsAllCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// The resume theorem, unit level: run_replicas_adaptive_resume from a
+// The resume theorem, unit level: run_replicas resumed from a
 // loose-target stop continues EXACTLY the rounds a cold tight-target run
 // executes (geometric planner: round budgets depend only on the round
 // index, so rounds 0..k of both runs are the same simulations in the
@@ -349,7 +349,7 @@ rlb::sim::BatchMeans toy_replica(std::uint64_t seed, std::uint64_t jobs,
 TEST(AdaptiveResume, ResumeEqualsColdRunBitForBit) {
   using rlb::sim::BatchMeans;
   auto& budget = rlb::util::ThreadBudget::serial();
-  const auto run = [](int /*replica*/, std::uint64_t seed,
+  const auto run = [](std::uint64_t /*replica*/, std::uint64_t seed,
                       std::uint64_t jobs, std::uint64_t warmup) {
     return toy_replica(seed, jobs, warmup);
   };
@@ -362,13 +362,13 @@ TEST(AdaptiveResume, ResumeEqualsColdRunBitForBit) {
 
   // Cold run at the LOOSE target: the checkpoint source.
   rlb::sim::AdaptiveReport loose_report;
-  const BatchMeans loose = rlb::sim::run_replicas_adaptive<BatchMeans>(
+  const BatchMeans loose = rlb::sim::run_replicas<BatchMeans>(
       make_plan(0.05), budget, run, merge, half_width, loose_report);
   ASSERT_TRUE(loose_report.converged);
 
   // Cold run at the TIGHT target: the reference.
   rlb::sim::AdaptiveReport cold_report;
-  const BatchMeans cold = rlb::sim::run_replicas_adaptive<BatchMeans>(
+  const BatchMeans cold = rlb::sim::run_replicas<BatchMeans>(
       make_plan(0.01), budget, run, merge, half_width, cold_report);
   ASSERT_TRUE(cold_report.converged);
   ASSERT_GT(cold_report.rounds, loose_report.rounds)
@@ -377,13 +377,11 @@ TEST(AdaptiveResume, ResumeEqualsColdRunBitForBit) {
 
   // Resume the loose stop at the tight target — exact state handoff.
   rlb::sim::AdaptiveReport resumed_report;
-  const BatchMeans resumed =
-      rlb::sim::run_replicas_adaptive_resume<BatchMeans>(
-          make_plan(0.01),
-          rlb::sim::AdaptiveResume{loose_report.rounds,
-                                   loose_report.jobs_used},
-          BatchMeans::from_state(loose.state()), budget, run, merge,
-          half_width, resumed_report);
+  const BatchMeans resumed = rlb::sim::run_replicas<BatchMeans>(
+      make_plan(0.01), budget, run, merge, half_width, resumed_report,
+      rlb::sim::ResumeState<BatchMeans>{
+          loose_report.rounds, loose_report.jobs_used,
+          BatchMeans::from_state(loose.state())});
 
   EXPECT_EQ(resumed.state().batch_means.mean,
             cold.state().batch_means.mean);
@@ -405,7 +403,7 @@ TEST(AdaptiveResume, ResumeEqualsColdRunBitForBit) {
 TEST(AdaptiveResume, AlreadyConvergedResumeReturnsImmediately) {
   using rlb::sim::BatchMeans;
   auto& budget = rlb::util::ThreadBudget::serial();
-  const auto run = [](int, std::uint64_t seed, std::uint64_t jobs,
+  const auto run = [](std::uint64_t, std::uint64_t seed, std::uint64_t jobs,
                       std::uint64_t warmup) {
     return toy_replica(seed, jobs, warmup);
   };
@@ -416,16 +414,16 @@ TEST(AdaptiveResume, AlreadyConvergedResumeReturnsImmediately) {
     return merged.half_width_or_infinity(0.95);
   };
   rlb::sim::AdaptiveReport loose_report;
-  const BatchMeans loose = rlb::sim::run_replicas_adaptive<BatchMeans>(
+  const BatchMeans loose = rlb::sim::run_replicas<BatchMeans>(
       make_plan(0.05), budget, run, merge, half_width, loose_report);
 
   // "Refining" to the SAME target must simulate nothing new.
   rlb::sim::AdaptiveReport same_report;
-  const BatchMeans same = rlb::sim::run_replicas_adaptive_resume<BatchMeans>(
-      make_plan(0.05),
-      rlb::sim::AdaptiveResume{loose_report.rounds, loose_report.jobs_used},
-      BatchMeans::from_state(loose.state()), budget, run, merge, half_width,
-      same_report);
+  const BatchMeans same = rlb::sim::run_replicas<BatchMeans>(
+      make_plan(0.05), budget, run, merge, half_width, same_report,
+      rlb::sim::ResumeState<BatchMeans>{
+          loose_report.rounds, loose_report.jobs_used,
+          BatchMeans::from_state(loose.state())});
   EXPECT_EQ(same_report.jobs_used, loose_report.jobs_used);
   EXPECT_EQ(same_report.rounds, loose_report.rounds);
   EXPECT_TRUE(same_report.converged);
@@ -442,15 +440,14 @@ TEST(ClusterRefine, RefineThroughJsonRecordEqualsColdRun) {
   using namespace rlb::sim;
   ClusterConfig cfg;
   cfg.servers = 8;
-  cfg.seed = 4242;
-  cfg.replicas = 2;
   const auto arr = make_exponential(0.9 * cfg.servers);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   auto& budget = rlb::util::ThreadBudget::serial();
 
   AdaptivePlan loose_plan;
-  loose_plan.replicas = cfg.replicas;
-  loose_plan.base_seed = cfg.seed;
+  loose_plan.replicas = 2;
+  loose_plan.base_seed = 4242;
   loose_plan.target_ci = 0.25;
   loose_plan.initial_jobs = 4000;
   loose_plan.max_jobs = 4000 << 8;
@@ -461,12 +458,12 @@ TEST(ClusterRefine, RefineThroughJsonRecordEqualsColdRun) {
   SqdPolicy policy(cfg.servers, 2);
 
   ClusterRoundState loose_state;
-  const ClusterResult loose = simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, loose_plan, budget, &loose_state);
+  const ClusterResult loose = simulate_cluster(
+      cfg, policy, arrivals, *svc, loose_plan, budget, &loose_state);
   ASSERT_TRUE(loose.adaptive.converged);
 
-  const ClusterResult cold = simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, tight_plan, budget);
+  const ClusterResult cold =
+      simulate_cluster(cfg, policy, arrivals, *svc, tight_plan, budget);
   ASSERT_TRUE(cold.adaptive.converged);
   ASSERT_GT(cold.adaptive.rounds, loose.adaptive.rounds)
       << "targets too close: refinement would be a no-op";
@@ -483,7 +480,7 @@ TEST(ClusterRefine, RefineThroughJsonRecordEqualsColdRun) {
   ASSERT_TRUE(parsed->has_round_state);
 
   const ClusterResult refined = simulate_cluster_refine(
-      cfg, policy, *arr, *svc, tight_plan, parsed->round_state, budget);
+      cfg, policy, arrivals, *svc, tight_plan, parsed->round_state, budget);
 
   EXPECT_EQ(refined.mean_sojourn, cold.mean_sojourn);
   EXPECT_EQ(refined.mean_wait, cold.mean_wait);
@@ -508,24 +505,25 @@ TEST(ClusterRefine, BatchSizeMismatchIsRejected) {
   using namespace rlb::sim;
   ClusterConfig cfg;
   cfg.servers = 4;
-  cfg.seed = 7;
   const auto arr = make_exponential(0.8 * cfg.servers);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   auto& budget = rlb::util::ThreadBudget::serial();
   AdaptivePlan plan;
-  plan.base_seed = cfg.seed;
+  plan.base_seed = 7;
   plan.target_ci = 0.5;
   plan.initial_jobs = 2000;
   plan.max_jobs = 64000;
   plan.warmup_jobs = 50;
   SqdPolicy policy(cfg.servers, 2);
   ClusterRoundState state;
-  (void)simulate_cluster_adaptive(cfg, policy, *arr, *svc, plan, budget,
-                                  &state);
-  // A different cfg.batch_size derives a different batch: refuse.
-  ClusterConfig other = cfg;
-  other.batch_size = state.batch + 1;
-  EXPECT_THROW(simulate_cluster_refine(other, policy, *arr, *svc, plan,
+  (void)simulate_cluster(cfg, policy, arrivals, *svc, plan, budget, &state);
+  // A plan whose round 0 measures a different count derives a different
+  // batch (the checkpoint's is (2000 - 50) / 30 = 65): refuse.
+  AdaptivePlan other = plan;
+  other.initial_jobs = 4000;
+  ASSERT_NE(other.batch_size(), state.batch);
+  EXPECT_THROW(simulate_cluster_refine(cfg, policy, arrivals, *svc, other,
                                        state, budget),
                std::invalid_argument);
 }

@@ -310,19 +310,21 @@ TEST(Scenarios, InvalidFlagValuesFailNamingTheFlag) {
 
 TEST(Scenarios, HeavyTailExpColumnReproducesTheLegacyStream) {
   // The scenario's exponential column is the stock M/M path: the same
-  // ClusterConfig fed straight into simulate_cluster must land in the
-  // rendered table verbatim (the scenario adds no randomness of its own).
+  // ClusterConfig and plan fed straight into simulate_cluster must land in
+  // the rendered table verbatim (the scenario adds no randomness of its
+  // own).
   using namespace rlb::sim;
   ClusterConfig cfg;
   cfg.servers = 8;
-  cfg.jobs = 15'000;
-  cfg.warmup = 1'500;
-  cfg.seed = rlb::engine::cell_seed(24680, 0);  // the scenario's row 0
-  cfg.replicas = 1;
   const auto interarrival = make_exponential(0.85 * 8);
+  RenewalArrivals arrivals(*interarrival);
   const auto service = make_exponential(1.0);
   SqdPolicy policy(8, 2);
-  const auto direct = simulate_cluster(cfg, policy, *interarrival, *service);
+  const auto direct = simulate_cluster(
+      cfg, policy, arrivals, *service,
+      AdaptivePlan::fixed(1, 15'000, 1'500,
+                          rlb::engine::cell_seed(24680, 0)),  // row 0
+      rlb::util::ThreadBudget::serial());
 
   const std::string json = run_to_json(
       "heavy_tail_service", {"--jobs=15000", "--dist=exp"}, 2, 1);

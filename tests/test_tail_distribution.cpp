@@ -56,11 +56,10 @@ TEST(TailDistribution, LowerTailMatchesSimulatedSystemClosely) {
 
   rlb::sim::FastSqdConfig cfg;
   cfg.params = p;
-  cfg.jobs = 2'000'000;
-  cfg.warmup = 200'000;
   cfg.tail_kmax = 8;
-  cfg.seed = 555;
-  const auto sim = rlb::sim::simulate_sqd_fast(cfg);
+  const auto sim = rlb::sim::simulate_sqd_fast(
+      cfg, rlb::sim::AdaptivePlan::fixed(1, 2'000'000, 200'000, 555),
+      rlb::util::ThreadBudget::serial());
   ASSERT_EQ(sim.marginal_tail.size(), 9u);
   for (int k = 0; k <= 8; ++k)
     EXPECT_NEAR(td.tail[k], sim.marginal_tail[k], 0.03) << k;

@@ -36,7 +36,9 @@ TEST(WaitingDistribution, BasicShapeProperties) {
   for (std::size_t k = 0; k < ts.size(); ++k) {
     EXPECT_GE(ccdf[k], 0.0);
     EXPECT_LE(ccdf[k], 1.0);
-    if (k > 0) EXPECT_LE(ccdf[k], ccdf[k - 1] + 1e-12);  // non-increasing
+    if (k > 0) {
+      EXPECT_LE(ccdf[k], ccdf[k - 1] + 1e-12);  // non-increasing
+    }
   }
   EXPECT_LT(ccdf.back(), 0.1);  // far tail decays
 }
@@ -85,13 +87,14 @@ TEST(WaitingDistribution, QuantilesMatchDesSimulation) {
 
   rlb::sim::ClusterConfig cfg;
   cfg.servers = n;
-  cfg.jobs = 800'000;
-  cfg.warmup = 80'000;
-  cfg.seed = 31415;
   rlb::sim::SqdPolicy policy(n, 2);
   const auto arr = rlb::sim::make_exponential(rho * n);
+  rlb::sim::RenewalArrivals arrivals(*arr);
   const auto svc = rlb::sim::make_exponential(1.0);
-  const auto r = rlb::sim::simulate_cluster(cfg, policy, *arr, *svc);
+  const auto r = rlb::sim::simulate_cluster(
+      cfg, policy, arrivals, *svc,
+      rlb::sim::AdaptivePlan::fixed(1, 800'000, 80'000, 31415),
+      rlb::util::ThreadBudget::serial());
   // DES reports sojourn quantiles; convert waiting quantile to sojourn by
   // comparing against (wait + typical service) loosely: instead compare
   // wait quantiles with sojourn quantiles minus mean service with a wide

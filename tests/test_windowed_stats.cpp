@@ -45,7 +45,9 @@ TEST(WindowedMoments, MergeMatchesSingleStream) {
   ASSERT_EQ(a.windows(), all.windows());
   for (std::size_t w = 0; w < all.windows(); ++w) {
     EXPECT_EQ(a.count(w), all.count(w)) << w;
-    if (all.count(w) > 0) EXPECT_DOUBLE_EQ(a.mean(w), all.mean(w)) << w;
+    if (all.count(w) > 0) {
+      EXPECT_DOUBLE_EQ(a.mean(w), all.mean(w)) << w;
+    }
   }
 }
 
@@ -89,7 +91,7 @@ TEST(WindowedMoments, Validates) {
   EXPECT_THROW(WindowedMoments(-1.0), std::invalid_argument);
   WindowedMoments wm(1.0);
   EXPECT_THROW(wm.add(-0.5, 1.0), std::invalid_argument);
-  EXPECT_THROW(wm.window(0), std::invalid_argument);
+  EXPECT_THROW((void)wm.window(0), std::invalid_argument);
   WindowedMoments other(2.0);
   EXPECT_THROW(wm.merge(other), std::invalid_argument);
 }
@@ -144,7 +146,7 @@ TEST(WindowedQuantiles, Validates) {
   EXPECT_THROW(WindowedQuantiles(0.0, 10, 1), std::invalid_argument);
   EXPECT_THROW(WindowedQuantiles(1.0, 0, 1), std::invalid_argument);
   WindowedQuantiles wq(1.0, 10, 1);
-  EXPECT_THROW(wq.quantile(0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)wq.quantile(0, 0.5), std::invalid_argument);
   WindowedQuantiles narrow(2.0, 10, 1), small(1.0, 5, 1);
   EXPECT_THROW(wq.merge(narrow), std::invalid_argument);
   EXPECT_THROW(wq.merge(small), std::invalid_argument);

@@ -129,15 +129,15 @@ TEST(WindowedMm1, WarmWindowP99MatchesStationarySojournLaw) {
   const double lambda = 0.7, mu = 1.0, tau = 5.0;
   ClusterConfig cfg;
   cfg.servers = 1;
-  cfg.jobs = 400'000;
-  cfg.warmup = 40'000;
-  cfg.seed = 229;
   cfg.window_width = 2'000.0;
   cfg.sla_threshold = tau;
   const auto arr = make_exponential(lambda);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(mu);
   SqdPolicy policy(1, 1);
-  const auto res = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto res = simulate_cluster(
+      cfg, policy, arrivals, *svc, AdaptivePlan::fixed(1, 400'000, 40'000, 229),
+      rlb::util::ThreadBudget::serial());
 
   const double p99_theory = std::log(100.0) / (mu - lambda);
   ASSERT_GT(res.windows.size(), 40u);
@@ -170,14 +170,14 @@ TEST(WindowedMm1, WindowCountsMatchThroughput) {
   const double lambda = 0.5;
   ClusterConfig cfg;
   cfg.servers = 1;
-  cfg.jobs = 200'000;
-  cfg.warmup = 20'000;
-  cfg.seed = 233;
   cfg.window_width = 4'000.0;
   const auto arr = make_exponential(lambda);
+  RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   SqdPolicy policy(1, 1);
-  const auto res = simulate_cluster(cfg, policy, *arr, *svc);
+  const auto res = simulate_cluster(
+      cfg, policy, arrivals, *svc, AdaptivePlan::fixed(1, 200'000, 20'000, 233),
+      rlb::util::ThreadBudget::serial());
   ASSERT_GT(res.windows.size(), 20u);
   const double expected = lambda * cfg.window_width;
   for (std::size_t w = 2; w + 1 < res.windows.size(); ++w)
