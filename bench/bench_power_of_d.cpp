@@ -90,13 +90,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
                      jobs / 10);
         ClusterRoundState state;
         ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
-        const ClusterResult res =
-            refine_from != nullptr
-                ? simulate_cluster_refine(cfg, *policy, arrivals, *svc, plan,
-                                          refine_from->round_state,
-                                          ctx.budget(), checkpoint)
-                : simulate_cluster(cfg, *policy, arrivals, *svc, plan,
-                                   ctx.budget(), checkpoint);
+        const ClusterResult res = simulate_cluster(
+            cfg, *policy, arrivals, *svc, plan, ctx.budget(), checkpoint,
+            refine_from != nullptr ? &refine_from->round_state : nullptr);
         rec.values = {res.mean_sojourn};
         if (adaptive) {
           rec.report = res.adaptive;

@@ -291,7 +291,7 @@ std::string ResultCache::path_of(const CacheKey& key) const {
 }
 
 ResultCache::Lookup ResultCache::lookup(const CacheKey& key,
-                                        double target_ci, bool refine) {
+                                        double target_ci) {
   Lookup out;
   if (mode_ == CacheMode::kRefresh) {
     ++misses_;
@@ -319,7 +319,7 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key,
   // A looser-target adaptive record can seed a refinement; a tighter or
   // fixed-budget one cannot (resuming past the new stopping point would
   // not equal a cold run).
-  if (refine && target_ci > 0.0 && record->has_round_state &&
+  if (target_ci > 0.0 && record->has_round_state &&
       record->target_ci > target_ci) {
     ++refined_;
     out.outcome = Lookup::Outcome::kRefine;
@@ -360,19 +360,10 @@ CacheMode parse_cache_mode(const std::string& text) {
       "--cache-mode must be 'readwrite', 'readonly', or 'refresh'");
 }
 
-std::string cache_cli_error(bool has_cache, bool has_refine,
-                            bool has_cache_mode) {
-  if (has_cache) return {};
-  if (has_refine && has_cache_mode)
-    return "--refine and --cache-mode require --cache=DIR (they configure "
-           "the result cache and do nothing without one)";
-  if (has_refine)
-    return "--refine requires --cache=DIR (it resumes cached adaptive "
-           "round state and does nothing without a cache)";
-  if (has_cache_mode)
-    return "--cache-mode requires --cache=DIR (it configures the result "
-           "cache and does nothing without one)";
-  return {};
+std::string cache_cli_error(bool has_cache, bool has_cache_mode) {
+  if (has_cache || !has_cache_mode) return {};
+  return "--cache-mode requires --cache=DIR (it configures the result "
+         "cache and does nothing without one)";
 }
 
 }  // namespace rlb::engine

@@ -12,9 +12,10 @@
 //
 // The precision target (--target-ci) is deliberately NOT part of the
 // key: a record stores the target it satisfied plus the adaptive round
-// state, so `--refine` at a tighter target can find the looser entry at
-// the same coordinates and resume its round schedule
-// (sim::simulate_cluster_refine) instead of starting over.
+// state, so a run at a tighter target finds the looser entry at the same
+// coordinates and resumes its round schedule (sim::simulate_cluster's
+// `resume`) instead of starting over — bit-identical to a cold run,
+// because round sizes depend only on the round index.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ class CacheKey {
 };
 
 /// One cached cell: the scenario's output columns plus everything a
-/// later --refine needs to resume the adaptive run.
+/// later, tighter run needs to resume the adaptive run.
 struct CellRecord {
   /// The cell's numeric output columns in scenario-defined order.
   std::vector<double> values;
@@ -78,7 +79,7 @@ struct CellRecord {
   /// The --target-ci this record satisfied; 0 marks a fixed-budget run.
   /// Not part of the key (see file comment) — the hit test compares it.
   double target_ci = 0.0;
-  /// Adaptive round state for --refine resumption; absent for
+  /// Adaptive round state for refinement; absent for
   /// fixed-budget cells and for scenarios that cannot checkpoint
   /// (windowed statistics, non-cluster cells).
   bool has_round_state = false;
@@ -125,11 +126,11 @@ class ResultCache {
 
   /// Decide what a cell can reuse. `target_ci` is the current run's
   /// precision target (0 = fixed budget); a record is a HIT when its
-  /// stored target equals it, and a REFINE when `refine` is set, the
-  /// record's target is looser, and it carries round state. kRefresh
-  /// mode skips the read entirely (every cell recomputes); unusable
-  /// records count as discarded and fall through to kMiss.
-  Lookup lookup(const CacheKey& key, double target_ci, bool refine);
+  /// stored target equals it, and a REFINE when the record's target is
+  /// looser and it carries round state. kRefresh mode skips the read
+  /// entirely (every cell recomputes); unusable records count as
+  /// discarded and fall through to kMiss.
+  Lookup lookup(const CacheKey& key, double target_ci);
 
   /// Persist a computed cell (no-op in kReadOnly mode). Writes to a temp
   /// file then renames, so a crashed run leaves no truncated record.
@@ -161,11 +162,10 @@ class ResultCache {
 /// but "readwrite" / "readonly" / "refresh".
 CacheMode parse_cache_mode(const std::string& text);
 
-/// Coherence check for the cache flag family: --refine and --cache-mode
-/// only configure the result cache, so either without --cache=DIR used
-/// to be consumed silently and do nothing. Returns the error message for
-/// that misuse, or an empty string when the combination is coherent.
-std::string cache_cli_error(bool has_cache, bool has_refine,
-                            bool has_cache_mode);
+/// Coherence check for the cache flag family: --cache-mode only
+/// configures the result cache, so without --cache=DIR it used to be
+/// consumed silently and do nothing. Returns the error message for that
+/// misuse, or an empty string when the combination is coherent.
+std::string cache_cli_error(bool has_cache, bool has_cache_mode);
 
 }  // namespace rlb::engine

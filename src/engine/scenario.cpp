@@ -16,27 +16,20 @@ AdaptiveSpec AdaptiveSpec::parse(const util::Cli& cli) {
   spec.initial_jobs = job_count("initial-jobs");
   spec.max_jobs = job_count("max-jobs");
   spec.growth_factor = cli.get_double("growth-factor", 2.0);
-  const std::string policy = cli.get("warmup-policy", "fixed");
-  if (policy == "fixed")
-    spec.warmup_policy = sim::WarmupPolicy::kFixed;
-  else if (policy == "fraction")
-    spec.warmup_policy = sim::WarmupPolicy::kFraction;
-  else
-    throw std::invalid_argument(
-        "--warmup-policy must be 'fixed' or 'fraction'");
   spec.warmup_jobs_set = cli.has("warmup-jobs");
   spec.warmup_jobs = job_count("warmup-jobs");
-  spec.warmup_fraction = cli.get_double("warmup-fraction", 0.1);
-  const std::string planner = cli.get("planner", "geometric");
-  if (planner == "geometric")
-    spec.planner = sim::PlannerKind::kGeometric;
-  else if (planner == "variance")
-    spec.planner = sim::PlannerKind::kVariance;
-  else
-    throw std::invalid_argument(
-        "--planner must be 'geometric' or 'variance'");
   if (spec.target_ci < 0.0)
     throw std::invalid_argument("--target-ci must be positive");
+  // The rest of the family only shapes an adaptive run: without a target
+  // it would be parsed, accepted and ignored.
+  if (!spec.enabled())
+    for (const char* flag : {"confidence", "initial-jobs", "max-jobs",
+                             "growth-factor", "warmup-jobs"})
+      if (cli.has(flag))
+        throw std::invalid_argument(
+            std::string("--") + flag +
+            " requires a positive --target-ci (it configures the adaptive "
+            "run length and does nothing without one)");
   return spec;
 }
 
@@ -52,8 +45,6 @@ sim::AdaptivePlan ScenarioContext::plan(std::uint64_t base_seed,
   plan.target_ci = adaptive_.target_ci;
   plan.confidence = adaptive_.confidence;
   plan.growth_factor = adaptive_.growth_factor;
-  plan.warmup_policy = adaptive_.warmup_policy;
-  plan.warmup_fraction = adaptive_.warmup_fraction;
   plan.initial_jobs = adaptive_.initial_jobs != 0
                           ? adaptive_.initial_jobs
                           : std::max(jobs / 8, replicas * 30);
@@ -62,7 +53,6 @@ sim::AdaptivePlan ScenarioContext::plan(std::uint64_t base_seed,
   plan.warmup_jobs = adaptive_.warmup_jobs_set
                          ? adaptive_.warmup_jobs
                          : plan.initial_jobs / (10 * replicas);
-  plan.planner = adaptive_.planner;
   return plan;
 }
 
@@ -80,17 +70,9 @@ CacheKey ScenarioContext::cell_key(const std::string& scenario,
     key.set("initial-jobs", adaptive_.initial_jobs);
     key.set("max-jobs", adaptive_.max_jobs);
     key.set("growth-factor", adaptive_.growth_factor);
-    key.set("planner", adaptive_.planner == sim::PlannerKind::kGeometric
-                           ? "geometric"
-                           : "variance");
-    key.set("warmup-policy",
-            adaptive_.warmup_policy == sim::WarmupPolicy::kFixed
-                ? "fixed"
-                : "fraction");
     key.set("warmup-jobs", adaptive_.warmup_jobs_set
                                ? std::to_string(adaptive_.warmup_jobs)
                                : std::string("derived"));
-    key.set("warmup-fraction", adaptive_.warmup_fraction);
   }
   return key;
 }
@@ -114,7 +96,7 @@ std::vector<CellRecord> ScenarioContext::map_cells(
   lookups.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     keys.push_back(key_of(i));
-    lookups.push_back(cache_->lookup(keys.back(), target, refine_));
+    lookups.push_back(cache_->lookup(keys.back(), target));
   }
   std::vector<CellRecord> results =
       parallel_map<CellRecord>(count, budget_, [&](std::size_t i) {
@@ -233,29 +215,17 @@ constexpr CommonFlag kCommonFlags[] = {
      "round-0 total jobs per cell in adaptive mode"},
     {"max-jobs", "32 x initial",
      "adaptive budget cap per cell; hitting it reports converged=0"},
-    {"growth-factor", "2",
-     "round-over-round budget growth under --planner=geometric"},
-    {"planner", "geometric",
-     "adaptive round sizing: 'geometric' grows by --growth-factor, "
-     "'variance' predicts the needed budget from the observed half-width "
-     "(docs/PRECISION.md)"},
-    {"warmup-policy", "fixed",
-     "adaptive warmup: 'fixed' absolute per-replica discard, 'fraction' "
-     "proportional"},
+    {"growth-factor", "2", "round-over-round budget growth in adaptive mode"},
     {"warmup-jobs", "initial / (10 * replicas)",
-     "per-replica warmup under --warmup-policy=fixed"},
-    {"warmup-fraction", "0.1",
-     "per-replica warmup share under --warmup-policy=fraction"},
+     "leading jobs every replica of every adaptive round discards"},
     {"cache", "(off)",
      "persistent result-cache directory (docs/CACHING.md): sweep cells "
-     "load from matching records instead of simulating; a warm re-run is "
+     "load from matching records instead of simulating, and a tighter "
+     "--target-ci resumes a looser record's rounds; a warm re-run is "
      "byte-identical to the cold run"},
     {"cache-mode", "readwrite",
      "'readwrite' serves hits and stores recomputed cells, 'readonly' "
      "never writes, 'refresh' recomputes everything and overwrites"},
-    {"refine", "(off)",
-     "with --cache and a tighter --target-ci: resume a looser-target "
-     "record's adaptive round state instead of recomputing from scratch"},
 };
 
 }  // namespace

@@ -62,23 +62,19 @@ struct AdaptiveSpec {
   std::uint64_t initial_jobs = 0;
   std::uint64_t max_jobs = 0;
   double growth_factor = 2.0;
-  sim::WarmupPolicy warmup_policy = sim::WarmupPolicy::kFixed;
   std::uint64_t warmup_jobs = 0;
   /// Whether --warmup-jobs appeared on the command line: an explicit 0
   /// (a legitimate "no warmup" request) must not fall back to the
   /// derived default the way an absent flag does.
   bool warmup_jobs_set = false;
-  double warmup_fraction = 0.1;
-  /// Round-size planner (--planner=geometric|variance): geometric is the
-  /// fixed initial * growth^r schedule, variance sizes later rounds from
-  /// the observed half-width (sim::PlannerKind, docs/PRECISION.md).
-  sim::PlannerKind planner = sim::PlannerKind::kGeometric;
 
   [[nodiscard]] bool enabled() const { return target_ci > 0.0; }
 
   /// Parse the --target-ci family from `cli` (also marking the flags as
   /// known, so util::Cli::finish() accepts them). Throws
-  /// std::invalid_argument on malformed values.
+  /// std::invalid_argument on malformed values, and on any other flag of
+  /// the family given without a positive --target-ci (it would be
+  /// silently ignored).
   static AdaptiveSpec parse(const util::Cli& cli);
 };
 
@@ -96,7 +92,6 @@ class ScenarioContext {
         replicas_(replicas),
         adaptive_(AdaptiveSpec::parse(cli)),
         cache_(cache),
-        refine_(cli.get_bool("refine")),
         budget_(threads_) {}  // threads_ resolved first (declaration order)
 
   [[nodiscard]] const util::Cli& cli() const { return cli_; }
@@ -125,9 +120,8 @@ class ScenarioContext {
   /// the fixed budget, floored so every replica gets a measurable
   /// shard), max = 32 * initial (adaptive may spend up to 4x the fixed
   /// budget before giving up), and per-replica warmup = initial /
-  /// (10 * replicas) (round 0 discards the usual 10%; under the default
-  /// kFixed policy later rounds keep that ABSOLUTE warmup). `warmup`
-  /// plays no part in the adaptive plan.
+  /// (10 * replicas) (round 0 discards the usual 10%; later rounds keep
+  /// that ABSOLUTE warmup). `warmup` plays no part in the adaptive plan.
   [[nodiscard]] sim::AdaptivePlan plan(std::uint64_t base_seed,
                                        std::uint64_t jobs,
                                        std::uint64_t warmup) const;
@@ -147,15 +141,11 @@ class ScenarioContext {
   /// run is uncached.
   [[nodiscard]] ResultCache* cache() const { return cache_; }
 
-  /// Whether --refine was requested: cache lookups may resume a
-  /// looser-target record's round state instead of recomputing.
-  [[nodiscard]] bool refine() const { return refine_; }
-
   /// A CacheKey pre-filled with the run-level coordinates every cell
   /// shares — replicas and the --target-ci family EXCEPT target-ci
-  /// itself (stored in the record instead, so --refine can find
-  /// looser-target entries; docs/CACHING.md). The scenario adds its own
-  /// parameters (and the cell seed) on top.
+  /// itself (stored in the record instead, so a tighter run can find and
+  /// refine looser-target entries; docs/CACHING.md). The scenario adds
+  /// its own parameters (and the cell seed) on top.
   [[nodiscard]] CacheKey cell_key(const std::string& scenario,
                                   std::uint64_t seed) const;
 
@@ -167,9 +157,9 @@ class ScenarioContext {
       std::function<CellRecord(std::size_t, const CellRecord* refine_from)>;
 
   /// The cache-aware sweep: results[i] comes from the cache when its
-  /// record satisfies the current precision target, from a round-state
-  /// resumption when --refine allows it, and from `compute` otherwise —
-  /// computed on the same worker budget as map(), with lookups and
+  /// record satisfies the current precision target, from resuming the
+  /// round state of a looser-target record, and from `compute` otherwise
+  /// — computed on the same worker budget as map(), with lookups and
   /// stores serial around the parallel region, so the table stays
   /// invariant under the thread count AND under cache warmth.
   std::vector<CellRecord> map_cells(std::size_t count,
@@ -182,7 +172,6 @@ class ScenarioContext {
   int replicas_;
   AdaptiveSpec adaptive_;
   ResultCache* cache_;
-  bool refine_;
   // Worker-slot accounting mutates under const map(); the budget is
   // internally synchronized.
   mutable util::ThreadBudget budget_;

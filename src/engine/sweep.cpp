@@ -1,6 +1,5 @@
 #include "engine/sweep.h"
 
-#include "util/require.h"
 #include "util/splitmix.h"
 
 namespace rlb::engine {
@@ -16,36 +15,6 @@ int resolve_threads(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-SweepGrid::SweepGrid(std::vector<double> rhos, std::vector<int> ds,
-                     std::vector<int> ns, std::uint64_t base_seed,
-                     int replicas)
-    : rhos_(std::move(rhos)),
-      ds_(std::move(ds)),
-      ns_(std::move(ns)),
-      base_seed_(base_seed),
-      replicas_(replicas) {
-  RLB_REQUIRE(!rhos_.empty() && !ds_.empty() && !ns_.empty(),
-              "sweep grid axes must be non-empty");
-  RLB_REQUIRE(replicas_ >= 1, "sweep grid needs at least one replica");
-}
-
-std::size_t SweepGrid::size() const {
-  return rhos_.size() * ds_.size() * ns_.size() *
-         static_cast<std::size_t>(replicas_);
-}
-
-SweepPoint SweepGrid::point(std::size_t index) const {
-  RLB_REQUIRE(index < size(), "sweep point index out of range");
-  // Replica is the fastest axis; it only matters through the per-cell seed.
-  std::size_t rest = index / static_cast<std::size_t>(replicas_);
-  const std::size_t ni = rest % ns_.size();
-  rest /= ns_.size();
-  const std::size_t di = rest % ds_.size();
-  rest /= ds_.size();
-  return SweepPoint{index, rhos_[rest], ds_[di], ns_[ni],
-                    cell_seed(base_seed_, index)};
 }
 
 }  // namespace rlb::engine

@@ -8,10 +8,8 @@
 // bit-identical.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/parallel_for.h"
@@ -44,46 +42,5 @@ std::vector<T> parallel_map(std::size_t count, util::ThreadBudget& budget,
                      [&](std::size_t i) { results[i] = fn(i); });
   return results;
 }
-
-/// Convenience overload: a private budget of `threads` slots (0 means
-/// hardware concurrency) for this one map call.
-template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t count, int threads, Fn&& fn) {
-  util::ThreadBudget budget(std::max(1, resolve_threads(threads)));
-  return parallel_map<T>(count, budget, std::forward<Fn>(fn));
-}
-
-/// One cell of a (rho x d x N x seed-replica) sweep grid.
-struct SweepPoint {
-  std::size_t index = 0;  ///< flat cell index (also the table row order)
-  double rho = 0.0;
-  int d = 0;
-  int n = 0;
-  std::uint64_t seed = 0;  ///< cell_seed(base_seed, index)
-};
-
-/// Cartesian grid over utilizations, choice counts, cluster sizes and seed
-/// replicas. Axes with a single value collapse, so a plain rho sweep is
-/// just SweepGrid{{rhos}, {d}, {n}, base, 1}.
-class SweepGrid {
- public:
-  SweepGrid(std::vector<double> rhos, std::vector<int> ds,
-            std::vector<int> ns, std::uint64_t base_seed = 1,
-            int replicas = 1);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] SweepPoint point(std::size_t index) const;
-
-  [[nodiscard]] const std::vector<double>& rhos() const { return rhos_; }
-  [[nodiscard]] const std::vector<int>& ds() const { return ds_; }
-  [[nodiscard]] const std::vector<int>& ns() const { return ns_; }
-
- private:
-  std::vector<double> rhos_;
-  std::vector<int> ds_;
-  std::vector<int> ns_;
-  std::uint64_t base_seed_;
-  int replicas_;
-};
 
 }  // namespace rlb::engine

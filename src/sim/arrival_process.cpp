@@ -150,60 +150,6 @@ void TraceArrivalProcess::reset() {
   prev_epoch_ = 0.0;
 }
 
-MmppArrivalProcess::MmppArrivalProcess(std::vector<double> rates,
-                                       std::vector<double> holds)
-    : rates_(std::move(rates)), holds_(std::move(holds)) {
-  RLB_REQUIRE(!rates_.empty(), "mmpp needs at least one phase");
-  RLB_REQUIRE(rates_.size() == holds_.size(),
-              "mmpp needs one holding time per phase");
-  double max_rate = 0.0;
-  for (double r : rates_) {
-    RLB_REQUIRE(r >= 0.0 && std::isfinite(r),
-                "mmpp phase rates must be finite and non-negative");
-    max_rate = std::max(max_rate, r);
-  }
-  RLB_REQUIRE(max_rate > 0.0, "at least one mmpp phase must arrive");
-  for (double h : holds_)
-    RLB_REQUIRE(h > 0.0 && std::isfinite(h),
-                "mmpp phase holding times must be finite and positive");
-}
-
-double MmppArrivalProcess::next(Rng& rng) {
-  // Competing exponentials, exactly like the two-phase MmppArrivals: in
-  // each phase the next arrival (rate lambda_i) races the phase switch
-  // (rate 1 / holds_i); a lost race advances the clock and the phase.
-  double elapsed = 0.0;
-  for (;;) {
-    const double arrival_rate = rates_[phase_];
-    const double switch_rate = 1.0 / holds_[phase_];
-    const double t_switch = rng.exponential(switch_rate);
-    if (arrival_rate <= 0.0) {
-      elapsed += t_switch;
-      phase_ = (phase_ + 1) % rates_.size();
-      continue;
-    }
-    const double t_arrival = rng.exponential(arrival_rate);
-    if (t_arrival <= t_switch) return elapsed + t_arrival;
-    elapsed += t_switch;
-    phase_ = (phase_ + 1) % rates_.size();
-  }
-}
-
-double MmppArrivalProcess::mean_rate() const {
-  // Cyclic phases: the chain spends holds_[i] per cycle in phase i, so
-  // the stationary phase weights are holds_[i] / sum(holds).
-  double weighted = 0.0, total = 0.0;
-  for (std::size_t i = 0; i < rates_.size(); ++i) {
-    weighted += rates_[i] * holds_[i];
-    total += holds_[i];
-  }
-  return weighted / total;
-}
-
-std::string MmppArrivalProcess::name() const {
-  return "mmpp" + std::to_string(rates_.size());
-}
-
 SinusoidalArrivalProcess::SinusoidalArrivalProcess(double lambda0,
                                                    double amplitude,
                                                    double period)

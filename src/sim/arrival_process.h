@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/distributions.h"
 #include "sim/rng.h"
@@ -143,32 +142,6 @@ class TraceArrivalProcess final : public ArrivalProcess {
   std::uint64_t cycle_ = 0;             ///< completed wrap-arounds
   std::uint32_t remaining_ = 0;         ///< jobs still due at this epoch
   double prev_epoch_ = 0.0;             ///< absolute time of last epoch
-};
-
-/// K-phase Markov-modulated Poisson process with a CYCLIC phase order:
-/// while in phase i arrivals are Poisson at rates[i], the phase holds for
-/// an Exp(1 / holds[i]) time, then the chain steps to phase (i+1) mod k.
-/// Cyclic modulation expresses diurnal-step patterns (night / ramp /
-/// peak / ramp) that the two-phase MmppArrivals cannot; its long-run rate
-/// has the closed form sum(rates[i] * holds[i]) / sum(holds[i]) — the
-/// phase-stationary mixture — which the statistical suite pins.
-class MmppArrivalProcess final : public ArrivalProcess {
- public:
-  /// rates[i] >= 0 (at least one > 0), holds[i] > 0, equal sizes >= 1.
-  MmppArrivalProcess(std::vector<double> rates, std::vector<double> holds);
-
-  double next(Rng& rng) override;
-  [[nodiscard]] double mean_rate() const override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override { phase_ = 0; }
-  [[nodiscard]] std::unique_ptr<ArrivalProcess> clone() const override {
-    return std::make_unique<MmppArrivalProcess>(*this);
-  }
-
- private:
-  std::vector<double> rates_;
-  std::vector<double> holds_;
-  std::size_t phase_ = 0;
 };
 
 /// Diurnal arrivals: a nonhomogeneous Poisson process with rate

@@ -94,7 +94,8 @@ ClusterResult assemble(const ClusterConfig& cfg, const ClusterAccum& acc) {
 
 /// Checkpoint the merged accumulator + stopping report into a
 /// ClusterRoundState (see cluster_sim.h). Windowed recorders cannot be
-/// checkpointed; run_plan refuses a checkpoint when they are armed.
+/// checkpointed; simulate_cluster refuses a checkpoint when they are
+/// armed.
 ClusterRoundState snapshot_round_state(const ClusterAccum& acc,
                                        const AdaptiveReport& report,
                                        std::uint64_t batch) {
@@ -131,13 +132,15 @@ ClusterAccum restore_round_state(const ClusterRoundState& s) {
   return acc;
 }
 
-/// The one body behind every entry point: run `plan`, resuming from
-/// `resume` when non-null, checkpointing into `checkpoint` when non-null.
-ClusterResult run_plan(const ClusterConfig& cfg, Policy& policy,
-                       ArrivalProcess& arrivals, const Distribution& service,
-                       const AdaptivePlan& plan, util::ThreadBudget& budget,
-                       const ClusterRoundState* resume,
-                       ClusterRoundState* checkpoint) {
+}  // namespace
+
+ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
+                               ArrivalProcess& arrivals,
+                               const Distribution& service,
+                               const AdaptivePlan& plan,
+                               util::ThreadBudget& budget,
+                               ClusterRoundState* checkpoint,
+                               const ClusterRoundState* resume) {
   validate_config(cfg, policy);
   plan.validate();
   RLB_REQUIRE((resume == nullptr && checkpoint == nullptr) ||
@@ -175,30 +178,6 @@ ClusterResult run_plan(const ClusterConfig& cfg, Policy& policy,
   ClusterResult out = assemble(cfg, acc);
   out.adaptive = report;
   return out;
-}
-
-}  // namespace
-
-ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
-                               ArrivalProcess& arrivals,
-                               const Distribution& service,
-                               const AdaptivePlan& plan,
-                               util::ThreadBudget& budget,
-                               ClusterRoundState* checkpoint) {
-  return run_plan(cfg, policy, arrivals, service, plan, budget, nullptr,
-                  checkpoint);
-}
-
-ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
-                                      Policy& policy,
-                                      ArrivalProcess& arrivals,
-                                      const Distribution& service,
-                                      const AdaptivePlan& plan,
-                                      const ClusterRoundState& state,
-                                      util::ThreadBudget& budget,
-                                      ClusterRoundState* checkpoint) {
-  return run_plan(cfg, policy, arrivals, service, plan, budget, &state,
-                  checkpoint);
 }
 
 ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,

@@ -112,10 +112,10 @@ struct ClusterResult {
 
 /// Exact checkpoint of an adaptive run's merged statistics after its
 /// last completed round — the "round state" a result-cache entry stores
-/// so a later --refine can resume the round schedule instead of starting
-/// over (docs/CACHING.md). Restoring this state and resuming run_replicas
-/// from it reproduces, under the geometric planner,
-/// the exact rounds a cold run at the tighter target would execute.
+/// so a later run at a tighter target can resume the round schedule
+/// instead of starting over (docs/CACHING.md). Restoring this state and
+/// resuming run_replicas from it reproduces the exact rounds a cold run
+/// at the tighter target would execute.
 ///
 /// Windowed recorders are NOT checkpointable (they hold per-window
 /// reservoirs with independent streams); capture and resume both require
@@ -148,32 +148,23 @@ struct ClusterRoundState {
 /// util::ThreadBudget::serial() to run on the calling thread only.
 ///
 /// When `checkpoint` is non-null the merged statistics are checkpointed
-/// into it after the run stops (requires cfg.window_width == 0); the
-/// checkpoint changes no output bit.
+/// into it after the run stops; the checkpoint changes no output bit.
+///
+/// When `resume` is non-null the run continues from that checkpoint at a
+/// (typically tighter) plan.target_ci — the result cache's refinement.
+/// `resume` must be the checkpoint of a run with the same cfg and the
+/// same plan apart from target_ci; the round schedule continues from
+/// resume->rounds with fresh replica streams, so no randomness is ever
+/// reused and the result is bit-identical to a cold run at the new
+/// target. `resume` comes last so that a `ClusterRoundState*` passed as
+/// `checkpoint` can never bind to it. Both require cfg.window_width == 0.
 ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
                                ArrivalProcess& arrivals,
                                const Distribution& service,
                                const AdaptivePlan& plan,
                                util::ThreadBudget& budget,
-                               ClusterRoundState* checkpoint = nullptr);
-
-/// Resume a checkpointed run at a (typically tighter) plan.target_ci —
-/// the --refine path. `state` must be the checkpoint of a run with the
-/// same cfg and the same plan apart from target_ci; the round schedule
-/// continues from state.rounds with fresh replica streams, so no
-/// randomness is ever reused. Under the geometric planner the result is
-/// bit-identical to a cold run at the new target; under the variance
-/// planner it is statistically equivalent. `checkpoint` re-checkpoints
-/// the refined statistics when non-null.
-ClusterResult simulate_cluster_refine(const ClusterConfig& cfg,
-                                      Policy& policy,
-                                      ArrivalProcess& arrivals,
-                                      const Distribution& service,
-                                      const AdaptivePlan& plan,
-                                      const ClusterRoundState& state,
-                                      util::ThreadBudget& budget,
-                                      ClusterRoundState* checkpoint =
-                                          nullptr);
+                               ClusterRoundState* checkpoint = nullptr,
+                               const ClusterRoundState* resume = nullptr);
 
 /// Forwarders kept because perf/ still calls them; no scenario does.
 /// The first runs AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup,

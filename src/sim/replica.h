@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -42,40 +41,6 @@ namespace rlb::sim {
 /// (legacy seeds, committed baselines and golden tests stay valid). The
 /// index is 64-bit because the round loop numbers replicas across rounds.
 std::uint64_t replica_seed(std::uint64_t base, std::uint64_t replica);
-
-/// How the per-replica warmup is chosen when the run length is not fixed
-/// up front (the adaptive path, and docs/PRECISION.md's contract):
-///
-/// - kFixed: every replica discards the same ABSOLUTE number of leading
-///   jobs, independent of how large its measurement budget is. This is
-///   the adaptive default — it keeps the transient discard honest when
-///   replica counts are extreme or rounds start small (the fractional
-///   split's bias noted at AdaptivePlan::fixed cannot occur).
-/// - kFraction: every replica discards a fixed FRACTION of its jobs.
-///   Cheap for huge per-replica budgets, biased when the absolute
-///   transient shrinks below the mixing time.
-enum class WarmupPolicy { kFixed, kFraction };
-
-/// Which RoundPlanner chooses the size of each adaptive round
-/// (--planner, docs/PRECISION.md):
-///
-/// - kGeometric: round r requests initial_jobs * growth_factor^r — the
-///   fixed schedule, blind to the statistics. Simple, but the last round
-///   overshoots the needed budget by up to the growth factor.
-/// - kVariance: rounds after the first are sized from the OBSERVED
-///   half-width: since hw ~ c/sqrt(jobs), the cumulative budget that
-///   reaches `target_ci` is predicted as
-///   jobs_used * (hw / target_ci)^2, inflated by a safety factor
-///   (planner_safety) because the variance estimate behind hw is itself
-///   noisy; the next round is the missing part of that prediction. Easy
-///   cells stop near the predicted budget instead of at the next power
-///   of the growth factor.
-///
-/// Both planners read only the plan and merged statistics, so either
-/// schedule is bit-identical across thread counts; round 0 is
-/// initial_jobs for both, so a one-round run is the same for either
-/// planner.
-enum class PlannerKind { kGeometric, kVariance };
 
 /// Sequential-stopping ("run until the answer is ±ε") configuration for
 /// run_replicas. The run proceeds in ROUNDS: round r launches
@@ -94,15 +59,12 @@ struct AdaptivePlan {
   std::uint64_t initial_jobs = 0;  ///< round-0 total jobs across replicas
   double growth_factor = 2.0;   ///< round r total = initial * growth^r
   std::uint64_t max_jobs = 0;   ///< cumulative cap (includes warmup)
-  WarmupPolicy warmup_policy = WarmupPolicy::kFixed;
-  std::uint64_t warmup_jobs = 0;    ///< kFixed: absolute, per replica
-  double warmup_fraction = 0.1;     ///< kFraction: of per-replica jobs
+  /// Leading jobs every replica of every round discards. The count is
+  /// ABSOLUTE, independent of the replica's budget, so the transient
+  /// discard stays honest when rounds start small or replica counts are
+  /// large.
+  std::uint64_t warmup_jobs = 0;
   std::uint64_t base_seed = 1;
-  PlannerKind planner = PlannerKind::kGeometric;
-  /// Variance planner only: inflate the predicted budget by this factor
-  /// (the half-width the prediction extrapolates is itself a noisy
-  /// estimate; undershooting costs an extra round, so predict high).
-  double planner_safety = 1.2;
 
   /// A fixed budget as a one-round plan: `total_jobs` jobs, `total_warmup`
   /// of them warmup, split evenly across `replicas` replicas. The target
@@ -124,50 +86,17 @@ struct AdaptivePlan {
 
   void validate() const;
 
-  /// Total job budget requested for round `round` (before the max_jobs
-  /// clamp): initial_jobs * growth_factor^round, saturating at max_jobs.
-  /// This is the GEOMETRIC schedule; run_replicas consults the
-  /// plan's RoundPlanner (make_planner), which may size rounds from the
-  /// observed half-width instead.
+  /// Total job budget requested for round `round` (before the clamp to
+  /// the remaining max_jobs allowance): initial_jobs * growth_factor^round,
+  /// saturating at max_jobs. The schedule depends only on the round
+  /// index, never on the observed statistics.
   [[nodiscard]] std::uint64_t round_jobs(int round) const;
-
-  /// The smallest round total whose per-replica share outlives its
-  /// warmup — anything thinner would measure nothing and the runner
-  /// treats it as "budget exhausted".
-  [[nodiscard]] std::uint64_t min_round_jobs() const;
-
-  /// Per-replica warmup for a replica running `jobs_per_replica` jobs,
-  /// under this plan's warmup policy.
-  [[nodiscard]] std::uint64_t warmup_for(std::uint64_t jobs_per_replica)
-      const;
 
   /// The batch-means batch size: ROUND 0's per-replica measured count
   /// / 30, at least 1. One size serves every round — BatchMeans merging
   /// requires it — so later, larger rounds simply complete more batches.
   [[nodiscard]] std::uint64_t batch_size() const;
 };
-
-/// Chooses the total job budget of each adaptive round. Implementations
-/// MUST be pure functions of (plan, round, jobs_used, half_width) —
-/// never of timing, the thread count, or call history — so the round
-/// schedule, and with it every output bit, stays deterministic across
-/// --threads (docs/PRECISION.md's determinism guarantee).
-class RoundPlanner {
- public:
-  virtual ~RoundPlanner() = default;
-
-  /// Job budget to request for round `round` (run_replicas clamps the
-  /// request to the remaining max_jobs allowance).
-  /// `jobs_used` is the cumulative budget burned by earlier rounds
-  /// (warmup included) and `half_width` the pooled CI half-width after
-  /// the last merge — +infinity before round 0 or while fewer than two
-  /// batches completed.
-  [[nodiscard]] virtual std::uint64_t round_jobs(
-      int round, std::uint64_t jobs_used, double half_width) const = 0;
-};
-
-/// The planner selected by plan.planner (plan must outlive the result).
-std::unique_ptr<RoundPlanner> make_planner(const AdaptivePlan& plan);
 
 /// What the adaptive run did: exposed per cell as the half_width /
 /// jobs_used / converged scenario columns.
@@ -200,8 +129,8 @@ struct AdaptiveReport {
   }
 };
 
-/// Where a stopped run left off, to resume it (the --refine path,
-/// docs/CACHING.md): the rounds it completed, the budget (warmup
+/// Where a stopped run left off, to resume it (the result cache's
+/// refinement, docs/CACHING.md): the rounds it completed, the budget (warmup
 /// included) they burned, and the EXACT merged Result after them — a
 /// bit-exact checkpoint restore, e.g. ClusterRoundState for the cluster
 /// simulator.
@@ -242,12 +171,10 @@ struct ResumeState {
 ///
 /// With `resume` the run continues a stopped one, typically at a tighter
 /// plan.target_ci; the plan must match the original in every other
-/// field. Replica numbering continues globally, so no stream is reused.
-/// Under the GEOMETRIC planner, whose round sizes depend only on the
-/// round index, the result is bit-identical to a cold run at the new
-/// target. (The variance planner sizes rounds from target_ci, so a
-/// resumed run takes a different — still valid, still deterministic —
-/// schedule than a cold run.) The report covers the WHOLE run:
+/// field. Replica numbering continues globally, so no stream is reused,
+/// and round sizes depend only on the round index, so the result is
+/// bit-identical to a cold run at the new target. The report covers the
+/// WHOLE run:
 /// `report.jobs_used - resume->jobs_used` is the budget the resumption
 /// actually simulated.
 template <typename Result, typename RunFn, typename MergeFn,
@@ -259,7 +186,6 @@ Result run_replicas(const AdaptivePlan& plan, util::ThreadBudget& budget,
   plan.validate();
   const auto count = static_cast<std::size_t>(plan.replicas);
   const auto replicas64 = static_cast<std::uint64_t>(plan.replicas);
-  const std::unique_ptr<RoundPlanner> planner = make_planner(plan);
   report = AdaptiveReport{};
   std::optional<Result> merged;
   if (resume) {
@@ -280,25 +206,19 @@ Result run_replicas(const AdaptivePlan& plan, util::ThreadBudget& budget,
       // report.rounds is an int: stop rather than overflow it.
       if (round == std::numeric_limits<int>::max()) break;
     }
-    // The planner sees an infinite half-width until the first merge
-    // produces an interval.
-    const double observed_hw = merged ? report.half_width
-                                      : std::numeric_limits<double>::infinity();
-    const std::uint64_t round_total =
-        std::min(planner->round_jobs(round, report.jobs_used, observed_hw),
-                 plan.max_jobs - report.jobs_used);
+    const std::uint64_t round_total = std::min(
+        plan.round_jobs(round), plan.max_jobs - report.jobs_used);
     const std::uint64_t jobs_per_replica = round_total / replicas64;
-    const std::uint64_t warmup = plan.warmup_for(jobs_per_replica);
     // The clamped tail of the budget may be too thin to measure anything;
     // plan.validate() guarantees round 0 never is.
-    if (jobs_per_replica == 0 || warmup >= jobs_per_replica) break;
+    if (jobs_per_replica <= plan.warmup_jobs) break;
 
     std::vector<std::optional<Result>> results(count);
     const std::uint64_t first = static_cast<std::uint64_t>(round) * replicas64;
     util::budgeted_for(count, budget, [&](std::size_t i) {
       const std::uint64_t global = first + i;
       results[i] = run(global, replica_seed(plan.base_seed, global),
-                       jobs_per_replica, warmup);
+                       jobs_per_replica, plan.warmup_jobs);
     });
     for (auto& result : results) {
       if (!merged)

@@ -10,7 +10,7 @@
 namespace rlb::sim {
 
 /// The full internal state of a StreamingMoments, exposed so merged
-/// statistics can be checkpointed (the result cache's --refine round
+/// statistics can be checkpointed (the result cache's refinement round
 /// state) and restored bit-for-bit: from_state(state()) is the identical
 /// estimator, so a resumed run continues exactly where the checkpointed
 /// run stopped.

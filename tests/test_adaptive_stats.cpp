@@ -14,7 +14,7 @@
 // The bands are deliberately one-sided-loose downward: batch-means
 // intervals are approximate (autocorrelation, df pooling) and sequential
 // stopping peeks at the data, both of which shave a little coverage.
-// What the suite must catch is a broken pooling formula or a planner
+// What the suite must catch is a broken pooling formula or a round loop
 // that stops on fantasy intervals — failures that crater coverage far
 // below any band here.
 #include <cmath>
@@ -34,7 +34,6 @@
 namespace {
 
 using rlb::sim::AdaptivePlan;
-using rlb::sim::PlannerKind;
 using rlb::util::ThreadBudget;
 
 constexpr double kRho = 0.7;
@@ -43,7 +42,7 @@ constexpr int kCells = 80;
 /// The adaptive plan one coverage cell runs: small rounds, room to grow,
 /// a fixed absolute warmup well past the M/M/1 mixing time at rho = 0.7.
 AdaptivePlan coverage_plan(double target, double confidence,
-                           std::uint64_t seed, PlannerKind planner) {
+                           std::uint64_t seed) {
   AdaptivePlan plan;
   plan.replicas = 2;
   plan.target_ci = target;
@@ -52,7 +51,6 @@ AdaptivePlan coverage_plan(double target, double confidence,
   plan.max_jobs = 64 * 8'000;
   plan.warmup_jobs = 500;
   plan.base_seed = seed;
-  plan.planner = planner;
   return plan;
 }
 
@@ -60,7 +58,7 @@ AdaptivePlan coverage_plan(double target, double confidence,
 /// interval covers the exact mean sojourn time. Cells that cap out
 /// un-converged still report an honest half-width and count like any
 /// other (their interval is just wider).
-double mm1_coverage(double confidence, PlannerKind planner) {
+double mm1_coverage(double confidence) {
   const rlb::sqd::Mm1 exact{kRho, 1.0};
   int covered = 0;
   for (int cell = 0; cell < kCells; ++cell) {
@@ -68,7 +66,7 @@ double mm1_coverage(double confidence, PlannerKind planner) {
     cfg.params = {1, 1, kRho, 1.0};  // SQ(1), N = 1: exactly M/M/1
     const auto seed = static_cast<std::uint64_t>(1000 + 7 * cell);
     const auto res = rlb::sim::simulate_sqd_fast(
-        cfg, coverage_plan(0.08, confidence, seed, planner),
+        cfg, coverage_plan(0.08, confidence, seed),
         ThreadBudget::serial());
     if (std::abs(res.mean_delay - exact.mean_sojourn()) <=
         res.adaptive.half_width)
@@ -84,28 +82,20 @@ double mm1_coverage(double confidence, PlannerKind planner) {
 }
 
 TEST(AdaptiveCoverage, Mm1MeanDelayAtNominal90) {
-  const double coverage = mm1_coverage(0.90, PlannerKind::kGeometric);
+  const double coverage = mm1_coverage(0.90);
   EXPECT_GE(coverage, 0.75) << "90% CIs cover far too rarely";
   EXPECT_LE(coverage, 1.00);
 }
 
 TEST(AdaptiveCoverage, Mm1MeanDelayAtNominal95) {
-  const double coverage = mm1_coverage(0.95, PlannerKind::kGeometric);
+  const double coverage = mm1_coverage(0.95);
   EXPECT_GE(coverage, 0.82) << "95% CIs cover far too rarely";
   EXPECT_LE(coverage, 1.00);
 }
 
 TEST(AdaptiveCoverage, Mm1MeanDelayAtNominal99) {
-  const double coverage = mm1_coverage(0.99, PlannerKind::kGeometric);
+  const double coverage = mm1_coverage(0.99);
   EXPECT_GE(coverage, 0.90) << "99% CIs cover far too rarely";
-  EXPECT_LE(coverage, 1.00);
-}
-
-TEST(AdaptiveCoverage, VariancePlannerKeepsNominal95Coverage) {
-  // The variance planner spends fewer jobs; it must not buy that
-  // efficiency with fantasy intervals.
-  const double coverage = mm1_coverage(0.95, PlannerKind::kVariance);
-  EXPECT_GE(coverage, 0.82);
   EXPECT_LE(coverage, 1.00);
 }
 
@@ -122,7 +112,7 @@ TEST(AdaptiveCoverage, BoundCtmcWaitingJobsAtNominal95) {
   for (int cell = 0; cell < kCtmcCells; ++cell) {
     const auto seed = static_cast<std::uint64_t>(9000 + 13 * cell);
     const auto res = rlb::sim::simulate_bound_model(
-        model, coverage_plan(0.10, 0.95, seed, PlannerKind::kGeometric),
+        model, coverage_plan(0.10, 0.95, seed),
         ThreadBudget::serial());
     if (std::abs(res.mean_waiting_jobs - exact.mean_waiting_jobs()) <=
         res.adaptive.half_width)
@@ -142,7 +132,7 @@ TEST(AdaptiveCoverage, IntervalsAreNotVacuouslyWide) {
         cfg.params = {1, 1, kRho, 1.0};
         return cfg;
       }(),
-      coverage_plan(0.08, 0.95, 424'242, PlannerKind::kGeometric),
+      coverage_plan(0.08, 0.95, 424'242),
       ThreadBudget::serial());
   ASSERT_TRUE(res.adaptive.converged);
   EXPECT_LE(res.adaptive.half_width, 0.08);

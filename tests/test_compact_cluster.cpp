@@ -508,8 +508,8 @@ TEST(CompactCluster, BitIdenticalWithHeterogeneousSpeeds) {
 
 TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   // Every round's replicas (their budgets, warmups and seeds set by the
-  // geometric planner), and hence the stopping decision, must agree bit
-  // for bit.
+  // plan's geometric schedule), and hence the stopping decision, must
+  // agree bit for bit.
   const int n = 5;
   const auto arr = make_exponential(0.85 * n);
   const auto svc = make_exponential(1.0);

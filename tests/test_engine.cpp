@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -25,8 +24,8 @@ using rlb::engine::Scenario;
 using rlb::engine::ScenarioContext;
 using rlb::engine::ScenarioOutput;
 using rlb::engine::ScenarioRegistry;
-using rlb::engine::SweepGrid;
 using rlb::engine::UnknownScenarioError;
+using rlb::util::ThreadBudget;
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -122,8 +121,9 @@ TEST(Sweep, CellSeedIsDeterministicAndDecorrelated) {
 
 TEST(Sweep, ParallelMapPreservesIndexOrder) {
   const auto fn = [](std::size_t i) { return static_cast<int>(i * i); };
-  const auto serial = parallel_map<int>(100, 1, fn);
-  const auto parallel = parallel_map<int>(100, 4, fn);
+  ThreadBudget four_threads(4);
+  const auto serial = parallel_map<int>(100, ThreadBudget::serial(), fn);
+  const auto parallel = parallel_map<int>(100, four_threads, fn);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial[9], 81);
 }
@@ -131,21 +131,28 @@ TEST(Sweep, ParallelMapPreservesIndexOrder) {
 TEST(Sweep, FourThreadSweepEqualsOneThreadCellForCell) {
   // The acceptance property behind `rlb_run --threads=N`: a grid of real
   // stochastic simulations, seeded per cell, is bit-identical regardless
-  // of the thread count.
-  const SweepGrid grid({0.5, 0.8, 0.9}, {1, 2}, {2, 4}, /*base_seed=*/99,
-                       /*replicas=*/2);
-  ASSERT_EQ(grid.size(), 24u);
+  // of the thread count. The grid is rho x d x N x 2 seed replicas.
+  const std::vector<double> rhos{0.5, 0.8, 0.9};
+  const std::vector<int> ds{1, 2};
+  const std::vector<int> ns{2, 4};
+  const std::size_t cells = rhos.size() * ds.size() * ns.size() * 2;
+  ASSERT_EQ(cells, 24u);
   const auto run_cell = [&](std::size_t i) {
-    const auto pt = grid.point(i);
+    const std::size_t point = i / 2;
     rlb::sim::FastSqdConfig cfg;
-    cfg.params = {pt.n, pt.d, pt.rho, 1.0};
+    cfg.params = {ns[point % ns.size()], ds[point / ns.size() % ds.size()],
+                  rhos[point / (ns.size() * ds.size())], 1.0};
     return rlb::sim::simulate_sqd_fast(
-               cfg, rlb::sim::AdaptivePlan::fixed(1, 20'000, 2'000, pt.seed),
-               rlb::util::ThreadBudget::serial())
+               cfg,
+               rlb::sim::AdaptivePlan::fixed(1, 20'000, 2'000,
+                                             cell_seed(99, i)),
+               ThreadBudget::serial())
         .mean_delay;
   };
-  const auto one = parallel_map<double>(grid.size(), 1, run_cell);
-  const auto four = parallel_map<double>(grid.size(), 4, run_cell);
+  ThreadBudget four_threads(4);
+  const auto one = parallel_map<double>(cells, ThreadBudget::serial(),
+                                        run_cell);
+  const auto four = parallel_map<double>(cells, four_threads, run_cell);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i], four[i]) << "cell " << i << " diverged";
@@ -153,32 +160,15 @@ TEST(Sweep, FourThreadSweepEqualsOneThreadCellForCell) {
   }
 }
 
-TEST(Sweep, GridEnumeratesAllCellsWithDistinctSeeds) {
-  const SweepGrid grid({0.5, 0.9}, {2}, {4, 8}, 1, 3);
-  ASSERT_EQ(grid.size(), 12u);
-  std::vector<std::uint64_t> seeds;
-  int n4 = 0;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto pt = grid.point(i);
-    EXPECT_EQ(pt.index, i);
-    EXPECT_EQ(pt.d, 2);
-    if (pt.n == 4) ++n4;
-    seeds.push_back(pt.seed);
-  }
-  EXPECT_EQ(n4, 6);
-  std::sort(seeds.begin(), seeds.end());
-  EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end())
-      << "per-cell seeds must be pairwise distinct";
-  EXPECT_THROW((void)grid.point(12), std::exception);
-}
-
 TEST(Sweep, ParallelMapPropagatesExceptions) {
   const auto fn = [](std::size_t i) -> int {
     if (i == 17) throw std::runtime_error("cell 17 exploded");
     return static_cast<int>(i);
   };
-  EXPECT_THROW(parallel_map<int>(32, 4, fn), std::runtime_error);
-  EXPECT_THROW(parallel_map<int>(32, 1, fn), std::runtime_error);
+  ThreadBudget four_threads(4);
+  EXPECT_THROW(parallel_map<int>(32, four_threads, fn), std::runtime_error);
+  EXPECT_THROW(parallel_map<int>(32, ThreadBudget::serial(), fn),
+               std::runtime_error);
 }
 
 TEST(Sweep, ContextMapUsesConfiguredThreads) {
@@ -230,9 +220,7 @@ TEST(AdaptiveSpec, DisabledByDefaultAndParsesTheFlagFamily) {
 
   const auto on = make_cli({"--target-ci=0.01", "--confidence=0.99",
                             "--initial-jobs=500", "--max-jobs=9000",
-                            "--growth-factor=3",
-                            "--warmup-policy=fraction",
-                            "--warmup-fraction=0.2"});
+                            "--growth-factor=3", "--warmup-jobs=40"});
   const auto spec = rlb::engine::AdaptiveSpec::parse(on);
   EXPECT_TRUE(spec.enabled());
   EXPECT_DOUBLE_EQ(spec.target_ci, 0.01);
@@ -240,20 +228,49 @@ TEST(AdaptiveSpec, DisabledByDefaultAndParsesTheFlagFamily) {
   EXPECT_EQ(spec.initial_jobs, 500u);
   EXPECT_EQ(spec.max_jobs, 9000u);
   EXPECT_DOUBLE_EQ(spec.growth_factor, 3.0);
-  EXPECT_EQ(spec.warmup_policy, rlb::sim::WarmupPolicy::kFraction);
-  EXPECT_DOUBLE_EQ(spec.warmup_fraction, 0.2);
+  EXPECT_EQ(spec.warmup_jobs, 40u);
+  EXPECT_TRUE(spec.warmup_jobs_set);
 }
 
 TEST(AdaptiveSpec, RejectsMalformedValues) {
   // Negative counts must fail loudly instead of wrapping through the
   // uint64 cast into near-infinite budgets.
-  for (const char* bad : {"--target-ci=-0.5", "--initial-jobs=-1",
-                          "--max-jobs=-1", "--warmup-jobs=-1",
-                          "--warmup-policy=banana"}) {
-    const auto cli = make_cli({bad});
-    EXPECT_THROW(rlb::engine::AdaptiveSpec::parse(cli),
+  EXPECT_THROW(
+      (void)rlb::engine::AdaptiveSpec::parse(make_cli({"--target-ci=-0.5"})),
+      std::invalid_argument);
+  for (const char* bad :
+       {"--initial-jobs=-1", "--max-jobs=-1", "--warmup-jobs=-1"}) {
+    const auto cli = make_cli({"--target-ci=0.05", bad});
+    EXPECT_THROW((void)rlb::engine::AdaptiveSpec::parse(cli),
                  std::invalid_argument)
         << bad;
+  }
+}
+
+TEST(AdaptiveSpec, RejectsTheFamilyWithoutATarget) {
+  // Without a positive --target-ci these flags used to be parsed, marked
+  // known and ignored — even a confidence level the t-table rejects ran a
+  // fixed-budget table and exited 0. Now each fails naming itself.
+  for (const char* flag : {"--confidence=0.5", "--initial-jobs=500",
+                           "--max-jobs=5", "--growth-factor=3",
+                           "--warmup-jobs=7"}) {
+    for (const char* target : {"", "--target-ci=0"}) {
+      std::vector<std::string> args{flag};
+      if (*target != '\0') args.emplace_back(target);
+      const auto cli = make_cli(args);
+      const std::string name =
+          std::string(flag).substr(0, std::string(flag).find('='));
+      try {
+        (void)rlb::engine::AdaptiveSpec::parse(cli);
+        ADD_FAILURE() << flag << " " << target << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("--target-ci"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 
@@ -285,9 +302,8 @@ TEST(AdaptiveSpec, AdaptivePlanDerivesDocumentedDefaults) {
 }
 
 TEST(AdaptiveSpec, PlanWithoutTargetIsTheFixedPlan) {
-  // Without --target-ci a cell runs its fixed budget as one round; the
-  // --initial-jobs family is ignored.
-  const auto cli = make_cli({"--initial-jobs=500", "--warmup-jobs=7"});
+  // Without --target-ci a cell runs its fixed budget as one round.
+  const auto cli = make_cli({});
   ScenarioContext ctx(cli, 1, 4);
   const auto plan = ctx.plan(123, 80'000, 8'000);
   const auto fixed = rlb::sim::AdaptivePlan::fixed(4, 80'000, 8'000, 123);
@@ -295,7 +311,6 @@ TEST(AdaptiveSpec, PlanWithoutTargetIsTheFixedPlan) {
   EXPECT_EQ(plan.target_ci, fixed.target_ci);
   EXPECT_EQ(plan.initial_jobs, fixed.initial_jobs);
   EXPECT_EQ(plan.max_jobs, fixed.max_jobs);
-  EXPECT_EQ(plan.warmup_policy, fixed.warmup_policy);
   EXPECT_EQ(plan.warmup_jobs, 2'000u);  // 8'000 over 4 replicas
   EXPECT_EQ(plan.base_seed, fixed.base_seed);
 }
@@ -315,36 +330,24 @@ ScenarioOutput small_grid_output() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache CLI coherence (the rlb_run guard for --refine / --cache-mode)
+// Cache CLI coherence (the rlb_run guard for --cache-mode)
 // ---------------------------------------------------------------------------
 
 TEST(CacheCliError, FlagsWithoutCacheAreRejectedWithSpecificMessages) {
   using rlb::engine::cache_cli_error;
-  // Each incoherent combination names the missing --cache=DIR and the
-  // flag(s) that need it, so the error is actionable.
-  const std::string refine_only = cache_cli_error(false, true, false);
-  EXPECT_NE(refine_only.find("--refine"), std::string::npos);
-  EXPECT_NE(refine_only.find("--cache=DIR"), std::string::npos);
-  EXPECT_EQ(refine_only.find("--cache-mode"), std::string::npos);
-
-  const std::string mode_only = cache_cli_error(false, false, true);
+  // The incoherent combination names the flag and the missing
+  // --cache=DIR, so the error is actionable.
+  const std::string mode_only = cache_cli_error(false, true);
   EXPECT_NE(mode_only.find("--cache-mode"), std::string::npos);
   EXPECT_NE(mode_only.find("--cache=DIR"), std::string::npos);
-
-  const std::string both = cache_cli_error(false, true, true);
-  EXPECT_NE(both.find("--refine"), std::string::npos);
-  EXPECT_NE(both.find("--cache-mode"), std::string::npos);
-  EXPECT_NE(both.find("--cache=DIR"), std::string::npos);
 }
 
 TEST(CacheCliError, CoherentCombinationsPass) {
   using rlb::engine::cache_cli_error;
-  // No cache flags at all, or --cache present with any companion set.
-  EXPECT_TRUE(cache_cli_error(false, false, false).empty());
-  EXPECT_TRUE(cache_cli_error(true, false, false).empty());
-  EXPECT_TRUE(cache_cli_error(true, true, false).empty());
-  EXPECT_TRUE(cache_cli_error(true, false, true).empty());
-  EXPECT_TRUE(cache_cli_error(true, true, true).empty());
+  // No cache flags at all, or --cache with or without --cache-mode.
+  EXPECT_TRUE(cache_cli_error(false, false).empty());
+  EXPECT_TRUE(cache_cli_error(true, false).empty());
+  EXPECT_TRUE(cache_cli_error(true, true).empty());
 }
 
 std::vector<std::vector<std::string>> parse_csv(const std::string& path) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -24,7 +23,6 @@ using rlb::sim::replica_seed;
 using rlb::sim::run_replicas;
 using rlb::sim::simulate_sqd_fast;
 using rlb::sim::StreamingMoments;
-using rlb::sim::WarmupPolicy;
 using rlb::util::ThreadBudget;
 using rlb::sqd::Params;
 
@@ -89,7 +87,6 @@ TEST(ReplicaPlan, SplitDividesJobsAndWarmupEvenly) {
   EXPECT_EQ(plan.replicas, 4);
   EXPECT_EQ(plan.initial_jobs, 1'000'000u);
   EXPECT_EQ(plan.max_jobs, 1'000'000u);
-  EXPECT_EQ(plan.warmup_policy, WarmupPolicy::kFixed);
   EXPECT_EQ(plan.warmup_jobs, 25'000u);
   EXPECT_EQ(plan.base_seed, 7u);
   // One round of four equal shares, whatever the half-width says.
@@ -344,10 +341,6 @@ TEST(AdaptivePlan, GuardsDegenerateConfigs) {
   plan.warmup_jobs = plan.initial_jobs / plan.replicas;  // all warmup
   EXPECT_THROW(plan.validate(), std::invalid_argument);
   plan = good;
-  plan.warmup_policy = WarmupPolicy::kFraction;
-  plan.warmup_fraction = 1.0;
-  EXPECT_THROW(plan.validate(), std::invalid_argument);
-  plan = good;
   plan.replicas = 0;
   EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
@@ -360,80 +353,6 @@ TEST(AdaptivePlan, RoundBudgetsGrowGeometricallyAndSaturate) {
   EXPECT_EQ(plan.round_jobs(3), 800u);
   EXPECT_EQ(plan.round_jobs(4), 1'000u);   // clamped to max_jobs
   EXPECT_EQ(plan.round_jobs(200), 1'000u);  // no overflow at huge rounds
-}
-
-TEST(AdaptivePlan, RejectsUndershootingSafetyFactor) {
-  AdaptivePlan plan = small_adaptive_plan();
-  plan.planner_safety = 0.9;
-  EXPECT_THROW(plan.validate(), std::invalid_argument);
-  plan.planner_safety = 1.0;
-  plan.validate();
-}
-
-TEST(AdaptivePlan, MinRoundJobsCoversWarmupPolicy) {
-  AdaptivePlan plan = small_adaptive_plan();  // 2 replicas, warmup 10
-  EXPECT_EQ(plan.min_round_jobs(), 2u * 11);
-  plan.warmup_policy = WarmupPolicy::kFraction;
-  EXPECT_EQ(plan.min_round_jobs(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// RoundPlanner
-// ---------------------------------------------------------------------------
-
-TEST(RoundPlanner, GeometricPlannerIgnoresObservedStatistics) {
-  const AdaptivePlan plan = small_adaptive_plan();
-  const auto planner = rlb::sim::make_planner(plan);
-  // Whatever the observed half-width or budget, the schedule is the
-  // plan's fixed initial * growth^r (committed baselines pin it).
-  for (int round : {0, 1, 2, 3, 4}) {
-    EXPECT_EQ(planner->round_jobs(round, 0, 1e9), plan.round_jobs(round));
-    EXPECT_EQ(planner->round_jobs(round, 999, 1e-9),
-              plan.round_jobs(round));
-  }
-}
-
-TEST(RoundPlanner, VariancePlannerPredictsFromTheHalfWidth) {
-  AdaptivePlan plan = small_adaptive_plan();  // target 0.5, initial 100
-  plan.planner = rlb::sim::PlannerKind::kVariance;
-  plan.planner_safety = 1.2;
-  plan.max_jobs = 100'000;
-  const auto planner = rlb::sim::make_planner(plan);
-
-  // Round 0 is always the initial budget (one-round runs must stay
-  // bit-identical with the fixed path regardless of planner).
-  EXPECT_EQ(planner->round_jobs(
-                0, 0, std::numeric_limits<double>::infinity()),
-            plan.initial_jobs);
-  // hw = 2x target after 1000 jobs: the cumulative budget that reaches
-  // the target is 1000 * 4 * 1.2 = 4800, so the next round asks for the
-  // missing 3800.
-  EXPECT_EQ(planner->round_jobs(1, 1'000, 1.0), 3'800u);
-  // No interval yet (fewer than two batches): geometric fallback.
-  EXPECT_EQ(planner->round_jobs(
-                1, 1'000, std::numeric_limits<double>::infinity()),
-            plan.round_jobs(1));
-  // A hair over target: the raw prediction (1.2 * 1.01^2 - 1 ~ 0.22x)
-  // still clears the viability floor.
-  EXPECT_GE(planner->round_jobs(1, 1'000, 0.505), plan.min_round_jobs());
-  // Tiny budgets floor at min_round_jobs so the request survives warmup.
-  EXPECT_EQ(planner->round_jobs(1, 10, 0.505), plan.min_round_jobs());
-  // Extreme half-widths saturate at max_jobs instead of overflowing.
-  EXPECT_EQ(planner->round_jobs(1, 50'000, 1e12), plan.max_jobs);
-}
-
-TEST(AdaptivePlan, WarmupPolicyFixedVsFraction) {
-  AdaptivePlan plan = small_adaptive_plan();
-  plan.warmup_jobs = 100;
-  // kFixed keeps the ABSOLUTE per-replica transient whatever the round
-  // or replica count; kFraction scales with the per-replica budget (and
-  // so shrinks when many replicas split a round).
-  EXPECT_EQ(plan.warmup_for(200), 100u);
-  EXPECT_EQ(plan.warmup_for(200'000), 100u);
-  plan.warmup_policy = WarmupPolicy::kFraction;
-  plan.warmup_fraction = 0.1;
-  EXPECT_EQ(plan.warmup_for(200), 20u);
-  EXPECT_EQ(plan.warmup_for(200'000), 20'000u);
 }
 
 TEST(RunReplicasAdaptive, RoundScheduleIsGloballySeededAndInOrder) {
@@ -462,28 +381,6 @@ TEST(RunReplicasAdaptive, ScheduleIsInvariantUnderTheBudget) {
   AdaptiveReport serial_report;
   const Log serial =
       run_logged(plan, ThreadBudget::serial(), 6, serial_report);
-  for (int threads : {2, 4}) {
-    ThreadBudget budget(threads);
-    AdaptiveReport report;
-    const Log parallel = run_logged(plan, budget, 6, report);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].global, serial[i].global);
-      EXPECT_EQ(parallel[i].seed, serial[i].seed);
-      EXPECT_EQ(parallel[i].jobs, serial[i].jobs);
-    }
-    EXPECT_EQ(report.jobs_used, serial_report.jobs_used);
-    EXPECT_EQ(report.rounds, serial_report.rounds);
-  }
-}
-
-TEST(RunReplicasAdaptive, VariancePlannerScheduleIsDeterministic) {
-  AdaptivePlan plan = small_adaptive_plan();
-  plan.planner = rlb::sim::PlannerKind::kVariance;
-  AdaptiveReport serial_report;
-  const Log serial =
-      run_logged(plan, ThreadBudget::serial(), 6, serial_report);
-  EXPECT_TRUE(serial_report.converged);
   for (int threads : {2, 4}) {
     ThreadBudget budget(threads);
     AdaptiveReport report;
@@ -533,61 +430,27 @@ TEST(AdaptiveSim, OneRoundRunMatchesFixedBudgetBitForBit) {
   // A --target-ci plan that stops after round 0 has the same replica
   // shape, seeds, warmup and batch size as the fixed plan — the outputs
   // must be bit-identical, which pins "a fixed budget is a one-round
-  // plan". Both planners request the same round 0, so the identity holds
-  // for either.
+  // plan".
   const auto fixed =
       simulate_sqd_fast(fast_cfg(), fast_plan(4, 200'000),
                         ThreadBudget::serial());
 
-  for (const auto kind : {rlb::sim::PlannerKind::kGeometric,
-                          rlb::sim::PlannerKind::kVariance}) {
-    AdaptivePlan plan;
-    plan.replicas = 4;
-    plan.target_ci = 100.0;  // trivially met after round 0
-    plan.initial_jobs = 200'000;
-    plan.max_jobs = 2 * 200'000;
-    plan.warmup_jobs = 20'000 / 4;  // the fixed plan's per-replica share
-    plan.base_seed = kFastSeed;
-    plan.planner = kind;
-    const auto adaptive =
-        simulate_sqd_fast(fast_cfg(), plan, ThreadBudget::serial());
-
-    EXPECT_TRUE(adaptive.adaptive.converged);
-    EXPECT_EQ(adaptive.adaptive.rounds, 1);
-    EXPECT_EQ(adaptive.adaptive.jobs_used, 200'000u);
-    EXPECT_DOUBLE_EQ(adaptive.mean_delay, fixed.mean_delay);
-    EXPECT_DOUBLE_EQ(adaptive.ci95_delay, fixed.ci95_delay);
-    EXPECT_EQ(adaptive.jobs_measured, fixed.jobs_measured);
-  }
-}
-
-TEST(AdaptiveSim, VariancePlannerConvergesWithNoMoreJobsThanGeometric) {
-  // The planner-efficiency contract on a seeded, known-variance cell:
-  // the variance planner jumps to (near) the predicted budget instead of
-  // walking the powers of the growth factor, so it must certify the same
-  // target with no more total jobs than the geometric schedule — and in
-  // no more rounds.
-  const auto cfg = fast_cfg();
   AdaptivePlan plan;
-  plan.replicas = 2;
-  plan.target_ci = 0.03;  // needs several geometric doublings
-  plan.initial_jobs = 20'000;
-  plan.max_jobs = 128 * 20'000;
-  plan.warmup_jobs = 1'000;
+  plan.replicas = 4;
+  plan.target_ci = 100.0;  // trivially met after round 0
+  plan.initial_jobs = 200'000;
+  plan.max_jobs = 2 * 200'000;
+  plan.warmup_jobs = 20'000 / 4;  // the fixed plan's per-replica share
   plan.base_seed = kFastSeed;
+  const auto adaptive =
+      simulate_sqd_fast(fast_cfg(), plan, ThreadBudget::serial());
 
-  plan.planner = rlb::sim::PlannerKind::kGeometric;
-  const auto geometric =
-      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
-  plan.planner = rlb::sim::PlannerKind::kVariance;
-  const auto variance =
-      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
-
-  ASSERT_TRUE(geometric.adaptive.converged);
-  ASSERT_TRUE(variance.adaptive.converged);
-  EXPECT_LE(variance.adaptive.half_width, plan.target_ci);
-  EXPECT_LE(variance.adaptive.jobs_used, geometric.adaptive.jobs_used);
-  EXPECT_LE(variance.adaptive.rounds, geometric.adaptive.rounds);
+  EXPECT_TRUE(adaptive.adaptive.converged);
+  EXPECT_EQ(adaptive.adaptive.rounds, 1);
+  EXPECT_EQ(adaptive.adaptive.jobs_used, 200'000u);
+  EXPECT_DOUBLE_EQ(adaptive.mean_delay, fixed.mean_delay);
+  EXPECT_DOUBLE_EQ(adaptive.ci95_delay, fixed.ci95_delay);
+  EXPECT_EQ(adaptive.jobs_measured, fixed.jobs_measured);
 }
 
 TEST(AdaptiveSim, ConvergesUnderTargetOnAnEasyCell) {
@@ -650,29 +513,19 @@ TEST(AdaptiveSim, FastSqdAdaptiveDeterministicAcrossThreadCounts) {
 }
 
 TEST(AdaptiveSim, WarmupPolicyControlsTheMeasuredShare) {
-  // 32 replicas splitting a 32k-job round: the fraction policy discards
-  // 10% of each replica (100 of 1000 jobs); the fixed policy keeps an
-  // absolute 400-job transient — at high replica counts the two differ
-  // by design, and the measured-job accounting shows it exactly.
+  // 32 replicas splitting a 32k-job round: every replica discards the
+  // plan's absolute 400-job transient, however small its 1000-job share,
+  // and the measured-job accounting shows it exactly.
   const auto cfg = fast_cfg();
   AdaptivePlan plan;
   plan.replicas = 32;
   plan.target_ci = 100.0;  // one round
   plan.initial_jobs = 32'000;
   plan.max_jobs = 64'000;
-  plan.base_seed = kFastSeed;
-
-  plan.warmup_policy = WarmupPolicy::kFixed;
   plan.warmup_jobs = 400;
-  const auto fixed =
-      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
-  EXPECT_EQ(fixed.jobs_measured, 32u * (1'000 - 400));
-
-  plan.warmup_policy = WarmupPolicy::kFraction;
-  plan.warmup_fraction = 0.1;
-  const auto fraction =
-      simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
-  EXPECT_EQ(fraction.jobs_measured, 32u * (1'000 - 100));
+  plan.base_seed = kFastSeed;
+  const auto res = simulate_sqd_fast(cfg, plan, ThreadBudget::serial());
+  EXPECT_EQ(res.jobs_measured, 32u * (1'000 - 400));
 }
 
 TEST(AdaptiveSim, ClusterAdaptiveDeterministicAcrossThreadCounts) {

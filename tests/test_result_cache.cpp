@@ -1,8 +1,8 @@
 // The result cache's correctness bar (docs/CACHING.md): stable semantic
 // keys, lossless record round-trips, corrupted/mismatched entries
 // discarded, and — the load-bearing property — resume-from-round-state
-// reproducing a cold adaptive run bit-for-bit under the geometric
-// planner, even after the round state passes through its JSON record.
+// reproducing a cold adaptive run bit-for-bit, even after the round
+// state passes through its JSON record.
 #include "engine/result_cache.h"
 
 #include <cmath>
@@ -235,29 +235,30 @@ TEST_F(ResultCacheDir, StoreThenLookupHitsAtTheSameTarget) {
   cache.store(key, sample_record(true));
   EXPECT_EQ(cache.stored(), 1u);
 
-  const auto hit = cache.lookup(key, 0.05, false);
+  const auto hit = cache.lookup(key, 0.05);
   EXPECT_EQ(hit.outcome, ResultCache::Lookup::Outcome::kHit);
   EXPECT_EQ(hit.record.values.size(), 5u);
   EXPECT_EQ(cache.hits(), 1u);
 
-  // Different target, no --refine: miss (and no discard — the entry is
-  // intact, just not applicable).
-  const auto miss = cache.lookup(key, 0.01, false);
-  EXPECT_EQ(miss.outcome, ResultCache::Lookup::Outcome::kMiss);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.discarded(), 0u);
-
-  // Tighter target with --refine: the looser record's round state seeds
-  // a refinement.
-  const auto refine = cache.lookup(key, 0.01, true);
+  // Tighter target: the looser record's round state seeds a refinement,
+  // not a miss (and no discard — the entry is intact).
+  const auto refine = cache.lookup(key, 0.01);
   EXPECT_EQ(refine.outcome, ResultCache::Lookup::Outcome::kRefine);
   EXPECT_TRUE(refine.record.has_round_state);
   EXPECT_EQ(cache.refined(), 1u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.discarded(), 0u);
 
-  // LOOSER target with --refine: resuming would overshoot the cold
-  // stopping point; must recompute.
-  const auto looser = cache.lookup(key, 0.10, true);
+  // LOOSER target: resuming would overshoot the cold stopping point;
+  // must recompute.
+  const auto looser = cache.lookup(key, 0.10);
   EXPECT_EQ(looser.outcome, ResultCache::Lookup::Outcome::kMiss);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // A record without round state cannot be resumed at any target.
+  cache.store(key, sample_record(false));
+  EXPECT_EQ(cache.lookup(key, 0.01).outcome,
+            ResultCache::Lookup::Outcome::kMiss);
 }
 
 TEST_F(ResultCacheDir, ReadOnlyNeverWritesAndRefreshNeverReads) {
@@ -266,16 +267,16 @@ TEST_F(ResultCacheDir, ReadOnlyNeverWritesAndRefreshNeverReads) {
     seed_cache.store(sample_key(), sample_record(false));
   }
   ResultCache readonly(dir_, CacheMode::kReadOnly);
-  EXPECT_EQ(readonly.lookup(sample_key(), 0.05, false).outcome,
+  EXPECT_EQ(readonly.lookup(sample_key(), 0.05).outcome,
             ResultCache::Lookup::Outcome::kHit);
   CacheKey other("other");
   readonly.store(other, sample_record(false));
   EXPECT_EQ(readonly.stored(), 0u);
-  EXPECT_EQ(readonly.lookup(other, 0.05, false).outcome,
+  EXPECT_EQ(readonly.lookup(other, 0.05).outcome,
             ResultCache::Lookup::Outcome::kMiss);
 
   ResultCache refresh(dir_, CacheMode::kRefresh);
-  EXPECT_EQ(refresh.lookup(sample_key(), 0.05, false).outcome,
+  EXPECT_EQ(refresh.lookup(sample_key(), 0.05).outcome,
             ResultCache::Lookup::Outcome::kMiss);
   EXPECT_EQ(refresh.misses(), 1u);
 }
@@ -294,20 +295,20 @@ TEST_F(ResultCacheDir, CorruptedFileIsDiscardedAndOverwritable) {
   }
   ASSERT_EQ(files, 1u);
 
-  const auto miss = cache.lookup(key, 0.05, false);
+  const auto miss = cache.lookup(key, 0.05);
   EXPECT_EQ(miss.outcome, ResultCache::Lookup::Outcome::kMiss);
   EXPECT_EQ(cache.discarded(), 1u);
 
   // The recompute-and-store path heals the entry.
   cache.store(key, sample_record(false));
-  EXPECT_EQ(cache.lookup(key, 0.05, false).outcome,
+  EXPECT_EQ(cache.lookup(key, 0.05).outcome,
             ResultCache::Lookup::Outcome::kHit);
 }
 
 TEST_F(ResultCacheDir, SummaryLineReportsAllCounters) {
   ResultCache cache(dir_, CacheMode::kReadWrite);
   cache.store(sample_key(), sample_record(false));
-  (void)cache.lookup(sample_key(), 0.05, false);
+  (void)cache.lookup(sample_key(), 0.05);
   EXPECT_EQ(cache.summary(),
             "cache summary: hits=1 misses=0 refined=0 discarded=0 stored=1");
 }
@@ -315,9 +316,8 @@ TEST_F(ResultCacheDir, SummaryLineReportsAllCounters) {
 // ---------------------------------------------------------------------------
 // The resume theorem, unit level: run_replicas resumed from a
 // loose-target stop continues EXACTLY the rounds a cold tight-target run
-// executes (geometric planner: round budgets depend only on the round
-// index, so rounds 0..k of both runs are the same simulations in the
-// same merge order).
+// executes (round budgets depend only on the round index, so rounds
+// 0..k of both runs are the same simulations in the same merge order).
 // ---------------------------------------------------------------------------
 
 rlb::sim::AdaptivePlan make_plan(double target) {
@@ -479,8 +479,9 @@ TEST(ClusterRefine, RefineThroughJsonRecordEqualsColdRun) {
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->has_round_state);
 
-  const ClusterResult refined = simulate_cluster_refine(
-      cfg, policy, arrivals, *svc, tight_plan, parsed->round_state, budget);
+  const ClusterResult refined =
+      simulate_cluster(cfg, policy, arrivals, *svc, tight_plan, budget,
+                       nullptr, &parsed->round_state);
 
   EXPECT_EQ(refined.mean_sojourn, cold.mean_sojourn);
   EXPECT_EQ(refined.mean_wait, cold.mean_wait);
@@ -523,8 +524,8 @@ TEST(ClusterRefine, BatchSizeMismatchIsRejected) {
   AdaptivePlan other = plan;
   other.initial_jobs = 4000;
   ASSERT_NE(other.batch_size(), state.batch);
-  EXPECT_THROW(simulate_cluster_refine(cfg, policy, arrivals, *svc, other,
-                                       state, budget),
+  EXPECT_THROW(simulate_cluster(cfg, policy, arrivals, *svc, other, budget,
+                                nullptr, &state),
                std::invalid_argument);
 }
 

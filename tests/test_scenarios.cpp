@@ -234,9 +234,8 @@ TEST_P(ScenarioSmoke, ReplicaCountChangesOnlySimulatedOutput) {
 TEST_P(ScenarioSmoke, AdaptiveModeIsThreadCountInvariantOrIgnored) {
   // The --target-ci contract: adaptive runs stop on their own schedule,
   // report half_width / jobs_used / converged, and stay bit-identical
-  // across thread counts under both round planners (rounds are barriers;
-  // replicas seed and merge in index order). A scenario without adaptive
-  // mode must ignore the flag.
+  // across thread counts (rounds are barriers; replicas seed and merge in
+  // index order). A scenario without adaptive mode must ignore the flag.
   const SmokeRow& row = GetParam();
   if (row.adaptive.empty()) {
     auto with_target = row.flags;
@@ -245,17 +244,13 @@ TEST_P(ScenarioSmoke, AdaptiveModeIsThreadCountInvariantOrIgnored) {
         same_output(row, run(row.flags, 2, 2), run(with_target, 2, 2)));
     return;
   }
-  for (const char* planner : {"geometric", "variance"}) {
-    auto flags = row.flags;
-    flags.insert(flags.end(), row.adaptive.begin(), row.adaptive.end());
-    flags.push_back(std::string("--planner=") + planner);
-    const Rendered one = run(flags, 1, 2);
-    const Rendered four = run(flags, 4, 2);
-    EXPECT_TRUE(same_output(row, one, four)) << planner;
-    for (const char* column : {"half_width", "jobs_used", "converged"})
-      EXPECT_NE(one.json.find(column), std::string::npos)
-          << planner << " lacks " << column;
-  }
+  auto flags = row.flags;
+  flags.insert(flags.end(), row.adaptive.begin(), row.adaptive.end());
+  const Rendered one = run(flags, 1, 2);
+  const Rendered four = run(flags, 4, 2);
+  EXPECT_TRUE(same_output(row, one, four));
+  for (const char* column : {"half_width", "jobs_used", "converged"})
+    EXPECT_NE(one.json.find(column), std::string::npos) << "lacks " << column;
 }
 
 TEST_P(ScenarioSmoke, WarmCacheRerunIsByteIdenticalToCold) {
@@ -396,31 +391,25 @@ TEST_F(ScenarioCache, RackLocalityKeysCellsOnTopologyCoordinates) {
 }
 
 TEST_F(ScenarioCache, AdaptiveRunsHitUnderBothPlanners) {
-  // Adaptive cells key on the planner and stopping knobs; both planners
-  // must round-trip through the cache byte-identically.
-  for (const char* planner : {"geometric", "variance"}) {
-    std::filesystem::remove_all(dir_);
-    const std::vector<std::string> args{
-        "--jobs=20000", "--target-ci=0.1", "--max-jobs=80000",
-        std::string("--planner=") + planner};
-    auto cold_cache = make_cache();
-    const std::string cold =
-        run_to_json("power_of_d", args, 4, 2, &cold_cache);
-    auto warm_cache = make_cache();
-    const std::string warm =
-        run_to_json("power_of_d", args, 1, 2, &warm_cache);
-    EXPECT_EQ(warm, cold) << planner;
-    EXPECT_EQ(warm_cache.misses(), 0u) << planner;
-    EXPECT_GT(warm_cache.hits(), 0u) << planner;
-  }
+  // Adaptive cells key on the stopping knobs and must round-trip through
+  // the cache byte-identically.
+  const std::vector<std::string> args{"--jobs=20000", "--target-ci=0.1",
+                                      "--max-jobs=80000"};
+  auto cold_cache = make_cache();
+  const std::string cold = run_to_json("power_of_d", args, 4, 2, &cold_cache);
+  auto warm_cache = make_cache();
+  const std::string warm = run_to_json("power_of_d", args, 1, 2, &warm_cache);
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(warm_cache.misses(), 0u);
+  EXPECT_GT(warm_cache.hits(), 0u);
 }
 
 TEST_F(ScenarioCache, RefineFromCachedStateEqualsColdRunAtTighterTarget) {
-  // The --refine contract end to end: seed the cache at a loose target,
-  // re-run with --refine at a tighter one, and compare against an
-  // uncached cold run at the tight target — byte-identical under the
-  // geometric planner, and cheaper (only solver cells recompute from
-  // scratch; every simulated cell resumes its round schedule).
+  // The refinement contract end to end: seed the cache at a loose
+  // target, re-run at a tighter one, and compare against an uncached cold
+  // run at the tight target — byte-identical, and cheaper (only solver
+  // cells recompute from scratch; every simulated cell resumes its round
+  // schedule). No flag asks for it: a looser record always refines.
   const std::vector<std::string> base{"--jobs=20000", "--max-jobs=160000"};
   auto loose_args = base;
   loose_args.push_back("--target-ci=0.2");
@@ -431,11 +420,9 @@ TEST_F(ScenarioCache, RefineFromCachedStateEqualsColdRunAtTighterTarget) {
   tight_args.push_back("--target-ci=0.1");
   const std::string cold = run_to_json("power_of_d", tight_args, 2, 1);
 
-  auto refine_args = tight_args;
-  refine_args.push_back("--refine");
   auto refine_cache = make_cache();
   const std::string refined =
-      run_to_json("power_of_d", refine_args, 1, 1, &refine_cache);
+      run_to_json("power_of_d", tight_args, 1, 1, &refine_cache);
   EXPECT_EQ(refined, cold);
   EXPECT_GT(refine_cache.refined(), 0u);
   EXPECT_EQ(refine_cache.hits(), 0u);
@@ -471,9 +458,13 @@ TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {
   EXPECT_NE(catalog.find("## Common flags"), std::string::npos);
   for (const char* flag :
        {"`--threads`", "`--replicas`", "`--baseline`", "`--target-ci`",
-        "`--confidence`", "`--max-jobs`", "`--warmup-policy`",
-        "`--planner`"})
+        "`--confidence`", "`--max-jobs`", "`--warmup-jobs`", "`--cache`"})
     EXPECT_NE(catalog.find(flag), std::string::npos) << flag;
+  // One adaptive schedule: no planner or warmup-policy switch, and the
+  // cache refines without being asked.
+  for (const char* gone : {"`--planner`", "`--warmup-policy`",
+                           "`--warmup-fraction`", "`--refine`"})
+    EXPECT_EQ(catalog.find(gone), std::string::npos) << gone;
 }
 
 }  // namespace

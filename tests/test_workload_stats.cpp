@@ -69,18 +69,6 @@ TEST(HeavyTailMoments, HyperexpFitHitsMeanAndScv) {
   EXPECT_NEAR(s.variance() / (s.mean() * s.mean()), 4.0, 0.12);
 }
 
-TEST(NonstationaryArrivals, MmppLongRunRateIsThePhaseMixture) {
-  // Cyclic 3-phase MMPP: closed form sum(r_i h_i) / sum(h_i) = 29/13.
-  MmppArrivalProcess a({5.0, 1.0, 3.0}, {2.0, 7.0, 4.0});
-  const double expected = 29.0 / 13.0;
-  EXPECT_NEAR(a.mean_rate(), expected, 1e-12);
-  Rng rng(211);
-  double total_time = 0.0;
-  const int n = 500'000;
-  for (int i = 0; i < n; ++i) total_time += a.next(rng);
-  EXPECT_NEAR(n / total_time, expected, 0.02 * expected);
-}
-
 TEST(NonstationaryArrivals, SinusoidalPerWindowRateTracksLambdaT) {
   // Fold arrivals from many periods into phase windows and compare each
   // window's empirical rate with the integral of lambda(t) over it.

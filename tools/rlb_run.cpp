@@ -7,15 +7,11 @@
 //   rlb_run --describe=power_of_d          parameter schema for one
 //   rlb_run --scenario=power_of_d          run it (parallel by default)
 //           [--threads=8] [--replicas=4] [--csv=out.csv] [--json=out.json]
-//           [--target-ci=0.01 [--confidence=0.95]
-//            [--planner=geometric|variance] [--initial-jobs=N]
-//            [--max-jobs=N] [--growth-factor=2]
-//            [--warmup-policy=fixed|fraction] [--warmup-jobs=N]
-//            [--warmup-fraction=0.1]]
+//           [--target-ci=0.01 [--confidence=0.95] [--initial-jobs=N]
+//            [--max-jobs=N] [--growth-factor=2] [--warmup-jobs=N]]
 //           [--baseline=ref.json [--rtol=...] [--atol=...]
 //            [--baseline-ignore=col,col]]
-//           [--cache=dir [--cache-mode=readwrite|readonly|refresh]
-//            [--refine]]
+//           [--cache=dir [--cache-mode=readwrite|readonly|refresh]]
 //           [scenario-specific flags, e.g. --n=12 --jobs=500000]
 //
 // Every scenario derives its randomness from fixed per-cell (and, with
@@ -31,7 +27,8 @@
 // budget in rounds of replicas until the pooled CI half-width of the
 // cell's target statistic falls below EPS (at --confidence) or
 // --max-jobs caps out; cells report half_width / jobs_used / converged
-// and remain bit-identical across --threads.
+// and remain bit-identical across --threads. The rest of the family is
+// an error without --target-ci.
 //
 // --baseline re-runs the scenario and diffs its tables against a
 // committed --json reference; numeric cells compare within --rtol/--atol
@@ -41,9 +38,9 @@
 // --cache=DIR gives sweep scenarios a persistent result cache
 // (docs/CACHING.md): cells whose record matches the run's semantic
 // coordinates load instead of simulating, and a warm re-run's output is
-// byte-identical to the cold run's at any --threads. --cache-mode
-// chooses readwrite/readonly/refresh; --refine lets a tighter
-// --target-ci resume cached adaptive round state. The run ends with a
+// byte-identical to the cold run's at any --threads, and a tighter
+// --target-ci resumes a looser record's adaptive round state, exactly.
+// --cache-mode chooses readwrite/readonly/refresh. The run ends with a
 // "cache summary: hits=... misses=..." line.
 #include <exception>
 #include <iostream>
@@ -104,15 +101,12 @@ int main(int argc, char** argv) {
       std::cerr << "usage: rlb_run --scenario=<name> [--threads=N] "
                    "[--replicas=R] [--csv=path] [--json=path]\n"
                    "       [--target-ci=eps [--confidence=p] "
-                   "[--planner=geometric|variance]\n"
-                   "        [--initial-jobs=n] [--max-jobs=n] "
-                   "[--growth-factor=g]\n"
-                   "        [--warmup-policy=fixed|fraction] "
-                   "[--warmup-jobs=n] [--warmup-fraction=f]]\n"
+                   "[--initial-jobs=n] [--max-jobs=n]\n"
+                   "        [--growth-factor=g] [--warmup-jobs=n]]\n"
                    "       [--baseline=ref.json [--rtol=tol] [--atol=tol] "
                    "[--baseline-ignore=cols]]\n"
                    "       [--cache=dir "
-                   "[--cache-mode=readwrite|readonly|refresh] [--refine]]\n"
+                   "[--cache-mode=readwrite|readonly|refresh]]\n"
                    "       [scenario flags]\n"
                    "       rlb_run --list [--markdown] | "
                    "--describe=<name>\n\n";
@@ -145,11 +139,10 @@ int main(int argc, char** argv) {
       baseline_json = rlb::engine::read_text_file(baseline_path);
 
     const std::string cache_dir = cli.get("cache", "");
-    // --refine / --cache-mode without --cache used to be consumed (so the
-    // typo check passed) but silently did nothing; reject the combination
-    // before anything runs.
+    // --cache-mode without --cache used to be consumed (so the typo check
+    // passed) but silently did nothing; reject it before anything runs.
     const std::string cache_err = rlb::engine::cache_cli_error(
-        !cache_dir.empty(), cli.has("refine"), cli.has("cache-mode"));
+        !cache_dir.empty(), cli.has("cache-mode"));
     if (!cache_err.empty()) {
       std::cerr << "error: " << cache_err << "\n";
       return 2;
@@ -160,9 +153,8 @@ int main(int argc, char** argv) {
     if (!cache_dir.empty()) cache.emplace(cache_dir, cache_mode);
 
     // Mark the scenario's declared parameters as known; constructing the
-    // context parses (and thereby marks) the global --target-ci family
-    // and --refine. Then reject typos BEFORE the (possibly hours-long)
-    // run.
+    // context parses (and thereby marks) the global --target-ci family.
+    // Then reject typos BEFORE the (possibly hours-long) run.
     for (const auto& p : scenario.params) (void)cli.has(p.name);
     ScenarioContext ctx(cli, threads, replicas,
                         cache ? &*cache : nullptr);
