@@ -44,9 +44,9 @@ std::unique_ptr<rlb::sim::Policy> make_main_policy(int n, int racks, int d,
     case 2:
       return std::make_unique<RackLocalSqdPolicy>(n, racks, d, 0);
     case 3:
-      return std::make_unique<JiqPolicy>(n, 1);
+      return std::make_unique<JiqPolicy>(n);
     default:
-      return std::make_unique<RackJiqPolicy>(n, racks, 1);
+      return std::make_unique<RackJiqPolicy>(n, racks);
   }
 }
 

@@ -1,9 +1,9 @@
 // Minimal JSON reader/writer shared by the engine's file-handling tools
-// (baseline regression checking, bench_check, the result cache).
-// Recursive descent over objects, arrays, strings with escapes, numbers,
-// and true/false/null — sufficient for the documents to_json, the result
-// cache, and google-benchmark emit. The engine is not in the business of
-// general JSON; anything outside this subset throws
+// (baseline regression checking, the result cache) and the benchmark's
+// run records (perf/). Recursive descent over objects, arrays, strings
+// with escapes, numbers, and true/false/null — sufficient for the
+// documents to_json, the result cache and perf/ emit. The engine is not
+// in the business of general JSON; anything outside this subset throws
 // std::invalid_argument.
 //
 // The writer (encode) emits each Number's verbatim source token, so

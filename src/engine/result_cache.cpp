@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -120,6 +121,15 @@ const json::Value& member_of(const json::Value& v, const char* key) {
   return *found;
 }
 
+/// A count the run stored from an `int`; larger values are corrupt.
+int int_of(const json::Value& v, const char* key) {
+  const std::uint64_t x = json::uint64_of(member_of(v, key));
+  if (x > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    throw std::invalid_argument(std::string("cache record: '") + key +
+                                "' exceeds INT_MAX");
+  return static_cast<int>(x);
+}
+
 sim::MomentsState parse_moments(const json::Value& v) {
   sim::MomentsState s;
   s.count = json::uint64_of(member_of(v, "count"));
@@ -177,7 +187,7 @@ json::Value encode_round_state(const sim::ClusterRoundState& s) {
 
 sim::ClusterRoundState parse_round_state(const json::Value& v) {
   sim::ClusterRoundState s;
-  s.rounds = static_cast<int>(json::uint64_of(member_of(v, "rounds")));
+  s.rounds = int_of(v, "rounds");
   s.jobs_used = json::uint64_of(member_of(v, "jobs_used"));
   s.batch = json::uint64_of(member_of(v, "batch"));
   s.sojourn = parse_moments(member_of(v, "sojourn"));
@@ -203,6 +213,14 @@ sim::ClusterRoundState parse_round_state(const json::Value& v) {
   s.sim_time = json::number_of(member_of(v, "sim_time"));
   s.sla_violations = json::uint64_of(member_of(v, "sla_violations"));
   s.sla_threshold = json::number_of(member_of(v, "sla_threshold"));
+  // Reject a state no run writes: resuming from it would abort the run
+  // instead of recomputing the cell.
+  const sim::BatchMeansState& ci_state = s.sojourn_ci;
+  const sim::ReservoirState& q_state = s.sojourn_quantiles;
+  if (s.rounds < 1 || s.batch == 0 || s.batch != ci_state.batch_size ||
+      ci_state.in_batch >= ci_state.batch_size || q_state.capacity == 0 ||
+      q_state.sample.size() != std::min(q_state.seen, q_state.capacity))
+    throw std::invalid_argument("cache record: inconsistent round state");
   return s;
 }
 
@@ -259,8 +277,7 @@ std::optional<CellRecord> parse_record(const CacheKey& key,
     for (const json::Value& x : values.items)
       record.values.push_back(json::number_of(x));
     const json::Value& report = member_of(v, "report");
-    record.report.rounds =
-        static_cast<int>(json::uint64_of(member_of(report, "rounds")));
+    record.report.rounds = int_of(report, "rounds");
     record.report.jobs_used =
         json::uint64_of(member_of(report, "jobs_used"));
     record.report.half_width =

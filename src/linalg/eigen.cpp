@@ -47,8 +47,4 @@ SpectralResult power_iteration(const Matrix& a, double tol, int max_iter) {
   return out;
 }
 
-SpectralResult power_iteration_left(const Matrix& a, double tol, int max_iter) {
-  return power_iteration(a.transpose(), tol, max_iter);
-}
-
 }  // namespace rlb::linalg

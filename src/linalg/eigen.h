@@ -18,8 +18,4 @@ struct SpectralResult {
 SpectralResult power_iteration(const Matrix& a, double tol = 1e-12,
                                int max_iter = 20000);
 
-/// Dominant *left* eigenpair (power iteration on A^T).
-SpectralResult power_iteration_left(const Matrix& a, double tol = 1e-12,
-                                    int max_iter = 20000);
-
 }  // namespace rlb::linalg

@@ -109,16 +109,4 @@ Matrix Lu::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix Lu::inverse() const { return solve(Matrix::identity(size())); }
-
-Vector solve(const Matrix& a, Vector b) { return Lu(a).solve(std::move(b)); }
-
-Matrix solve(const Matrix& a, const Matrix& b) { return Lu(a).solve(b); }
-
-Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
-
-Vector solve_transposed(const Matrix& a, Vector b) {
-  return Lu(a.transpose()).solve(std::move(b));
-}
-
 }  // namespace rlb::linalg

@@ -1,4 +1,4 @@
-// LU decomposition with partial pivoting, plus solve/inverse built on it.
+// LU decomposition with partial pivoting, and solves against the factor.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -30,21 +30,9 @@ class Lu {
   /// Each column equals solve() of that column, bit for bit.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// A^{-1} (via n solves).
-  [[nodiscard]] Matrix inverse() const;
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
 };
-
-/// One-shot helpers.
-Vector solve(const Matrix& a, Vector b);
-Matrix solve(const Matrix& a, const Matrix& b);
-Matrix inverse(const Matrix& a);
-
-/// Solve x^T A = b^T (i.e., A^T x = b) without forming the transpose at the
-/// call site.
-Vector solve_transposed(const Matrix& a, Vector b);
 
 }  // namespace rlb::linalg

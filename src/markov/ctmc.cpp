@@ -51,13 +51,4 @@ Ctmc build_ctmc(const statespace::State& initial, const TransitionFn& fn,
   return chain;
 }
 
-double expectation(const Ctmc& chain, const linalg::Vector& dist,
-                   const std::function<double(const statespace::State&)>& f) {
-  RLB_REQUIRE(dist.size() == chain.size(), "distribution size mismatch");
-  double e = 0.0;
-  for (std::size_t i = 0; i < chain.size(); ++i)
-    e += dist[i] * f(chain.states[i]);
-  return e;
-}
-
 }  // namespace rlb::markov

@@ -16,19 +16,8 @@
 
 namespace rlb::markov {
 
-struct StateHash {
-  std::size_t operator()(const statespace::State& s) const noexcept {
-    std::size_t h = 0x9e3779b97f4a7c15ull;
-    for (int v : s) {
-      h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
-
 using StateIndex =
-    std::unordered_map<statespace::State, std::size_t, StateHash>;
+    std::unordered_map<statespace::State, std::size_t, statespace::StateHash>;
 
 /// One outgoing transition: target state and rate.
 struct Rated {
@@ -53,9 +42,5 @@ struct Ctmc {
 /// exploration aborts past `max_states` with an exception.
 Ctmc build_ctmc(const statespace::State& initial, const TransitionFn& fn,
                 std::size_t max_states = 2'000'000);
-
-/// Expectation of `f` under a distribution over the chain's states.
-double expectation(const Ctmc& chain, const linalg::Vector& dist,
-                   const std::function<double(const statespace::State&)>& f);
 
 }  // namespace rlb::markov

@@ -40,10 +40,4 @@ linalg::Vector stationary_gth(const linalg::Matrix& generator) {
   return pi;
 }
 
-linalg::Vector stationary_gth_dtmc(const linalg::Matrix& transition) {
-  linalg::Matrix q = transition;
-  for (std::size_t i = 0; i < q.rows(); ++i) q(i, i) -= 1.0;
-  return stationary_gth(q);
-}
-
 }  // namespace rlb::markov

@@ -1,9 +1,9 @@
 // Grassmann–Taksar–Heyman (GTH) stationary solver.
 //
 // GTH computes the stationary distribution of an irreducible CTMC generator
-// (or DTMC transition matrix) using only additions of nonnegative numbers,
-// which makes it backward stable — the right tool for the drift-condition
-// chain pi*A = 0 of Neuts' Theorem 1.7.1 and for exact reference solutions.
+// using only additions of nonnegative numbers, which makes it backward
+// stable — the right tool for the drift-condition chain pi*A = 0 of Neuts'
+// Theorem 1.7.1 and for exact reference solutions.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -12,9 +12,5 @@ namespace rlb::markov {
 
 /// Stationary distribution of an irreducible CTMC generator (rows sum to 0).
 linalg::Vector stationary_gth(const linalg::Matrix& generator);
-
-/// Stationary distribution of an irreducible DTMC stochastic matrix
-/// (rows sum to 1); implemented via the generator P - I.
-linalg::Vector stationary_gth_dtmc(const linalg::Matrix& transition);
 
 }  // namespace rlb::markov

@@ -239,7 +239,7 @@ class LevelDirectory final {
   std::int32_t idle_head_ = -1, idle_tail_ = -1;
   /// Per-rack idle FIFOs (arm_racks). Side arrays rather than ServerRec
   /// fields: the packed record must stay 16 bytes (four per cache line —
-  /// the bench_check gate watches the engine's event rate), and blind
+  /// perf/'s fleet_1m workload times the engine's event rate), and blind
   /// runs never allocate or touch any of this.
   int racks_ = 0;      ///< 0 = unarmed
   int per_rack_ = 0;

@@ -13,7 +13,7 @@ namespace {
 
 /// Shortest queue among the polled servers, ties broken uniformly
 /// (reservoir style: one uniform_int draw per tie encountered). Shared by
-/// SqdPolicy and JbtPolicy's shortest fallback so their tie-breaking —
+/// SqdPolicy and JbtPolicy's fallback so their tie-breaking —
 /// and RNG consumption — can never diverge. Templated on the
 /// queue-length accessor so the ClusterState and LevelDirectory paths run
 /// the exact same draws (the bit-identity contract between select and
@@ -95,17 +95,14 @@ int min_occupied_level(const LevelDirectory& dir) {
 
 /// JBT(d)'s dispatch over the directory; see sqd_dispatch.
 int jbt_dispatch(const LevelDirectory& dir, DistinctSampler& sampler, int d,
-                 int threshold, JbtPolicy::Fallback fallback,
-                 std::vector<int>& polled, std::vector<int>& below,
-                 Rng& rng) {
+                 int threshold, std::vector<int>& polled,
+                 std::vector<int>& below, Rng& rng) {
   sampler.sample(d, rng, polled);
   prefetch_polled(dir, polled);
   below.clear();
   for (int s : polled)
     if (dir.level_of(s) < threshold) below.push_back(s);
   if (!below.empty()) return below[rng.uniform_int(below.size())];
-  if (fallback == JbtPolicy::Fallback::Random)
-    return polled[rng.uniform_int(polled.size())];
   return shortest_polled_by(polled, rng,
                             [&](int s) { return dir.level_of(s); });
 }
@@ -206,7 +203,7 @@ int RoundRobinPolicy::select(const ClusterState& cluster, Rng&) {
   return s;
 }
 
-JiqPolicy::JiqPolicy(int n, int fallback_d) : fallback_(n, fallback_d) {}
+JiqPolicy::JiqPolicy(int n) : fallback_(n, 1) {}
 
 int JiqPolicy::select(const ClusterState& cluster, Rng& rng) {
   if (cluster.idle_servers() > 0) return cluster.idle_server(0);
@@ -222,8 +219,8 @@ std::string JiqPolicy::name() const {
   return "jiq/" + fallback_.name();
 }
 
-JbtPolicy::JbtPolicy(int n, int d, int threshold, Fallback fallback)
-    : d_(d), threshold_(threshold), fallback_(fallback), sampler_(n) {
+JbtPolicy::JbtPolicy(int n, int d, int threshold)
+    : d_(d), threshold_(threshold), sampler_(n) {
   // As in SqdPolicy: d > N is a full poll, not an error.
   RLB_REQUIRE(d >= 1, "need d >= 1");
   RLB_REQUIRE(threshold >= 0, "threshold must be non-negative");
@@ -236,19 +233,16 @@ int JbtPolicy::select(const ClusterState& cluster, Rng& rng) {
     if (cluster.queue_length(s) < threshold_) below_.push_back(s);
   if (!below_.empty())
     return below_[rng.uniform_int(below_.size())];
-  if (fallback_ == Fallback::Random)
-    return polled_[rng.uniform_int(polled_.size())];
   return shortest_polled(cluster, polled_, rng);
 }
 
 int JbtPolicy::select_direct(const LevelDirectory& dir, Rng& rng) {
-  return jbt_dispatch(dir, sampler_, d_, threshold_, fallback_, polled_,
-                      below_, rng);
+  return jbt_dispatch(dir, sampler_, d_, threshold_, polled_, below_, rng);
 }
 
 std::string JbtPolicy::name() const {
   return "jbt(" + std::to_string(d_) + ",t=" + std::to_string(threshold_) +
-         (fallback_ == Fallback::Shortest ? ",shortest)" : ",random)");
+         ")";
 }
 
 RackLocalSqdPolicy::RackLocalSqdPolicy(int n, int racks, int d,
@@ -318,11 +312,10 @@ std::string RackLocalSqdPolicy::name() const {
   return s;
 }
 
-RackJiqPolicy::RackJiqPolicy(int n, int racks, int fallback_d,
-                             int spill_threshold)
+RackJiqPolicy::RackJiqPolicy(int n, int racks)
     : racks_(racks),
       per_rack_(racks >= 1 ? n / racks : 0),
-      fallback_(n, racks, fallback_d, spill_threshold) {}
+      fallback_(n, racks, 1) {}
 
 int RackJiqPolicy::select(const ClusterState& cluster, Rng& rng) {
   return select(cluster, 0, rng);

@@ -182,12 +182,12 @@ class RoundRobinPolicy final : public Policy {
 
 /// Join-idle-queue (Lu et al.): the dispatcher keeps a queue of servers
 /// that reported going idle and sends each arrival to its head; when no
-/// server is idle the job falls back to SQ(fallback_d) polling
-/// (fallback_d = 1 is the classic "route randomly" JIQ). Near-zero
-/// feedback per job, JSQ-like delay at low and moderate load.
+/// server is idle the job is routed uniformly at random (the classic JIQ
+/// fallback, SQ(1)). Near-zero feedback per job, JSQ-like delay at low
+/// and moderate load.
 class JiqPolicy final : public Policy {
  public:
-  explicit JiqPolicy(int n, int fallback_d = 1);
+  explicit JiqPolicy(int n);
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
@@ -205,15 +205,10 @@ class JiqPolicy final : public Policy {
 /// random polled server whose queue length is strictly below `threshold`
 /// (JBT needs only a below/above bit per server, so candidates are
 /// indistinguishable). When no polled server qualifies, fall back to the
-/// shortest polled queue (Fallback::Shortest, SQ(d)-like) or a uniform
-/// polled server (Fallback::Random). threshold = 0 with Fallback::Random
-/// degenerates to uniform random routing.
+/// shortest polled queue, so threshold = 0 is SQ(d).
 class JbtPolicy final : public Policy {
  public:
-  enum class Fallback { Shortest, Random };
-
-  JbtPolicy(int n, int d, int threshold,
-            Fallback fallback = Fallback::Shortest);
+  JbtPolicy(int n, int d, int threshold);
   int select(const ClusterState& cluster, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }
   int select_direct(const LevelDirectory& dir, Rng& rng) override;
@@ -225,7 +220,6 @@ class JbtPolicy final : public Policy {
  private:
   int d_;
   int threshold_;
-  Fallback fallback_;
   DistinctSampler sampler_;
   std::vector<int> polled_;
   std::vector<int> below_;
@@ -283,15 +277,14 @@ class RackLocalSqdPolicy final : public Policy {
 /// the first-idle-first-out contract across the steal (both dispatch
 /// paths agree on the steal order bit-for-bit; the oracle audit test pins
 /// it). When no server in the cluster is idle at all, the arrival falls
-/// back to rack-local SQ(fallback_d) polling.
+/// back to rack-local SQ(1) polling with the default spill threshold.
 ///
 /// dispatches_to_idle_head() stays false: the dispatch target is the
 /// home rack's head, not the global head, so the engine's idle-head
 /// prefetch hint would stage the wrong server.
 class RackJiqPolicy final : public Policy {
  public:
-  RackJiqPolicy(int n, int racks, int fallback_d = 1,
-                int spill_threshold = 1);
+  RackJiqPolicy(int n, int racks);
   int select(const ClusterState& cluster, Rng& rng) override;
   int select(const ClusterState& cluster, int home_rack, Rng& rng) override;
   [[nodiscard]] bool symmetric() const override { return true; }

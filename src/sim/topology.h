@@ -39,9 +39,6 @@ struct Topology {
   double cross_latency = 0.0;  ///< added to cross-rack service times
   double cross_capacity = 1.0; ///< cross-rack service-rate factor (<= 1 slows)
 
-  /// Single-rack topologies are the paper's symmetric model.
-  [[nodiscard]] bool trivial() const { return racks <= 1; }
-
   /// Whether cross-rack dispatch costs anything at all.
   [[nodiscard]] bool penalized() const {
     return cross_latency != 0.0 || cross_capacity != 1.0;
@@ -49,10 +46,6 @@ struct Topology {
 
   [[nodiscard]] int servers_per_rack(int servers) const {
     return servers / racks;
-  }
-
-  [[nodiscard]] int rack_of(int server, int servers) const {
-    return server / servers_per_rack(servers);
   }
 
   /// The cross-rack service-time adjustment (see file comment). Applied

@@ -145,10 +145,4 @@ void write_trace(std::ostream& out, const Trace& trace) {
     out << e.time << ' ' << e.batch << '\n';
 }
 
-void save_trace(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  RLB_REQUIRE(out.good(), "cannot open trace file for writing: " + path);
-  write_trace(out, trace);
-}
-
 }  // namespace rlb::sim

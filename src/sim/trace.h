@@ -69,8 +69,4 @@ Trace load_trace(const std::string& path);
 /// parse_trace(write_trace(t)) reproduces `t` bit-for-bit.
 void write_trace(std::ostream& out, const Trace& trace);
 
-/// write_trace to a file. Throws std::invalid_argument when the file
-/// cannot be opened.
-void save_trace(const std::string& path, const Trace& trace);
-
 }  // namespace rlb::sim

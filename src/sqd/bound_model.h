@@ -52,7 +52,6 @@ class BoundModel {
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] int threshold() const { return threshold_; }
   [[nodiscard]] BoundKind kind() const { return kind_; }
-  [[nodiscard]] UpperArrivalRule upper_rule() const { return upper_rule_; }
 
   /// All outgoing transitions from a state in S(T), with the redirection
   /// rules applied and transitions to identical targets merged. Every

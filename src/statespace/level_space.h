@@ -58,23 +58,13 @@ class LevelSpace {
   [[nodiscard]] bool contains(const State& m) const;
 
  private:
-  struct VecHash {
-    std::size_t operator()(const State& s) const noexcept {
-      std::size_t h = 0x9e3779b97f4a7c15ull;
-      for (int v : s)
-        h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
-             (h >> 2);
-      return h;
-    }
-  };
-
   int n_ = 0;
   int t_ = 0;
   int boundary_total_max_ = 0;
   std::vector<State> boundary_;
   std::vector<State> level0_;
-  std::unordered_map<State, std::size_t, VecHash> boundary_index_;
-  std::unordered_map<State, std::size_t, VecHash> level0_index_;
+  std::unordered_map<State, std::size_t, StateHash> boundary_index_;
+  std::unordered_map<State, std::size_t, StateHash> level0_index_;
 };
 
 }  // namespace rlb::statespace

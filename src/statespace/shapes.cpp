@@ -45,12 +45,4 @@ std::size_t shape_count(int N, int T) {
   return static_cast<std::size_t>(util::binomial_u64(N + T - 1, T));
 }
 
-State shape_of(const State& m) {
-  RLB_REQUIRE(is_valid_state(m), "shape_of: invalid state");
-  State out = m;
-  const int base = m.back();
-  for (int& v : out) v -= base;
-  return out;
-}
-
 }  // namespace rlb::statespace

@@ -20,7 +20,4 @@ std::vector<State> enumerate_shapes(int N, int T);
 /// Number of shapes, C(N+T-1, T), computed exactly.
 std::size_t shape_count(int N, int T);
 
-/// delta vector of a state (subtract the minimum).
-State shape_of(const State& m);
-
 }  // namespace rlb::statespace

@@ -15,6 +15,17 @@ namespace rlb::statespace {
 /// Queue lengths in non-increasing order; index 0 is the longest queue.
 using State = std::vector<int>;
 
+/// Hash for unordered containers keyed on a State.
+struct StateHash {
+  std::size_t operator()(const State& s) const noexcept {
+    std::size_t h = 0x9e3779b97f4a7c15ull;
+    for (int v : s)
+      h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
+           (h >> 2);
+    return h;
+  }
+};
+
 /// Total number of jobs #m.
 int total_jobs(const State& m);
 

@@ -457,8 +457,6 @@ std::vector<std::unique_ptr<Policy>> blind_policies(int n) {
   out.push_back(std::make_unique<JsqPolicy>());
   out.push_back(std::make_unique<JiqPolicy>(n));
   out.push_back(std::make_unique<JbtPolicy>(n, 2, 3));
-  out.push_back(
-      std::make_unique<JbtPolicy>(n, 2, 3, JbtPolicy::Fallback::Random));
   out.push_back(std::make_unique<RoundRobinPolicy>());
   out.push_back(std::make_unique<LeastWorkLeftPolicy>());
   return out;

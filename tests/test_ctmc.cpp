@@ -65,13 +65,4 @@ TEST(Ctmc, ZeroRatesIgnored) {
   EXPECT_EQ(chain.size(), 2u);
 }
 
-TEST(Ctmc, ExpectationHelper) {
-  const auto chain = mk::build_ctmc(State{0}, birth_death(1.0, 1.0, 1));
-  const rlb::linalg::Vector pi{0.25, 0.75};
-  const double e = mk::expectation(
-      chain, pi, [](const State& s) { return double(s[0]); });
-  const std::size_t i1 = chain.index.at(State{1});
-  EXPECT_DOUBLE_EQ(e, pi[i1]);
-}
-
 }  // namespace

@@ -6,7 +6,6 @@ namespace {
 
 using rlb::linalg::Matrix;
 using rlb::linalg::power_iteration;
-using rlb::linalg::power_iteration_left;
 
 TEST(PowerIteration, DiagonalMatrix) {
   Matrix a(3, 3);
@@ -46,18 +45,6 @@ TEST(PowerIteration, ZeroMatrix) {
   const auto r = power_iteration(a);
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.value, 0.0, 1e-12);
-}
-
-TEST(PowerIterationLeft, MatchesRightForSymmetric) {
-  Matrix a(2, 2);
-  a(0, 0) = 2;
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  a(1, 1) = 2;
-  const auto right = power_iteration(a);
-  const auto left = power_iteration_left(a);
-  EXPECT_NEAR(right.value, left.value, 1e-9);
-  EXPECT_NEAR(right.value, 3.0, 1e-9);
 }
 
 }  // namespace

@@ -66,18 +66,6 @@ TEST(Gth, ReducibleChainThrows) {
   EXPECT_THROW(mk::stationary_gth(q), std::runtime_error);
 }
 
-TEST(GthDtmc, SimpleRandomWalk) {
-  Matrix p(3, 3, 0.0);
-  p(0, 1) = 1.0;
-  p(1, 0) = 0.5;
-  p(1, 2) = 0.5;
-  p(2, 1) = 1.0;
-  const Vector pi = mk::stationary_gth_dtmc(p);
-  EXPECT_NEAR(pi[0], 0.25, 1e-13);
-  EXPECT_NEAR(pi[1], 0.5, 1e-13);
-  EXPECT_NEAR(pi[2], 0.25, 1e-13);
-}
-
 TEST(Gth, NumericallyExtremeRates) {
   // Rates spanning 12 orders of magnitude; GTH should stay accurate.
   Matrix q(3, 3, 0.0);

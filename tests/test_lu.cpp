@@ -130,7 +130,7 @@ TEST(Lu, Solves2x2) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  const Vector x = rlb::linalg::solve(a, rlb::linalg::Vector{5.0, 10.0});
+  const Vector x = Lu(a).solve(Vector{5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -141,7 +141,7 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const Vector x = rlb::linalg::solve(a, rlb::linalg::Vector{2.0, 3.0});
+  const Vector x = Lu(a).solve(Vector{2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -167,7 +167,7 @@ TEST(Lu, RandomRoundTrip) {
     Vector x_true(n);
     for (auto& v : x_true) v = rng.next_double() * 2.0 - 1.0;
     const Vector b = rlb::linalg::mat_vec(a, x_true);
-    const Vector x = rlb::linalg::solve(a, b);
+    const Vector x = Lu(a).solve(b);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
   }
 }
@@ -180,7 +180,7 @@ TEST(Lu, InverseTimesSelfIsIdentity) {
     for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.next_double() - 0.5;
     a(i, i) += 5.0;
   }
-  const Matrix inv = rlb::linalg::inverse(a);
+  const Matrix inv = Lu(a).solve(Matrix::identity(n));
   const Matrix prod = a * inv;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
@@ -198,23 +198,11 @@ TEST(Lu, MatrixRhsSolve) {
   b(0, 1) = 3;
   b(1, 0) = 4;
   b(1, 1) = 2;
-  const Matrix x = rlb::linalg::solve(a, b);
+  const Matrix x = Lu(a).solve(b);
   EXPECT_NEAR(x(0, 0), 2.0, 1e-12);
   EXPECT_NEAR(x(0, 1), 1.0, 1e-12);
   EXPECT_NEAR(x(1, 0), 2.0, 1e-12);
   EXPECT_NEAR(x(1, 1), 1.0, 1e-12);
-}
-
-TEST(Lu, SolveTransposed) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 0;
-  a(1, 1) = 1;
-  // x^T A = b^T with b = (1, 4) -> x solves A^T x = b: x = (1, 2).
-  const Vector x = rlb::linalg::solve_transposed(a, {1.0, 4.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, MatrixSolveEqualsColumnSolvesBitwise) {
@@ -257,7 +245,7 @@ TEST(Lu, BandedFactorMatchesUnbandedReferenceBitwise) {
 TEST(Lu, InverseOfBandedMatchesReferenceBitwise) {
   rlb::sim::Rng rng(13);
   const Matrix a = banded_dense_first_row(25, 3, 2, rng);
-  const Matrix inv = Lu(a).inverse();
+  const Matrix inv = Lu(a).solve(Matrix::identity(a.rows()));
   const ReferenceLu ref(a);
   for (std::size_t c = 0; c < a.rows(); ++c) {
     Vector e(a.rows(), 0.0);

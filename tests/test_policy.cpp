@@ -105,9 +105,7 @@ TEST(PolicyNames, Informative) {
   EXPECT_EQ(RoundRobinPolicy().name(), "round-robin");
   EXPECT_EQ(LeastWorkLeftPolicy().name(), "least-work");
   EXPECT_EQ(JiqPolicy(4).name(), "jiq/sq(1)");
-  EXPECT_EQ(JbtPolicy(4, 2, 3).name(), "jbt(2,t=3,shortest)");
-  EXPECT_EQ(JbtPolicy(4, 2, 0, JbtPolicy::Fallback::Random).name(),
-            "jbt(2,t=0,random)");
+  EXPECT_EQ(JbtPolicy(4, 2, 3).name(), "jbt(2,t=3)");
 }
 
 TEST(SqdPolicy, RejectsNonPositiveD) {
@@ -169,11 +167,14 @@ TEST(JiqPolicy, FallsBackToRandomWhenNoneIdle) {
 }
 
 TEST(JiqPolicy, FallbackCanPollLikeSqd) {
-  // fallback_d = 2 over two busy servers must always pick the shorter.
-  FakeCluster cluster({5, 1});
-  JiqPolicy policy(2, 2);
-  Rng rng(29);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(policy.select(cluster, rng), 1);
+  // With no idle server the fallback is SQ(1), draw for draw.
+  FakeCluster cluster({5, 1, 2});
+  JiqPolicy jiq(3);
+  SqdPolicy sq1(3, 1);
+  Rng rng_a(29), rng_b(29);
+  for (int i = 0; i < 50; ++i)
+    EXPECT_EQ(jiq.select(cluster, rng_a), sq1.select(cluster, rng_b)) << i;
+  EXPECT_EQ(rng_a.uniform_int(1u << 30), rng_b.uniform_int(1u << 30));
 }
 
 TEST(JbtPolicy, JoinsOnlyBelowThresholdServers) {
@@ -189,18 +190,6 @@ TEST(JbtPolicy, JoinsOnlyBelowThresholdServers) {
   // Candidates are indistinguishable below the threshold: uniform split.
   EXPECT_NEAR(counts[1], trials / 2.0, 600);
   EXPECT_NEAR(counts[3], trials / 2.0, 600);
-}
-
-TEST(JbtPolicy, ZeroThresholdWithRandomFallbackIsRandomD) {
-  // t = 0 never admits a candidate, so the random fallback makes the
-  // policy uniform random routing — the degenerate case.
-  FakeCluster cluster({4, 1, 7, 2});
-  JbtPolicy policy(4, 2, 0, JbtPolicy::Fallback::Random);
-  Rng rng(37);
-  std::vector<int> counts(4, 0);
-  const int trials = 40000;
-  for (int i = 0; i < trials; ++i) ++counts[policy.select(cluster, rng)];
-  for (int c : counts) EXPECT_NEAR(c, trials / 4.0, 500);
 }
 
 TEST(JbtPolicy, ZeroThresholdWithShortestFallbackIsSqd) {
@@ -269,11 +258,9 @@ TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
   JsqPolicy jsq;
   JiqPolicy jiq(6);
   JbtPolicy jbt(6, 3, 2);
-  JbtPolicy jbt_r(6, 3, 2, JbtPolicy::Fallback::Random);
   for (Policy* p :
        {static_cast<Policy*>(&sqd), static_cast<Policy*>(&jsq),
-        static_cast<Policy*>(&jiq), static_cast<Policy*>(&jbt),
-        static_cast<Policy*>(&jbt_r)}) {
+        static_cast<Policy*>(&jiq), static_cast<Policy*>(&jbt)}) {
     Rng rng_a(57), rng_b(57);
     for (int i = 0; i < 300; ++i) {
       EXPECT_EQ(p->select(cluster, rng_a), p->select_direct(dir, rng_b))

@@ -214,6 +214,33 @@ TEST(CellRecord, CorruptEntriesAreRejectedNotThrown) {
   CacheKey other("power_of_d");
   other.set("rho", 0.95);
   EXPECT_FALSE(parse_record(other, good).has_value());
+
+  // Round states no run writes: resuming from one would abort the run.
+  const std::vector<void (*)(CellRecord&)> inconsistent{
+      [](CellRecord& r) { r.round_state.rounds = 0; },
+      [](CellRecord& r) { r.round_state.batch = 0; },
+      [](CellRecord& r) { r.round_state.batch = 7; },
+      [](CellRecord& r) {
+        r.round_state.sojourn_ci.in_batch = r.round_state.sojourn_ci.batch_size;
+      },
+      [](CellRecord& r) { r.round_state.sojourn_quantiles.capacity = 0; },
+      [](CellRecord& r) { r.round_state.sojourn_quantiles.sample.pop_back(); },
+  };
+  for (std::size_t i = 0; i < inconsistent.size(); ++i) {
+    CellRecord bad = sample_record(true);
+    inconsistent[i](bad);
+    EXPECT_FALSE(parse_record(key, encode_record(key, bad)).has_value()) << i;
+  }
+
+  // Round counts beyond INT_MAX, in the round state and in the report.
+  for (const std::string object : {"round_state", "report"}) {
+    const std::string field = "\"" + object + "\":{\"rounds\":3,";
+    std::string huge = good;
+    const auto pos = huge.find(field);
+    ASSERT_NE(pos, std::string::npos) << field;
+    huge.replace(pos + field.size() - 2, 1, "2147483648");
+    EXPECT_FALSE(parse_record(key, huge).has_value()) << field;
+  }
 }
 
 class ResultCacheDir : public ::testing::Test {

@@ -10,6 +10,7 @@
 // adaptive and cache checks of the ScenarioSmoke suite below.
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
@@ -434,6 +435,48 @@ TEST_F(ScenarioCache, RefineFromCachedStateEqualsColdRunAtTighterTarget) {
       run_to_json("power_of_d", tight_args, 4, 1, &warm_cache);
   EXPECT_EQ(warm, cold);
   EXPECT_EQ(warm_cache.misses(), 0u);
+}
+
+TEST_F(ScenarioCache, InconsistentRoundStateIsDiscardedAndRecomputed) {
+  // A record that parses but holds a round state no run writes is
+  // discarded and its cell recomputed, like any corrupt record; resuming
+  // from it would abort the whole run.
+  const std::vector<std::string> base{"--jobs=20000", "--max-jobs=160000"};
+  auto loose_args = base;
+  loose_args.push_back("--target-ci=0.2");
+  auto cache = make_cache();
+  (void)run_to_json("power_of_d", loose_args, 4, 1, &cache);
+
+  // Zero the completed-round count of one record on disk.
+  std::vector<std::filesystem::path> records;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_))
+    records.push_back(entry.path());
+  std::sort(records.begin(), records.end());
+  const std::string field = "\"round_state\":{\"rounds\":";
+  bool edited = false;
+  for (const auto& path : records) {
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    std::string record = text.str();
+    const auto at = record.find(field);
+    if (at == std::string::npos) continue;
+    const auto begin = at + field.size();
+    record.replace(begin, record.find(',', begin) - begin, "0");
+    std::ofstream(path) << record;
+    edited = true;
+    break;
+  }
+  ASSERT_TRUE(edited);
+
+  auto tight_args = base;
+  tight_args.push_back("--target-ci=0.1");
+  const std::string cold = run_to_json("power_of_d", tight_args, 2, 1);
+  auto refine_cache = make_cache();
+  std::string refined;
+  ASSERT_NO_THROW(
+      refined = run_to_json("power_of_d", tight_args, 1, 1, &refine_cache));
+  EXPECT_EQ(refined, cold);
+  EXPECT_EQ(refine_cache.discarded(), 1u);
 }
 
 TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {

@@ -53,9 +53,4 @@ TEST(Shapes, ZeroThreshold) {
   EXPECT_EQ(shapes[0], (State{0, 0, 0, 0}));
 }
 
-TEST(Shapes, ShapeOfSubtractsMinimum) {
-  EXPECT_EQ(ss::shape_of({5, 4, 2}), (State{3, 2, 0}));
-  EXPECT_EQ(ss::shape_of({2, 2, 2}), (State{0, 0, 0}));
-}
-
 }  // namespace
