@@ -30,7 +30,7 @@ using rlb::sqd::UpperArrivalRule;
 std::string upper_delay(const Params& p, int t, UpperArrivalRule rule) {
   try {
     return rlb::util::fmt(
-        rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper, rule))
+        rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper, {}, rule))
             .mean_delay,
         4);
   } catch (const rlb::qbd::UnstableError&) {

@@ -3,24 +3,28 @@
 // itself. Heterogeneous SQ(d) is the related-work setting of Mukhopadhyay
 // et al. and Izagirre & Makowski.
 //
-// The "main" table runs the bound models with rank-based heterogeneous
-// service rates (BoundModel::transitions(m, rank_speeds)): the queue at
-// sorted position k is served at speeds[k] * mu, fast half / slow half.
-// Three simulations per skew row: the lower bound CTMC jump chain, the
-// same lower model through the event-driven GI simulator (a cross-check
-// of the two independent implementations), and the upper bound CTMC.
-// Delay columns follow the solver convention E[W] + 1/mu; the skew 1:1
-// row reproduces the homogeneous model, cross-checked against the
-// matrix-geometric solver in the note.
+// The "main" table solves the bound models with rank-based heterogeneous
+// service rates (sqd::BoundModel's rank speeds): the queue at sorted
+// position k is served at speeds[k] * mu, fast half / slow half. Every
+// level state has all N servers busy, so both models stay
+// level-independent QBDs and solve_bound gives their exact delays, or
+// "unstable" where the upper model fails the drift condition. The lower
+// model also runs through the event-driven GI simulator with Poisson
+// arrivals, an independent implementation printed with its 95% CI
+// half-width. Delay columns follow the solver convention E[W] + 1/mu; the
+// skew 1:1 row is the homogeneous model.
 //
 // The "des" table simulates the real fleet: the first n/2 servers run at
 // the fast speed and the rest at the slow one, under random, sq(d), jsq
 // and least-work-left dispatch. It shows what queue-length-based SQ(d)
 // loses on a skewed fleet and how much a workload-aware policy (which
-// sees speeds through remaining work) recovers.
+// sees speeds through remaining work) recovers. Random routing sends each
+// server arrivals at rate rho, so a server of speed s carries load
+// rho / s: a random cell whose slowest server has load >= 1 has no
+// stationary mean, and prints "unstable" without simulating.
 //
-// Each (skew, simulator) and (skew, policy) run is one sweep cell; a skew
-// row's cells share its seed (common random numbers).
+// Each GI cell and (skew, policy) run is one sweep cell; a skew row's
+// cells share its seed (common random numbers).
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -29,7 +33,6 @@
 
 #include "engine/adaptive_columns.h"
 #include "engine/scenario.h"
-#include "sim/bound_sim.h"
 #include "sim/cluster_sim.h"
 #include "sim/distributions.h"
 #include "sim/gi_bound_sim.h"
@@ -45,7 +48,6 @@ using rlb::sqd::BoundKind;
 using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
 
-constexpr std::size_t kSims = 3;      // ctmc lower, gi lower, ctmc upper
 constexpr std::size_t kPolicies = 4;  // DES: random, sq(d), jsq, least-work
 
 ScenarioOutput run(ScenarioContext& ctx) {
@@ -53,7 +55,6 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const int d = ctx.cli().get_int<int>("d", 2);
   const int t = ctx.cli().get_int<int>("t", 3);
   const double rho = ctx.cli().get_double("rho", 0.75);
-  const auto steps = ctx.cli().get_int<std::uint64_t>("steps", 2'000'000);
   const auto arrivals = ctx.cli().get_int<std::uint64_t>("arrivals", 1'000'000);
   const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 11223);
 
@@ -76,7 +77,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
   struct Cell {
     double delay = 0.0;
     rlb::sim::AdaptiveReport report;
-    double p99 = 0.0;  ///< DES cells only
+    double p99 = 0.0;       ///< DES cells only
+    double ci95 = 0.0;      ///< GI cells only: the delay's 95% half-width
+    bool unstable = false;  ///< DES random cells past the slowest capacity
   };
   const bool adaptive = ctx.adaptive().enabled();
   const auto make_policy =
@@ -94,9 +97,16 @@ ScenarioOutput run(ScenarioContext& ctx) {
   };
   const auto des_cell = [&](std::size_t i) {
     const std::size_t s = i / kPolicies;
+    const std::vector<double> speeds = rank_speeds(skews[s]);
+    if (i % kPolicies == 0 &&
+        rho >= *std::min_element(speeds.begin(), speeds.end())) {
+      Cell skipped;
+      skipped.unstable = true;
+      return skipped;
+    }
     rlb::sim::ClusterConfig cfg;
     cfg.servers = n;
-    cfg.server_speeds = rank_speeds(skews[s]);
+    cfg.server_speeds = speeds;
     const auto arr = rlb::sim::make_exponential(rho * n);
     rlb::sim::RenewalArrivals arrival_process(*arr);
     const auto svc = rlb::sim::make_exponential(1.0);
@@ -107,46 +117,40 @@ ScenarioOutput run(ScenarioContext& ctx) {
         ctx.budget());
     return Cell{res.mean_sojourn, res.adaptive, res.p99_sojourn};
   };
-  const std::size_t bound_cells = skews.size() * kSims;
-  const auto cells = ctx.map<Cell>(
-      bound_cells + skews.size() * kPolicies, [&](std::size_t i) {
-        if (i >= bound_cells) return des_cell(i - bound_cells);
-        const std::size_t s = i / kSims;
-        const std::vector<double> speeds = rank_speeds(skews[s]);
-        // One seed per skew row (common random numbers across simulators).
-        const std::uint64_t cell = rlb::engine::cell_seed(seed, s);
-        // Little's-law scaling (below) maps a waiting-jobs half-width to
-        // a delay half-width, so the CTMC/GI targets are requested in
-        // delay units too: target scales by lambda * N (a fixed plan's
-        // infinite target stays infinite).
-        const auto bound_plan = [&](std::uint64_t budget_jobs) {
-          auto plan = ctx.plan(cell, budget_jobs, budget_jobs / 10);
-          plan.target_ci *= p.lambda * p.N;
-          return plan;
-        };
-        const std::size_t sim = i % kSims;
-        double waiting_jobs = 0.0;
-        rlb::sim::AdaptiveReport report;
-        if (sim == 1) {
-          const auto arr = rlb::sim::make_exponential(rho * n);
-          const auto res = rlb::sim::simulate_gi_lower_bound(
-              BoundModel(p, t, BoundKind::Lower), *arr, bound_plan(arrivals),
-              ctx.budget(), speeds);
-          waiting_jobs = res.mean_waiting_jobs;
-          report = res.adaptive;
-        } else {
-          const BoundModel model(
-              p, t, sim == 0 ? BoundKind::Lower : BoundKind::Upper);
-          const auto res = rlb::sim::simulate_bound_model(
-              model, bound_plan(steps), ctx.budget(), speeds);
-          waiting_jobs = res.mean_waiting_jobs;
-          report = res.adaptive;
-        }
-        // Solver convention: delay = E[W] + 1/mu, Little's law over the
-        // original arrival rate lambda*N.
-        report.half_width /= p.lambda * p.N;
-        return Cell{waiting_jobs / (p.lambda * p.N) + 1.0 / p.mu, report};
-      });
+  const auto gi_cell = [&](std::size_t s) {
+    // Little's law (below) maps a waiting-jobs half-width to a delay
+    // half-width, so the target is requested in delay units too: it
+    // scales by lambda * N (a fixed plan's infinite target stays
+    // infinite). One seed per skew row (common random numbers).
+    const std::uint64_t row_seed = rlb::engine::cell_seed(seed, s);
+    auto plan = ctx.plan(row_seed, arrivals, arrivals / 10);
+    plan.target_ci *= p.lambda * p.N;
+    const auto arr = rlb::sim::make_exponential(rho * n);
+    const auto res = rlb::sim::simulate_gi_lower_bound(
+        BoundModel(p, t, BoundKind::Lower, rank_speeds(skews[s])), *arr, plan,
+        ctx.budget());
+    // Solver convention: delay = E[W] + 1/mu, Little's law over the
+    // original arrival rate lambda*N.
+    Cell cell{res.mean_waiting_jobs / (p.lambda * p.N) + 1.0 / p.mu,
+              res.adaptive};
+    cell.ci95 = res.ci95_waiting_jobs / (p.lambda * p.N);
+    cell.report.half_width /= p.lambda * p.N;
+    return cell;
+  };
+  const auto cell = [&](std::size_t i) {
+    return i < skews.size() ? gi_cell(i) : des_cell(i - skews.size());
+  };
+  const auto cells = ctx.map<Cell>(skews.size() * (1 + kPolicies), cell);
+  const auto exact_delay = [&](BoundKind kind, double fast) -> std::string {
+    try {
+      return rlb::util::fmt(
+          rlb::sqd::solve_bound(BoundModel(p, t, kind, rank_speeds(fast)))
+              .mean_delay,
+          4);
+    } catch (const rlb::qbd::UnstableError&) {
+      return "unstable";
+    }
+  };
 
   ScenarioOutput out;
   out.preamble =
@@ -156,41 +160,25 @@ ScenarioOutput run(ScenarioContext& ctx) {
       ".\nRank speeds: fast half serves the longest queues, slow half the "
       "shortest;\ntotal capacity is constant across skews.";
   std::vector<std::string> header{"skew (fast:slow)", "lower delay",
-                                  "lower delay (GI sim)", "upper delay"};
+                                  "lower delay (GI sim)", "GI ci95",
+                                  "upper delay"};
   if (adaptive) rlb::engine::add_adaptive_columns(header);
   auto& table = out.add_table("main", header);
   for (std::size_t s = 0; s < skews.size(); ++s) {
     std::vector<std::string> row{rlb::util::fmt(skews[s], 2) + ":" +
                                  rlb::util::fmt(2.0 - skews[s], 2)};
-    for (std::size_t k = 0; k < kSims; ++k)
-      row.push_back(rlb::util::fmt(cells[s * kSims + k].delay, 4));
-    if (adaptive) {
-      auto report = rlb::sim::AdaptiveReport::row_identity();
-      for (std::size_t k = 0; k < kSims; ++k)
-        report.combine(cells[s * kSims + k].report);
-      rlb::engine::add_adaptive_cells(row, report);
-    }
+    row.push_back(exact_delay(BoundKind::Lower, skews[s]));
+    row.push_back(rlb::util::fmt(cells[s].delay, 4));
+    row.push_back(rlb::util::fmt(cells[s].ci95, 4));
+    row.push_back(exact_delay(BoundKind::Upper, skews[s]));
+    if (adaptive) rlb::engine::add_adaptive_cells(row, cells[s].report);
     table.add_row(std::move(row));
   }
-  if (adaptive)
-    out.note(rlb::engine::adaptive_note(
-        "the three simulators (waiting-jobs CIs scaled to delay units by "
-        "Little's law;\njobs_used counts steps+arrivals)"));
-  std::string homog_note;
-  try {
-    const auto lower =
-        rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Lower));
-    const auto upper =
-        rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper));
-    homog_note = "Homogeneous (skew 1:1) matrix-geometric reference: "
-                 "lower delay " +
-                 rlb::util::fmt(lower.mean_delay, 4) + ", upper delay " +
-                 rlb::util::fmt(upper.mean_delay, 4) + ".";
-  } catch (const rlb::qbd::UnstableError&) {
-    homog_note = "Homogeneous upper bound model is unstable at this "
-                 "(rho, T) — drift condition fails.";
-  }
-  out.note(homog_note);
+  std::string main_note =
+      "lower/upper delay: exact matrix-geometric solutions of the rank-speed "
+      "bound\nmodels; GI ci95: the GI simulator's 95% CI half-width.";
+  if (adaptive) main_note += "\n" + rlb::engine::adaptive_note();
+  out.note(main_note);
 
   std::vector<std::string> des_header{
       "skew (fast:slow)", "random", "sq(" + std::to_string(d) + ")", "jsq",
@@ -198,18 +186,20 @@ ScenarioOutput run(ScenarioContext& ctx) {
   if (adaptive) rlb::engine::add_adaptive_columns(des_header);
   auto& des = out.add_table("des", des_header);
   for (std::size_t s = 0; s < skews.size(); ++s) {
-    const Cell* row_cells = &cells[bound_cells + s * kPolicies];
+    const Cell* row_cells = &cells[skews.size() + s * kPolicies];
     std::vector<std::string> row{rlb::util::fmt(skews[s], 2) + ":" +
                                  rlb::util::fmt(2.0 - skews[s], 2)};
-    for (std::size_t k = 0; k < kPolicies; ++k)
+    auto report = rlb::sim::AdaptiveReport::row_identity();
+    for (std::size_t k = 0; k < kPolicies; ++k) {
+      if (row_cells[k].unstable) {
+        row.push_back("unstable");
+        continue;
+      }
       row.push_back(rlb::util::fmt(row_cells[k].delay, 3));
-    row.push_back(rlb::util::fmt(row_cells[1].p99, 2));
-    if (adaptive) {
-      auto report = rlb::sim::AdaptiveReport::row_identity();
-      for (std::size_t k = 0; k < kPolicies; ++k)
-        report.combine(row_cells[k].report);
-      rlb::engine::add_adaptive_cells(row, report);
+      report.combine(row_cells[k].report);
     }
+    row.push_back(rlb::util::fmt(row_cells[1].p99, 2));
+    if (adaptive) rlb::engine::add_adaptive_cells(row, report);
     des.add_row(std::move(row));
   }
   out.note("DES of the fleet itself: first N/2 servers fast, the rest "
@@ -218,24 +208,26 @@ ScenarioOutput run(ScenarioContext& ctx) {
   out.postamble =
       "Reading: speeding up service of the LONGEST queues (skew > 1) "
       "shrinks the\nbacklog both bound models hold at equal capacity; the "
-      "two lower-model columns\nare independent simulators of the same "
-      "chain and should agree within noise.\nIn the real fleet, "
-      "queue-length signals degrade as speeds diverge: a short\nqueue on "
-      "a slow machine is a trap. Workload-aware least-work-left degrades "
-      "far\nless.";
+      "GI simulator is an\nindependent implementation of the lower model "
+      "and should land within its CI of\nthe exact lower delay. In the "
+      "real fleet, queue-length signals degrade as\nspeeds diverge: a short "
+      "queue on a slow machine is a trap. Workload-aware\nleast-work-left "
+      "degrades far less. Random routing loads a server of speed s with "
+      "rho / s,\nso a random cell whose slowest server is at or past "
+      "capacity has no stationary\nmean: it prints \"unstable\" and is not "
+      "simulated.";
   return out;
 }
 
 const rlb::engine::ScenarioRegistrar reg{{
     "hetero_fleet_bounds",
-    "Extension: mixed-speed fleets at equal capacity — bound models with "
-    "rank-based service rates, and the fleet's DES under "
-    "random/SQ(d)/JSQ/least-work",
+    "Extension: mixed-speed fleets at equal capacity — exact bound models "
+    "with rank-based service rates, a GI-simulator cross-check, and the "
+    "fleet's DES under random/SQ(d)/JSQ/least-work",
     {{"n", "number of servers (even)", "4"},
      {"d", "polled servers", "2"},
      {"t", "gap threshold T", "3"},
      {"rho", "utilization", "0.75"},
-     {"steps", "CTMC jump-chain steps per cell", "2000000"},
      {"arrivals", "GI-simulator arrival events and DES jobs per cell",
       "1000000"},
      {"seed", "base RNG seed; per-row seeds are derived from it", "11223"}},

@@ -125,10 +125,10 @@ struct Accum {
 Accum run_one_replica(const sqd::BoundModel& model,
                       const Distribution& interarrival,
                       std::uint64_t arrivals, std::uint64_t warmup,
-                      std::uint64_t batch, std::uint64_t seed,
-                      const std::vector<double>& rank_speeds) {
+                      std::uint64_t batch, std::uint64_t seed) {
   const sqd::Params& p = model.params();
   const int threshold = model.threshold();
+  const std::vector<double>& rank_speeds = model.rank_speeds();
 
   // speed_prefix[k] = sum of the first k rank speeds, so the pooled
   // service rate with `busy` busy ranks is speed_prefix[busy] * mu.
@@ -189,18 +189,6 @@ Accum run_one_replica(const sqd::BoundModel& model,
   return acc;
 }
 
-void validate_model(const sqd::BoundModel& model,
-                    const std::vector<double>& rank_speeds) {
-  RLB_REQUIRE(model.kind() == sqd::BoundKind::Lower,
-              "GI simulation implemented for the lower bound model");
-  RLB_REQUIRE(rank_speeds.empty() ||
-                  rank_speeds.size() ==
-                      static_cast<std::size_t>(model.params().N),
-              "rank_speeds must be empty or one entry per server");
-  for (double sp : rank_speeds)
-    RLB_REQUIRE(sp > 0.0, "rank speeds must be positive");
-}
-
 GiBoundSimResult assemble(const sqd::BoundModel& model, const Accum& acc) {
   const sqd::Params& p = model.params();
   GiBoundSimResult out;
@@ -241,10 +229,9 @@ GiBoundSimResult assemble(const sqd::BoundModel& model, const Accum& acc) {
 GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,
                                          const AdaptivePlan& plan,
-                                         util::ThreadBudget& budget,
-                                         const std::vector<double>&
-                                             rank_speeds) {
-  validate_model(model, rank_speeds);
+                                         util::ThreadBudget& budget) {
+  RLB_REQUIRE(model.kind() == sqd::BoundKind::Lower,
+              "GI simulation implemented for the lower bound model");
   plan.validate();
   const std::uint64_t batch = plan.batch_size();
 
@@ -253,8 +240,8 @@ GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
       plan, budget,
       [&](std::uint64_t /*global_replica*/, std::uint64_t seed,
           std::uint64_t arrivals, std::uint64_t warmup) {
-        return run_one_replica(model, interarrival, arrivals, warmup,
-                               batch, seed, rank_speeds);
+        return run_one_replica(model, interarrival, arrivals, warmup, batch,
+                               seed);
       },
       [](Accum& into, const Accum& from) { into.merge(from); },
       [&](const Accum& merged) {

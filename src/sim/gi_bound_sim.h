@@ -51,18 +51,14 @@ struct GiBoundSimResult {
 /// means) at plan.confidence drops to plan.target_ci or plan.max_jobs
 /// caps out (docs/PRECISION.md). Bit-identical for every budget.
 ///
-/// `rank_speeds` selects the heterogeneous-rate variant: the queue at
-/// sorted position k is served at rate rank_speeds[k] * mu while busy,
-/// and departures pick a busy rank proportionally to its rate (see
-/// BoundModel::transitions(m, rank_speeds) for the rank-based rate
-/// model). Empty — the default — is the homogeneous model. Theorem 2's
-/// sigma^N prediction applies to the homogeneous model only; the hetero
-/// level_tail_ratio is an empirical output.
+/// A model with rank speeds (sqd::BoundModel) serves the queue at sorted
+/// position k at rate rank_speeds[k] * mu while busy, and departures pick
+/// a busy rank proportionally to its rate. Theorem 2's sigma^N prediction
+/// applies to the homogeneous model only; the hetero level_tail_ratio is
+/// an empirical output.
 GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,
                                          const AdaptivePlan& plan,
-                                         util::ThreadBudget& budget,
-                                         const std::vector<double>&
-                                             rank_speeds = {});
+                                         util::ThreadBudget& budget);
 
 }  // namespace rlb::sim

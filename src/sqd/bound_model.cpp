@@ -1,6 +1,8 @@
 #include "sqd/bound_model.h"
 
+#include <cmath>
 #include <map>
+#include <utility>
 
 #include "util/require.h"
 
@@ -9,10 +11,25 @@ namespace rlb::sqd {
 using statespace::State;
 using statespace::TieGroup;
 
-BoundModel::BoundModel(Params p, int T, BoundKind kind, UpperArrivalRule rule)
-    : params_(p), threshold_(T), kind_(kind), upper_rule_(rule) {
+BoundModel::BoundModel(Params p, int T, BoundKind kind,
+                       std::vector<double> rank_speeds, UpperArrivalRule rule)
+    : params_(p),
+      threshold_(T),
+      kind_(kind),
+      rank_speeds_(std::move(rank_speeds)),
+      upper_rule_(rule) {
   params_.validate();
   RLB_REQUIRE(T >= 1, "threshold T must be at least 1");
+  if (rank_speeds_.empty()) return;
+  RLB_REQUIRE(static_cast<int>(rank_speeds_.size()) == params_.N,
+              "rank_speeds must be empty or one entry per server");
+  double total = 0.0;
+  for (double speed : rank_speeds_) {
+    RLB_REQUIRE(speed > 0.0, "rank speeds must be positive");
+    total += speed;
+  }
+  RLB_REQUIRE(std::abs(total - params_.N) <= 1e-9 * params_.N,
+              "rank speeds must sum to N (equal total capacity)");
 }
 
 bool BoundModel::contains(const State& m) const {
@@ -21,16 +38,7 @@ bool BoundModel::contains(const State& m) const {
 }
 
 std::vector<Transition> BoundModel::transitions(const State& m) const {
-  static const std::vector<double> kHomogeneous;
-  return transitions(m, kHomogeneous);
-}
-
-std::vector<Transition> BoundModel::transitions(
-    const State& m, const std::vector<double>& rank_speeds) const {
   RLB_REQUIRE(contains(m), "state not in S(T): " + statespace::to_string(m));
-  RLB_REQUIRE(rank_speeds.empty() ||
-                  static_cast<int>(rank_speeds.size()) == params_.N,
-              "rank_speeds must be empty or one entry per server");
   const std::vector<TieGroup> groups = statespace::tie_groups(m);
 
   // Merge transitions that end up at the same target (redirects can collide
@@ -79,9 +87,9 @@ std::vector<Transition> BoundModel::transitions(
   for (const TieGroup& g : groups) {
     if (g.value == 0) continue;
     double speed = static_cast<double>(g.size());
-    if (!rank_speeds.empty()) {
+    if (!rank_speeds_.empty()) {
       speed = 0.0;
-      for (int k = g.head; k <= g.tail; ++k) speed += rank_speeds[k];
+      for (int k = g.head; k <= g.tail; ++k) speed += rank_speeds_[k];
     }
     const double rate = speed * params_.mu;
     State target = statespace::after_departure_at_tail(m, g.tail);

@@ -46,29 +46,34 @@ enum class UpperArrivalRule { PhantomBottom, AllServers };
 
 class BoundModel {
  public:
+  /// `rank_speeds` makes the service rates heterogeneous: the queue at
+  /// sorted position k (0 = the longest) is served at rank_speeds[k] * mu
+  /// while busy. Rank-based rates are the heterogeneity model that keeps
+  /// the sorted state space S(T) valid — speeds attach to queue-length
+  /// ranks, not server identities (per-identity speeds live in the
+  /// cluster DES). The profile must hold N positive entries summing to N
+  /// (equal total capacity, so rho and Theorem 3's rate rho^N keep their
+  /// meaning), or be empty for the homogeneous model; all ones reproduces
+  /// the homogeneous rates bit for bit. Every level state has all N
+  /// servers busy, so the QBD stays level-independent and the solvers
+  /// take either model. The redirection rules are rate-independent.
   BoundModel(Params p, int T, BoundKind kind,
+             std::vector<double> rank_speeds = {},
              UpperArrivalRule rule = UpperArrivalRule::PhantomBottom);
 
   [[nodiscard]] const Params& params() const { return params_; }
   [[nodiscard]] int threshold() const { return threshold_; }
   [[nodiscard]] BoundKind kind() const { return kind_; }
+  /// Empty for the homogeneous model.
+  [[nodiscard]] const std::vector<double>& rank_speeds() const {
+    return rank_speeds_;
+  }
 
   /// All outgoing transitions from a state in S(T), with the redirection
   /// rules applied and transitions to identical targets merged. Every
   /// returned target is again in S(T).
   [[nodiscard]] std::vector<Transition> transitions(
       const statespace::State& m) const;
-
-  /// Heterogeneous-rate variant: the queue at sorted position k (0 = the
-  /// longest) is served at rate rank_speeds[k] * mu while busy. Rank-based
-  /// rates are the heterogeneity model that keeps the sorted state space
-  /// S(T) valid — speeds attach to queue-length ranks, not server
-  /// identities (per-identity speeds live in the cluster DES). An empty
-  /// vector (or all ones) reproduces the homogeneous model exactly; the
-  /// redirection rules are rate-independent and apply unchanged.
-  [[nodiscard]] std::vector<Transition> transitions(
-      const statespace::State& m,
-      const std::vector<double>& rank_speeds) const;
 
   /// True iff m is a valid state of this model.
   [[nodiscard]] bool contains(const statespace::State& m) const;
@@ -77,6 +82,7 @@ class BoundModel {
   Params params_;
   int threshold_;
   BoundKind kind_;
+  std::vector<double> rank_speeds_;
   UpperArrivalRule upper_rule_;
 };
 

@@ -55,6 +55,8 @@ std::vector<JoinOutcome> join_outcomes(const State& m, const Params& p,
 WaitingProfile::WaitingProfile(const BoundModel& model, double tail_tol) {
   RLB_REQUIRE(model.kind() == BoundKind::Lower,
               "waiting-time profile implemented for the lower bound model");
+  RLB_REQUIRE(model.rank_speeds().empty(),
+              "waiting-time profile assumes one service rate: no rank speeds");
   const Params& p = model.params();
   mu_ = p.mu;
 

@@ -30,8 +30,9 @@ namespace rlb::sqd {
 /// answers CCDF/quantile queries cheaply.
 class WaitingProfile {
  public:
-  /// Requires model.kind() == BoundKind::Lower. `tail_tol` truncates the
-  /// geometric level series.
+  /// Requires model.kind() == BoundKind::Lower and no rank speeds: the
+  /// Erlang(v, mu) mixture assumes one service rate. `tail_tol` truncates
+  /// the geometric level series.
   explicit WaitingProfile(const BoundModel& model, double tail_tol = 1e-10);
 
   /// P(W > t).

@@ -4,7 +4,8 @@
 // Strategy: run many independent seeded adaptive cells of a model with a
 // closed-form answer — SQ(1) with N = 1 is exactly M/M/1, so the fast
 // jump-chain simulator's mean delay has the textbook value 1/(mu(1-rho))
-// and the bound-model CTMC's mean waiting jobs is rho^2/(1-rho) — and
+// and the bound model's mean waiting jobs under Poisson arrivals is
+// rho^2/(1-rho) — and
 // count how often the certified interval [mean ± half_width] contains
 // the truth. The empirical coverage must sit in a tolerance band around
 // the nominal confidence level. Everything is seeded, so the suite is
@@ -24,8 +25,9 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/bound_sim.h"
+#include "sim/distributions.h"
 #include "sim/fast_sqd.h"
+#include "sim/gi_bound_sim.h"
 #include "sim/replica.h"
 #include "sqd/bound_model.h"
 #include "sqd/mm_queues.h"
@@ -100,19 +102,21 @@ TEST(AdaptiveCoverage, Mm1MeanDelayAtNominal99) {
 }
 
 TEST(AdaptiveCoverage, BoundCtmcWaitingJobsAtNominal95) {
-  // Same experiment through the OTHER CI machinery: the bound-model CTMC
-  // tracks its waiting-jobs time average with holding-time-weighted
-  // batch means (WeightedBatchMeans). The lower bound model at N = 1
-  // collapses to M/M/1, whose mean queue length is rho^2 / (1 - rho).
+  // Same experiment through the OTHER CI machinery: the bound-model
+  // simulator tracks its waiting-jobs time average with time-weighted
+  // batch means (WeightedBatchMeans). With Poisson arrivals the lower
+  // bound model at N = 1 collapses to M/M/1, whose mean queue length is
+  // rho^2 / (1 - rho).
   const rlb::sqd::Mm1 exact{kRho, 1.0};
   const rlb::sqd::BoundModel model(rlb::sqd::Params{1, 1, kRho, 1.0}, 2,
                                    rlb::sqd::BoundKind::Lower);
+  const auto interarrival = rlb::sim::make_exponential(kRho);
   int covered = 0;
-  constexpr int kCtmcCells = 40;  // CTMC steps cost more than jumps
+  constexpr int kCtmcCells = 40;  // events cost more than jumps
   for (int cell = 0; cell < kCtmcCells; ++cell) {
     const auto seed = static_cast<std::uint64_t>(9000 + 13 * cell);
-    const auto res = rlb::sim::simulate_bound_model(
-        model, coverage_plan(0.10, 0.95, seed),
+    const auto res = rlb::sim::simulate_gi_lower_bound(
+        model, *interarrival, coverage_plan(0.10, 0.95, seed),
         ThreadBudget::serial());
     if (std::abs(res.mean_waiting_jobs - exact.mean_waiting_jobs()) <=
         res.adaptive.half_width)

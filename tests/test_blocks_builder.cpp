@@ -88,26 +88,36 @@ TEST(BlocksBuilder, Level0RepeatingStructureMatchesLevel1) {
 }
 
 TEST(BlocksBuilder, HigherLevelsRepeatToo) {
-  // Level 2 and level 3 rows must reproduce A2/A1/A0 as well.
-  const BoundModel model(Params{3, 2, 0.6, 1.0}, 3, BoundKind::Upper);
-  const BoundQbd q = build_bound_qbd(model);
-  const std::size_t m = q.blocks.block_size();
-  rlb::linalg::Matrix a2(m, m), a1(m, m), a0(m, m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const State from = q.space.level_state(3, j);
-    double outflow = 0.0;
-    for (const auto& t : model.transitions(from)) {
-      outflow += t.rate;
-      const auto loc = q.space.locate(t.to);
-      if (loc.level == 2) a2(j, loc.index) += t.rate;
-      if (loc.level == 3) a1(j, loc.index) += t.rate;
-      if (loc.level == 4) a0(j, loc.index) += t.rate;
-    }
-    a1(j, j) -= outflow;
+  // Level 3 rows must reproduce A2/A1/A0 as well, with rank speeds too:
+  // every level state has all N servers busy.
+  std::vector<BoundModel> models{
+      BoundModel(Params{3, 2, 0.6, 1.0}, 3, BoundKind::Upper)};
+  for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper}) {
+    models.emplace_back(Params{4, 2, 0.6, 1.0}, 3, kind,
+                        std::vector<double>{1.6, 1.2, 0.8, 0.4});
+    models.emplace_back(Params{4, 2, 0.6, 1.0}, 3, kind,
+                        std::vector<double>{1.75, 1.75, 0.25, 0.25});
   }
-  EXPECT_LT((a2 - q.blocks.A2).max_abs(), 1e-12);
-  EXPECT_LT((a1 - q.blocks.A1).max_abs(), 1e-12);
-  EXPECT_LT((a0 - q.blocks.A0).max_abs(), 1e-12);
+  for (const BoundModel& model : models) {
+    const BoundQbd q = build_bound_qbd(model);
+    const std::size_t m = q.blocks.block_size();
+    rlb::linalg::Matrix a2(m, m), a1(m, m), a0(m, m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const State from = q.space.level_state(3, j);
+      double outflow = 0.0;
+      for (const auto& t : model.transitions(from)) {
+        outflow += t.rate;
+        const auto loc = q.space.locate(t.to);
+        if (loc.level == 2) a2(j, loc.index) += t.rate;
+        if (loc.level == 3) a1(j, loc.index) += t.rate;
+        if (loc.level == 4) a0(j, loc.index) += t.rate;
+      }
+      a1(j, j) -= outflow;
+    }
+    EXPECT_LT((a2 - q.blocks.A2).max_abs(), 1e-12);
+    EXPECT_LT((a1 - q.blocks.A1).max_abs(), 1e-12);
+    EXPECT_LT((a0 - q.blocks.A0).max_abs(), 1e-12);
+  }
 }
 
 TEST(BlocksBuilder, LowerA0IsArrivalsOnly) {

@@ -1,7 +1,11 @@
 #include "sqd/bound_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,20 +43,31 @@ bool precedes(const State& a, const State& b) {
   return true;
 }
 
+// Rank-speed profiles (N = 4, each summing to N) the model tests run
+// besides the homogeneous model; the empty profile is the homogeneous one.
+const std::vector<std::vector<double>> kSpeedProfiles{
+    {}, {1.6, 1.2, 0.8, 0.4}, {1.75, 1.75, 0.25, 0.25}};
+
 TEST(BoundModel, TargetsStayInSpace) {
   for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper}) {
     for (int t : {1, 2, 3}) {
-      const BoundModel model(Params{3, 2, 0.8, 1.0}, t, kind);
-      const ss::LevelSpace space(3, t);
-      for (const State& m : space.boundary_states()) {
-        for (const auto& tr : model.transitions(m))
-          EXPECT_TRUE(model.contains(tr.to))
-              << ss::to_string(m) << " -> " << ss::to_string(tr.to);
-      }
-      for (std::size_t j = 0; j < space.block_size(); ++j) {
-        const State m = space.level_state(1, j);
-        for (const auto& tr : model.transitions(m))
-          EXPECT_TRUE(model.contains(tr.to));
+      std::vector<BoundModel> models{
+          BoundModel(Params{3, 2, 0.8, 1.0}, t, kind)};
+      for (const auto& speeds : kSpeedProfiles)
+        if (!speeds.empty())
+          models.emplace_back(Params{4, 2, 0.8, 1.0}, t, kind, speeds);
+      for (const BoundModel& model : models) {
+        const ss::LevelSpace space(model.params().N, t);
+        for (const State& m : space.boundary_states()) {
+          for (const auto& tr : model.transitions(m))
+            EXPECT_TRUE(model.contains(tr.to))
+                << ss::to_string(m) << " -> " << ss::to_string(tr.to);
+        }
+        for (std::size_t j = 0; j < space.block_size(); ++j) {
+          const State m = space.level_state(1, j);
+          for (const auto& tr : model.transitions(m))
+            EXPECT_TRUE(model.contains(tr.to));
+        }
       }
     }
   }
@@ -136,15 +151,22 @@ TEST(BoundModel, UpperPausesBottomDeparture) {
 }
 
 TEST(BoundModel, LowerPreservesTotalOutflow) {
-  // The lower bound model only redirects, never drops, transitions.
+  // The lower bound model only redirects, never drops, transitions. Busy
+  // servers are a prefix of the sorted state, so their rank speeds add up
+  // to the departure rate.
   const Params p{4, 2, 0.9, 1.0};
-  const BoundModel lower(p, 2, BoundKind::Lower);
   const ss::LevelSpace space(4, 2);
-  for (const State& m : space.boundary_states()) {
-    const double expected =
-        p.total_arrival_rate() + ss::busy_servers(m) * p.mu;
-    EXPECT_NEAR(total_rate(lower.transitions(m)), expected, 1e-10)
-        << ss::to_string(m);
+  for (const auto& speeds : kSpeedProfiles) {
+    const BoundModel lower(p, 2, BoundKind::Lower, speeds);
+    for (const State& m : space.boundary_states()) {
+      const int busy = ss::busy_servers(m);
+      double capacity = busy;
+      if (!speeds.empty())
+        capacity = std::accumulate(speeds.begin(), speeds.begin() + busy, 0.0);
+      EXPECT_NEAR(total_rate(lower.transitions(m)),
+                  p.total_arrival_rate() + capacity * p.mu, 1e-10)
+          << ss::to_string(m);
+    }
   }
 }
 
@@ -197,20 +219,25 @@ TEST(BoundModel, RedirectsArePrecedenceMonotone) {
 TEST(BoundModel, ShiftInvarianceLemma1) {
   // p_{m, m'} = p_{m+1, m'+1} for fully-busy states: the transition lists
   // from m and m+1 must match modulo the +1 shift.
+  // Rank speeds keep it: every level state has all N servers busy.
   const Params p{4, 3, 0.85, 1.0};
-  for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper}) {
-    const BoundModel model(p, 2, kind);
-    const ss::LevelSpace space(4, 2);
-    for (std::size_t j = 0; j < space.block_size(); ++j) {
-      const State m = space.level_state(0, j);
-      const State m_shift = space.level_state(1, j);
-      auto base = as_map(model.transitions(m));
-      auto shifted = as_map(model.transitions(m_shift));
-      ASSERT_EQ(base.size(), shifted.size());
-      for (const auto& [to, rate] : base) {
-        const State to_shift = ss::plus_one_everywhere(to);
-        ASSERT_EQ(shifted.count(to_shift), 1u) << ss::to_string(to);
-        EXPECT_NEAR(shifted.at(to_shift), rate, 1e-12);
+  const ss::LevelSpace space(4, 2);
+  for (const auto& speeds : kSpeedProfiles) {
+    for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper}) {
+      const BoundModel model(p, 2, kind, speeds);
+      for (int level : {0, 1}) {
+        for (std::size_t j = 0; j < space.block_size(); ++j) {
+          const State m = space.level_state(level, j);
+          const State m_shift = space.level_state(level + 1, j);
+          auto base = as_map(model.transitions(m));
+          auto shifted = as_map(model.transitions(m_shift));
+          ASSERT_EQ(base.size(), shifted.size());
+          for (const auto& [to, rate] : base) {
+            const State to_shift = ss::plus_one_everywhere(to);
+            ASSERT_EQ(shifted.count(to_shift), 1u) << ss::to_string(to);
+            EXPECT_NEAR(shifted.at(to_shift), rate, 1e-12);
+          }
+        }
       }
     }
   }
@@ -219,6 +246,25 @@ TEST(BoundModel, ShiftInvarianceLemma1) {
 TEST(BoundModel, RequiresPositiveThreshold) {
   EXPECT_THROW(BoundModel(Params{3, 2, 0.5, 1.0}, 0, BoundKind::Lower),
                std::invalid_argument);
+}
+
+TEST(BoundModel, RejectsBadRankSpeeds) {
+  // A profile must hold N positive entries summing to N.
+  const Params p{3, 2, 0.5, 1.0};
+  const auto build = [&p](std::vector<double> speeds) {
+    return BoundModel(p, 2, BoundKind::Lower, std::move(speeds));
+  };
+  // Wrong length.
+  EXPECT_THROW(build({1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(build({1.0, 1.0, 1.0, 1.0}), std::invalid_argument);
+  // A non-positive or NaN entry, even where the sum is N.
+  EXPECT_THROW(build({2.0, -1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(build({1.5, 0.0, 1.5}), std::invalid_argument);
+  EXPECT_THROW(build({std::nan(""), 1.5, 1.5}), std::invalid_argument);
+  // A sum other than N.
+  EXPECT_THROW(build({1.0, 1.0, 1.5}), std::invalid_argument);
+  EXPECT_THROW(build({0.5, 0.5, 0.5}), std::invalid_argument);
+  EXPECT_NO_THROW(build({1.5, 1.0, 0.5}));
 }
 
 TEST(BoundModel, RejectsStateOutsideSpace) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/bound_sim.h"
 #include "sim/gi_bound_sim.h"
 #include "sqd/bound_solver.h"
 #include "sqd/interarrival.h"
@@ -46,12 +45,11 @@ TEST(GiBoundSim, UnitRankSpeedsMatchHomogeneousStatistically) {
   // different stream: statistically close, not bit-identical.
   const double rho = 0.8;
   const Params p{3, 2, rho, 1.0};
-  const BoundModel model(p, 2, BoundKind::Lower);
+  const BoundModel homog_model(p, 2, BoundKind::Lower);
+  const BoundModel ones_model(p, 2, BoundKind::Lower, {1.0, 1.0, 1.0});
   const auto arr = rlb::sim::make_exponential(rho * 3);
-  const auto homog = run_one(model, *arr, 2'000'000, 200'000, 17);
-  const auto hetero = simulate_gi_lower_bound(
-      model, *arr, AdaptivePlan::fixed(1, 2'000'000, 200'000, 17), serial(),
-      {1.0, 1.0, 1.0});
+  const auto homog = run_one(homog_model, *arr, 2'000'000, 200'000, 17);
+  const auto hetero = run_one(ones_model, *arr, 2'000'000, 200'000, 17);
   EXPECT_NEAR(hetero.mean_jobs, homog.mean_jobs,
               0.03 * (1.0 + homog.mean_jobs));
   EXPECT_NEAR(hetero.mean_waiting_jobs, homog.mean_waiting_jobs,
@@ -59,53 +57,43 @@ TEST(GiBoundSim, UnitRankSpeedsMatchHomogeneousStatistically) {
 }
 
 TEST(GiBoundSim, HeteroAgreesWithCtmcJumpChain) {
-  // With exponential interarrivals the GI simulator and the CTMC jump
-  // chain simulate the same heterogeneous-rate chain through independent
-  // implementations; their long-run averages must agree.
+  // With exponential interarrivals the GI simulator runs the
+  // heterogeneous-rate CTMC that the matrix-geometric solver solves
+  // exactly, through an independent implementation: the exact mean must
+  // lie within a few CI half-widths of the simulated one.
   const double rho = 0.8;
   const Params p{4, 2, rho, 1.0};
-  const BoundModel model(p, 3, BoundKind::Lower);
-  const std::vector<double> speeds{1.5, 1.5, 0.5, 0.5};
+  const BoundModel model(p, 3, BoundKind::Lower, {1.5, 1.5, 0.5, 0.5});
   const auto arr = rlb::sim::make_exponential(rho * 4);
-  const auto gi = simulate_gi_lower_bound(
-      model, *arr, AdaptivePlan::fixed(1, 2'000'000, 200'000, 19), serial(),
-      speeds);
-  const auto ctmc = rlb::sim::simulate_bound_model(
-      model, AdaptivePlan::fixed(1, 2'000'000, 200'000, 23), serial(),
-      speeds);
-  EXPECT_NEAR(gi.mean_waiting_jobs, ctmc.mean_waiting_jobs,
-              0.05 * (1.0 + ctmc.mean_waiting_jobs));
-  EXPECT_NEAR(gi.mean_jobs, ctmc.mean_jobs, 0.05 * (1.0 + ctmc.mean_jobs));
+  const auto gi = run_one(model, *arr, 2'000'000, 200'000, 19);
+  const auto exact = rlb::sqd::solve_bound(model);
+  EXPECT_NEAR(gi.mean_waiting_jobs, exact.mean_waiting_jobs,
+              3.0 * gi.ci95_waiting_jobs);
+  EXPECT_NEAR(gi.mean_jobs, exact.mean_jobs, 0.02 * exact.mean_jobs);
 }
 
 TEST(GiBoundSim, HeteroIsThreadBudgetInvariant) {
   const double rho = 0.8;
   const Params p{3, 2, rho, 1.0};
-  const BoundModel model(p, 2, BoundKind::Lower);
-  const std::vector<double> speeds{1.5, 1.0, 0.5};
+  const BoundModel model(p, 2, BoundKind::Lower, {1.5, 1.0, 0.5});
   const auto arr = rlb::sim::make_exponential(rho * 3);
   const auto plan = AdaptivePlan::fixed(3, 120'000, 12'000, 29);
-  const auto one = simulate_gi_lower_bound(model, *arr, plan, serial(),
-                                           speeds);
+  const auto one = simulate_gi_lower_bound(model, *arr, plan, serial());
   rlb::util::ThreadBudget four(4);
-  const auto parallel =
-      simulate_gi_lower_bound(model, *arr, plan, four, speeds);
+  const auto parallel = simulate_gi_lower_bound(model, *arr, plan, four);
   EXPECT_DOUBLE_EQ(parallel.mean_jobs, one.mean_jobs);
   EXPECT_DOUBLE_EQ(parallel.mean_waiting_jobs, one.mean_waiting_jobs);
   ASSERT_EQ(parallel.total_jobs_dist.size(), one.total_jobs_dist.size());
 }
 
 TEST(GiBoundSim, ValidatesRankSpeeds) {
+  // The simulator takes its speeds from the model, whose constructor
+  // checks them: a bad profile never reaches a run.
   const Params p{3, 2, 0.8, 1.0};
-  const BoundModel model(p, 2, BoundKind::Lower);
-  const auto arr = rlb::sim::make_exponential(0.8 * 3);
-  const auto plan = AdaptivePlan::fixed(1, 1000, 100, 1);
-  EXPECT_THROW(
-      simulate_gi_lower_bound(model, *arr, plan, serial(), {1.0, 1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      simulate_gi_lower_bound(model, *arr, plan, serial(), {0.0, 1.0, 1.0}),
-      std::invalid_argument);
+  EXPECT_THROW(BoundModel(p, 2, BoundKind::Lower, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(BoundModel(p, 2, BoundKind::Lower, {0.0, 1.5, 1.5}),
+               std::invalid_argument);
 }
 
 TEST(GiBoundSim, PoissonMatchesMatrixGeometricSolver) {

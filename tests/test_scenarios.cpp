@@ -137,7 +137,7 @@ std::vector<SmokeRow> smoke_rows() {
       {"fleet_scaling", true, fleet_timed, {},
        {"sq(2) ns/job", "jiq ns/job", "jsq-h ns/job"}},
       {"heavy_tail_service", true, {"--jobs=15000"}},
-      {"hetero_fleet_bounds", true, {"--steps=120000", "--arrivals=60000"},
+      {"hetero_fleet_bounds", true, {"--arrivals=60000"},
        {"--target-ci=0.2", "--max-jobs=240000"}},
       {"logreduction_iters", false},
       {"policy_comparison", true, {"--jobs=30000"}, adaptive},
@@ -328,6 +328,34 @@ TEST(Scenarios, HeavyTailExpColumnReproducesTheLegacyStream) {
             std::string::npos);
   EXPECT_NE(json.find(rlb::util::fmt(direct.p99_sojourn, 4)),
             std::string::npos);
+}
+
+TEST(Scenarios, HeteroFleetRandomCellsPastCapacityPrintUnstable) {
+  // Random routing loads a server of speed s with rho / s. At rho = 0.75
+  // the slow half (speed 2 - skew) is at or past capacity from skew 1.25
+  // on, so those cells print "unstable" unsimulated; the 1:1 cell prints
+  // the plain simulate_cluster run.
+  using namespace rlb::sim;
+  ClusterConfig cfg;
+  cfg.servers = 4;
+  cfg.server_speeds = {1.0, 1.0, 1.0, 1.0};
+  const auto interarrival = make_exponential(0.75 * 4);
+  RenewalArrivals arrivals(*interarrival);
+  const auto service = make_exponential(1.0);
+  SqdPolicy random(4, 1);
+  const auto direct = simulate_cluster(
+      cfg, random, arrivals, *service,
+      AdaptivePlan::fixed(1, 60'000, 6'000, rlb::engine::cell_seed(11223, 0)),
+      rlb::util::ThreadBudget::serial());
+
+  const Rendered run = run_scenario(
+      "hetero_fleet_bounds", {"--arrivals=60000"}, 2, 1);
+  const rlb::util::Table& des = run.out.tables.at(1).table;
+  ASSERT_EQ(run.out.tables.at(1).name, "des");
+  ASSERT_EQ(des.data().size(), 4u);
+  EXPECT_EQ(des.data()[0][1], rlb::util::fmt(direct.mean_sojourn, 3));
+  for (std::size_t row = 1; row < 4; ++row)
+    EXPECT_EQ(des.data()[row][1], "unstable") << des.data()[row][0];
 }
 
 TEST(Scenarios, DiurnalSurgeReplaysTheGoldenTrace) {

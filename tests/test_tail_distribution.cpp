@@ -1,6 +1,7 @@
 #include "sqd/tail_distribution.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,11 +40,14 @@ TEST(TailDistribution, SingleServerIsMm1Geometric) {
 
 TEST(TailDistribution, MeanMatchesBoundSolver) {
   for (BoundKind kind : {BoundKind::Lower, BoundKind::Upper}) {
-    const BoundModel model(Params{3, 2, 0.6, 1.0}, 2, kind);
-    const auto td = marginal_queue_tail(model, 60);
-    const auto r = rlb::sqd::solve_bound(model);
-    // mean queue per server from the tail == mean_jobs / N.
-    EXPECT_NEAR(td.mean_queue_length(), r.mean_jobs / 3.0, 1e-6);
+    for (const std::vector<double>& speeds :
+         {std::vector<double>{}, {1.5, 1.0, 0.5}}) {
+      const BoundModel model(Params{3, 2, 0.6, 1.0}, 2, kind, speeds);
+      const auto td = marginal_queue_tail(model, 60);
+      const auto r = rlb::sqd::solve_bound(model);
+      // mean queue per server from the tail == mean_jobs / N.
+      EXPECT_NEAR(td.mean_queue_length(), r.mean_jobs / 3.0, 1e-6);
+    }
   }
 }
 

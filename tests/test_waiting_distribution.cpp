@@ -129,6 +129,10 @@ TEST(WaitingDistribution, DomainChecks) {
   EXPECT_THROW(waiting_time_ccdf(upper, {1.0}), std::invalid_argument);
   EXPECT_THROW(waiting_time_ccdf(lower, {-1.0}), std::invalid_argument);
   EXPECT_THROW(waiting_time_quantile(lower, 1.0), std::invalid_argument);
+  // The Erlang(v, mu) mixture assumes one service rate.
+  const BoundModel ranked(Params{2, 2, 0.5, 1.0}, 1, BoundKind::Lower,
+                          {1.5, 0.5});
+  EXPECT_THROW(waiting_time_ccdf(ranked, {1.0}), std::invalid_argument);
 }
 
 }  // namespace
