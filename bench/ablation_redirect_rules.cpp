@@ -1,5 +1,6 @@
 // Scenario "ablation_redirect_rules" — the upper model's arrival-redirect
-// rule (see DESIGN.md).
+// rule (the precedence argument for each rule is at
+// BoundModel::arrival_target in sqd/bound_model.h).
 //
 // The source text of the paper lacks the figures that specify the exact
 // redirection; two precedence-valid reconstructions exist:

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/adaptive_columns.h"
@@ -17,17 +18,32 @@
 #include "sim/cluster_sim.h"
 #include "sim/gi_bound_sim.h"
 #include "sqd/bound_model.h"
-#include "sqd/interarrival.h"
 #include "util/table.h"
 
 namespace {
 
 using rlb::engine::ScenarioContext;
 using rlb::engine::ScenarioOutput;
-using namespace rlb::sqd;
+using rlb::sim::Distribution;
+using rlb::sim::solve_sigma;
 
-// scv = 4 hyperexponential fit used throughout.
-const double kP1 = 0.5 * (1.0 + std::sqrt(3.0 / 5.0));
+// The four families of the sigma and DES tables, least to most bursty.
+const std::vector<std::string> kFamilies{"deterministic", "erlang(4)",
+                                         "poisson", "hyperexp(scv=4)"};
+
+/// kFamilies[family] with the given mean interarrival time.
+std::unique_ptr<Distribution> family_law(std::size_t family, double mean) {
+  switch (family) {
+    case 0:
+      return rlb::sim::make_deterministic(mean);
+    case 1:
+      return rlb::sim::make_erlang(4, 4.0 / mean);
+    case 2:
+      return rlb::sim::make_exponential(1.0 / mean);
+    default:
+      return rlb::sim::make_hyperexp_fitted(mean, 4.0);
+  }
+}
 
 ScenarioOutput run(ScenarioContext& ctx) {
   const int n = ctx.cli().get_int<int>("n", 6);
@@ -41,56 +57,35 @@ ScenarioOutput run(ScenarioContext& ctx) {
       "arrivals.\nsigma orders by burstiness: deterministic < erlang < "
       "poisson < hyperexp.";
 
-  auto& sigma_table = out.add_table(
-      "sigma", {"rho", "deterministic", "erlang(4)", "poisson",
-                "hyperexp(scv=4)"});
+  std::vector<std::string> sigma_header{"rho"};
+  sigma_header.insert(sigma_header.end(), kFamilies.begin(), kFamilies.end());
+  auto& sigma_table = out.add_table("sigma", sigma_header);
   for (double load : {0.3, 0.5, 0.7, 0.8, 0.9, 0.95}) {
-    // All with mean interarrival 1/load (per-server utilization load, mu=1).
-    const DeterministicInterarrival det(1.0 / load);
-    const ErlangInterarrival erl(4, 4.0 * load);
-    const ExponentialInterarrival poi(load);
-    const HyperExpInterarrival hyp(kP1, 2.0 * kP1 * load,
-                                   2.0 * (1.0 - kP1) * load);
-    sigma_table.add_row_numeric(
-        {load, solve_sigma(det, 1.0).sigma, solve_sigma(erl, 1.0).sigma,
-         solve_sigma(poi, 1.0).sigma, solve_sigma(hyp, 1.0).sigma},
-        6);
+    // Per-server laws of mean 1/load at mu = 1: utilization load.
+    std::vector<double> row{load};
+    for (std::size_t f = 0; f < kFamilies.size(); ++f)
+      row.push_back(solve_sigma(*family_law(f, 1.0 / load), 1.0).sigma);
+    sigma_table.add_row_numeric(row, 6);
   }
 
   // Simulation cross-check: delay of GI/M SQ(2) clusters of --n servers at
   // utilization --rho orders the same way as sigma. Cells 0-3 are the DES
   // runs; cells 4-6 simulate the lower bound model itself for the
-  // Theorem 2 tail check.
+  // Theorem 2 tail check. Each row's sigma comes from the law it
+  // simulates, at the pooled service rate N mu of the cluster stream.
   const double mean_ia = 1.0 / (rho * n);  // cluster-level stream
+  std::vector<std::unique_ptr<Distribution>> des_laws;
+  for (std::size_t f = 0; f < kFamilies.size(); ++f)
+    des_laws.push_back(family_law(f, mean_ia));
 
   const int n2 = 2;
   const double rho2 = 0.85;
   const double cluster2 = rho2 * n2;
-
-  const auto des_sampler =
-      [&](std::size_t task) -> std::unique_ptr<rlb::sim::Distribution> {
-    switch (task) {
-      case 0:
-        return rlb::sim::make_deterministic(mean_ia);
-      case 1:
-        return rlb::sim::make_erlang(4, 4.0 / mean_ia);
-      case 2:
-        return rlb::sim::make_exponential(1.0 / mean_ia);
-      default:
-        return rlb::sim::make_hyperexp_fitted(mean_ia, 4.0);
-    }
-  };
-  const auto tail_sampler =
-      [&](std::size_t task) -> std::unique_ptr<rlb::sim::Distribution> {
-    switch (task) {
-      case 0:
-        return rlb::sim::make_erlang(3, 3.0 * cluster2);
-      case 1:
-        return rlb::sim::make_exponential(cluster2);
-      default:
-        return rlb::sim::make_deterministic(1.0 / cluster2);
-    }
-  };
+  std::vector<std::pair<std::string, std::unique_ptr<Distribution>>> tail_laws;
+  tail_laws.emplace_back("erlang(3)", rlb::sim::make_erlang(3, 3.0 * cluster2));
+  tail_laws.emplace_back("poisson", rlb::sim::make_exponential(cluster2));
+  tail_laws.emplace_back("deterministic",
+                         rlb::sim::make_deterministic(1.0 / cluster2));
 
   // All DES cells share one seed and all tail cells share another, so the
   // arrival families are compared under common random numbers (as the
@@ -105,8 +100,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
       rlb::sim::ClusterConfig cfg;
       cfg.servers = n;
       rlb::sim::SqdPolicy policy(n, 2);
-      const auto arr = des_sampler(i);
-      rlb::sim::RenewalArrivals arrivals(*arr);
+      rlb::sim::RenewalArrivals arrivals(*des_laws[i]);
       const auto svc = rlb::sim::make_exponential(1.0);
       const auto res = rlb::sim::simulate_cluster(
           cfg, policy, arrivals, *svc,
@@ -116,12 +110,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
     }
     const rlb::sqd::BoundModel lower(rlb::sqd::Params{n2, 2, rho2, 1.0}, 2,
                                      rlb::sqd::BoundKind::Lower);
-    const auto sampler = tail_sampler(i - 4);
     // Under --target-ci the stopping target is the waiting-jobs CI (the
     // level ratio has no interval of its own); the tail estimate rides
     // along.
     const auto res = rlb::sim::simulate_gi_lower_bound(
-        lower, *sampler,
+        lower, *tail_laws[i - 4].second,
         ctx.plan(rlb::engine::cell_seed(seed, 1), 4 * jobs, jobs / 2),
         ctx.budget());
     return Cell{res.level_tail_ratio, res.adaptive};
@@ -130,20 +123,10 @@ ScenarioOutput run(ScenarioContext& ctx) {
   std::vector<std::string> des_header{"arrivals", "sigma", "sim mean delay"};
   if (adaptive) rlb::engine::add_adaptive_columns(des_header);
   auto& sim_table = out.add_table("des_crosscheck", des_header);
-  const std::vector<std::pair<std::string, double>> des_entries{
-      {"deterministic",
-       solve_sigma(DeterministicInterarrival(1.0 / rho), 1.0).sigma},
-      {"erlang(4)", solve_sigma(ErlangInterarrival(4, 4.0 * rho), 1.0).sigma},
-      {"poisson", solve_sigma(ExponentialInterarrival(rho), 1.0).sigma},
-      {"hyperexp(scv=4)",
-       solve_sigma(HyperExpInterarrival(kP1, 2.0 * kP1 * rho,
-                                        2.0 * (1.0 - kP1) * rho),
-                   1.0)
-           .sigma}};
-  for (std::size_t i = 0; i < des_entries.size(); ++i) {
-    std::vector<std::string> row{des_entries[i].first,
-                                 rlb::util::fmt(des_entries[i].second, 5),
-                                 rlb::util::fmt(cells[i].value, 4)};
+  for (std::size_t i = 0; i < des_laws.size(); ++i) {
+    std::vector<std::string> row{
+        kFamilies[i], rlb::util::fmt(solve_sigma(*des_laws[i], n).sigma, 5),
+        rlb::util::fmt(cells[i].value, 4)};
     if (adaptive) rlb::engine::add_adaptive_cells(row, cells[i].report);
     sim_table.add_row(std::move(row));
   }
@@ -159,17 +142,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
                                        "measured level ratio"};
   if (adaptive) rlb::engine::add_adaptive_columns(tail_header);
   auto& tail_table = out.add_table("thm2_tail", tail_header);
-  const std::vector<std::pair<std::string, double>> tail_entries{
-      {"erlang(3)",
-       solve_sigma(ErlangInterarrival(3, 3.0 * cluster2), n2).sigma},
-      {"poisson", solve_sigma(ExponentialInterarrival(cluster2), n2).sigma},
-      {"deterministic",
-       solve_sigma(DeterministicInterarrival(1.0 / cluster2), n2).sigma}};
-  for (std::size_t i = 0; i < tail_entries.size(); ++i) {
-    std::vector<std::string> row{
-        tail_entries[i].first,
-        rlb::util::fmt(std::pow(tail_entries[i].second, n2), 5),
-        rlb::util::fmt(cells[4 + i].value, 5)};
+  for (std::size_t i = 0; i < tail_laws.size(); ++i) {
+    const double sigma = solve_sigma(*tail_laws[i].second, n2).sigma;
+    std::vector<std::string> row{tail_laws[i].first,
+                                 rlb::util::fmt(std::pow(sigma, n2), 5),
+                                 rlb::util::fmt(cells[4 + i].value, 5)};
     if (adaptive) rlb::engine::add_adaptive_cells(row, cells[4 + i].report);
     tail_table.add_row(std::move(row));
   }

@@ -6,7 +6,8 @@
 // clusters — the paper's finite-regime bounds give safe answers. For each
 // N we find the highest utilization whose delay (certified by the bounds)
 // stays below the SLO, and compare with what the asymptotic formula would
-// have claimed. Each N is one sweep cell (three rho scans).
+// have claimed. Each N is one sweep cell (three rho searches).
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,14 +25,23 @@ using rlb::sqd::BoundKind;
 using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
 
-// Largest rho (on a grid) such that delay_at(rho) stays below the SLO.
+// Largest rho on the grid 0.05, 0.06, ..., 0.99 whose delay_at(rho) stays
+// within the SLO, or 0 if none does. Each delay here grows with rho, so
+// the SLO holds on a prefix of the grid, and bisecting over the grid's
+// indices finds that prefix's end in at most 7 solves instead of 95.
 template <typename F>
 double max_utilization(F&& delay_at, double slo) {
-  double best = 0.0;
-  for (double rho = 0.05; rho <= 0.99; rho += 0.01) {
-    if (delay_at(rho) <= slo) best = rho;
+  std::vector<double> grid;
+  for (double rho = 0.05; rho <= 0.99; rho += 0.01) grid.push_back(rho);
+  // The SLO holds at grid[lo] (or lo = -1) and fails at grid[hi] (or hi is
+  // past the end).
+  std::ptrdiff_t lo = -1;
+  auto hi = static_cast<std::ptrdiff_t>(grid.size());
+  while (hi - lo > 1) {
+    const std::ptrdiff_t mid = lo + (hi - lo) / 2;
+    (delay_at(grid[mid]) <= slo ? lo : hi) = mid;
   }
-  return best;
+  return lo < 0 ? 0.0 : grid[lo];
 }
 
 struct CellResult {

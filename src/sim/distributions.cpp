@@ -11,6 +11,11 @@
 
 namespace rlb::sim {
 
+double Distribution::lst(double) const {
+  throw std::invalid_argument(
+      "no closed-form Laplace-Stieltjes transform for the " + name() + " law");
+}
+
 namespace {
 
 class Exponential final : public Distribution {
@@ -20,6 +25,7 @@ class Exponential final : public Distribution {
   }
   double sample(Rng& rng) const override { return rng.exponential(rate_); }
   double mean() const override { return 1.0 / rate_; }
+  double lst(double s) const override { return rate_ / (rate_ + s); }
   std::string name() const override { return "exp"; }
 
  private:
@@ -33,6 +39,7 @@ class Deterministic final : public Distribution {
   }
   double sample(Rng&) const override { return value_; }
   double mean() const override { return value_; }
+  double lst(double s) const override { return std::exp(-s * value_); }
   std::string name() const override { return "det"; }
 
  private:
@@ -51,6 +58,9 @@ class Erlang final : public Distribution {
     return total;
   }
   double mean() const override { return shape_ / rate_; }
+  double lst(double s) const override {
+    return std::pow(rate_ / (rate_ + s), shape_);
+  }
   std::string name() const override {
     return "erlang" + std::to_string(shape_);
   }
@@ -72,6 +82,9 @@ class HyperExp final : public Distribution {
                                    : rng.exponential(rate2_);
   }
   double mean() const override { return p1_ / rate1_ + (1.0 - p1_) / rate2_; }
+  double lst(double s) const override {
+    return p1_ * rate1_ / (rate1_ + s) + (1.0 - p1_) * rate2_ / (rate2_ + s);
+  }
   std::string name() const override { return "hyperexp2"; }
 
  private:

@@ -1,7 +1,9 @@
 // Sampling distributions for service times and interarrival times in the
-// discrete-event simulator. The analysis-side Interarrival classes
-// (sqd/interarrival.h) carry transforms; these carry samplers. The factory
-// helpers keep bench code terse.
+// discrete-event simulator. Each law is one class: its sampler, its mean
+// and, for the exponential, Erlang, hyperexponential and deterministic
+// laws, the Laplace-Stieltjes transform that Theorem 2's sigma equation
+// reads (solve_sigma in sim/gi_bound_sim.h). The factory helpers keep
+// bench code terse.
 #pragma once
 
 #include <memory>
@@ -16,6 +18,10 @@ class Distribution {
   virtual ~Distribution() = default;
   [[nodiscard]] virtual double sample(Rng& rng) const = 0;
   [[nodiscard]] virtual double mean() const = 0;
+  /// Laplace-Stieltjes transform E[e^{-sX}], s >= 0. The exponential,
+  /// Erlang, hyperexponential and deterministic laws give it in closed
+  /// form; every other law throws std::invalid_argument.
+  [[nodiscard]] virtual double lst(double s) const;
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

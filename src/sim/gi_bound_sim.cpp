@@ -1,15 +1,15 @@
 #include "sim/gi_bound_sim.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <utility>
 
 #include "sim/replica.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "statespace/state.h"
-#include "util/combinatorics.h"
 #include "util/require.h"
+#include "util/rootfind.h"
 
 namespace rlb::sim {
 
@@ -18,39 +18,31 @@ namespace {
 using statespace::State;
 using statespace::TieGroup;
 
-/// Apply a lower-model arrival to the sorted state in place.
-void apply_arrival(State& m, int threshold, const sqd::Params& p, Rng& rng) {
+/// Apply an arrival: the SQ(d) polling probabilities pick the receiving
+/// tie group, and the model redirects a gap-breaking arrival.
+void apply_arrival(State& m, const sqd::BoundModel& model, Rng& rng) {
   const auto groups = statespace::tie_groups(m);
-  // Choose the receiving tie group by the SQ(d) polling probabilities.
   double u = rng.next_double();
-  int head = groups.back().head;  // fallback to the shortest group
+  const TieGroup* joined = &groups.back();  // fallback to the shortest group
   for (const TieGroup& g : groups) {
-    const double prob = sqd::arrival_group_probability(g.head, g.size(), p);
-    u -= prob;
+    u -= sqd::arrival_group_probability(g.head, g.size(), model.params());
     if (u <= 0.0) {
-      head = g.head;
+      joined = &g;
       break;
     }
   }
-  m[head] += 1;
-  if (statespace::gap(m) > threshold) {
-    // Lower-model redirect: join the shortest queue instead.
-    m[head] -= 1;
-    m[groups.back().head] += 1;
-  }
-  RLB_ASSERT(statespace::is_valid_state(m) &&
-                 statespace::gap(m) <= threshold,
-             "GI arrival left S(T)");
+  m = model.arrival_target(std::move(m), groups, *joined);
 }
 
-/// Apply a lower-model departure in place. With empty `speed_prefix`
-/// (homogeneous rates) the departing server is a uniform busy server;
-/// with rank speeds (speed_prefix[k] = sum of the first k rank speeds)
-/// the busy rank departs proportionally to its service rate.
-void apply_departure(State& m, int threshold,
+/// Apply a departure, redirected by the model at the gap boundary. With
+/// empty `speed_prefix` (homogeneous rates) the departing server is a
+/// uniform busy server; with rank speeds (speed_prefix[k] = sum of the
+/// first k rank speeds) the busy rank departs proportionally to its
+/// service rate.
+void apply_departure(State& m, const sqd::BoundModel& model,
                      const std::vector<double>& speed_prefix, Rng& rng) {
   const auto groups = statespace::tie_groups(m);
-  int tail = -1;
+  const TieGroup* left = nullptr;
   if (speed_prefix.empty()) {
     // Pick a busy server uniformly: group weight = size (value > 0 only).
     int busy = 0;
@@ -61,7 +53,7 @@ void apply_departure(State& m, int threshold,
     for (const TieGroup& g : groups) {
       if (g.value == 0) continue;
       if (pick < g.size()) {
-        tail = g.tail;
+        left = &g;
         break;
       }
       pick -= g.size();
@@ -76,26 +68,17 @@ void apply_departure(State& m, int threshold,
       if (g.value == 0) continue;
       u -= speed_prefix[g.tail + 1] - speed_prefix[g.head];
       if (u <= 0.0) {
-        tail = g.tail;
+        left = &g;
         break;
       }
     }
-    if (tail < 0) {  // numeric slack: fall back to the last busy group
+    if (left == nullptr) {  // numeric slack: fall back to the last busy group
       for (const TieGroup& g : groups)
-        if (g.value > 0) tail = g.tail;
+        if (g.value > 0) left = &g;
     }
   }
-  RLB_ASSERT(tail >= 0, "no departing group found");
-  m[tail] -= 1;
-  if (statespace::gap(m) > threshold) {
-    // Lower-model redirect: jockey — take the departure from the longest
-    // queue instead.
-    m[tail] += 1;
-    m[statespace::tie_groups(m).front().tail] -= 1;
-  }
-  RLB_ASSERT(statespace::is_valid_state(m) &&
-                 statespace::gap(m) <= threshold,
-             "GI departure left S(T)");
+  RLB_ASSERT(left != nullptr, "no departing group found");
+  m = model.departure_target(std::move(m), groups, *left);
 }
 
 /// Raw per-replica accumulators; the occupancy histogram merges
@@ -127,7 +110,6 @@ Accum run_one_replica(const sqd::BoundModel& model,
                       std::uint64_t arrivals, std::uint64_t warmup,
                       std::uint64_t batch, std::uint64_t seed) {
   const sqd::Params& p = model.params();
-  const int threshold = model.threshold();
   const std::vector<double>& rank_speeds = model.rank_speeds();
 
   // speed_prefix[k] = sum of the first k rank speeds, so the pooled
@@ -176,14 +158,14 @@ Accum run_one_replica(const sqd::BoundModel& model,
     if (dt_arrival <= t_departure) {
       account(dt_arrival);
       now = next_arrival;
-      apply_arrival(m, threshold, p, rng);
+      apply_arrival(m, model, rng);
       ++arrival_count;
       if (arrival_count == warmup) measuring = true;
       next_arrival = now + interarrival.sample(rng);
     } else {
       account(t_departure);
       now += t_departure;
-      apply_departure(m, threshold, speed_prefix, rng);
+      apply_departure(m, model, speed_prefix, rng);
     }
   }
   return acc;
@@ -225,6 +207,24 @@ GiBoundSimResult assemble(const sqd::BoundModel& model, const Accum& acc) {
 }
 
 }  // namespace
+
+SigmaResult solve_sigma(const Distribution& a, double mu) {
+  RLB_REQUIRE(mu > 0.0, "mu must be positive");
+  const double rho = 1.0 / (mu * a.mean());
+  if (rho >= 1.0)
+    throw std::runtime_error("solve_sigma: utilization >= 1, no root in (0,1)");
+
+  // f(x) = LST(mu(1-x)) - x: f(0) = beta_0 > 0 and f(1-) < 0 when rho < 1
+  // (the slope of the LST term at x=1 is mu E[U] = 1/rho > 1).
+  const auto f = [&](double x) { return a.lst(mu * (1.0 - x)) - x; };
+  double hi = 1.0 - 1e-12;
+  // Guard against f(hi) >= 0 from round-off very close to criticality.
+  while (f(hi) >= 0.0 && hi > 0.5) hi = 1.0 - 4.0 * (1.0 - hi);
+  RLB_REQUIRE(f(hi) < 0.0, "solve_sigma: failed to bracket the root");
+  const util::RootResult r = util::find_root(f, 0.0, hi, 1e-14);
+  RLB_REQUIRE(r.converged, "solve_sigma: root search did not converge");
+  return {r.x, r.residual, r.iterations};
+}
 
 GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,

@@ -1,14 +1,16 @@
-// Simulation of the LOWER bound model under general renewal arrivals —
-// the setting of Theorem 2, which predicts that the stationary level
-// masses decay geometrically with ratio sigma^N, where sigma solves
-// x = LST(mu(1-x)).
+// The LOWER bound model under general renewal arrivals — the setting of
+// Theorem 2, which predicts that the stationary level masses decay
+// geometrically with ratio sigma^N, where sigma solves x = LST(mu(1-x)).
+// solve_sigma computes that prediction from the same law object the
+// simulator samples.
 //
 // The chain is no longer a CTMC (interarrival times are arbitrary), so this
 // runs an event-driven simulation: renewal arrival clock + exponential
-// service clocks, with the lower model's redirects (join-shortest fallback,
-// threshold jockeying) applied at the gap boundary. The measured
-// total-jobs histogram exposes the level-tail ratio for direct comparison
-// with sigma^N.
+// service clocks, with the model's redirects (sqd::BoundModel's
+// arrival_target and departure_target: join-shortest fallback, threshold
+// jockeying) applied at the gap boundary. The measured total-jobs
+// histogram exposes the level-tail ratio for direct comparison with
+// sigma^N.
 #pragma once
 
 #include <cstdint>
@@ -60,5 +62,23 @@ GiBoundSimResult simulate_gi_lower_bound(const sqd::BoundModel& model,
                                          const Distribution& interarrival,
                                          const AdaptivePlan& plan,
                                          util::ThreadBudget& budget);
+
+struct SigmaResult {
+  double sigma = 0.0;
+  double residual = 0.0;
+  int iterations = 0;
+};
+
+/// Theorem 2: the root in (0, 1) of
+///
+///   x = sum_{k>=0} x^k beta_k,   beta_k = E[ (mu U)^k / k! * e^{-mu U} ],
+///
+/// with U ~ `a` and mu the pooled service rate between
+/// arrivals (N mu for a cluster-level stream). The right-hand side is the
+/// Laplace-Stieltjes transform of U at mu (1 - x), so the law must have
+/// an lst(). Theorem 3: sigma = rho for Poisson arrivals. Throws
+/// std::runtime_error when the utilization rho = 1/(mu E[U]) is >= 1 (no
+/// root inside the unit circle).
+SigmaResult solve_sigma(const Distribution& a, double mu);
 
 }  // namespace rlb::sim

@@ -48,42 +48,14 @@ std::vector<Transition> BoundModel::transitions(const State& m) const {
     if (rate > 0.0) merged[std::move(to)] += rate;
   };
 
-  // Arrivals. Only an arrival into the top group can violate the gap bound.
   for (const TieGroup& g : groups) {
     const double rate =
         arrival_group_probability(g.head, g.size(), params_) *
         params_.total_arrival_rate();
     if (rate <= 0.0) continue;
-    State target = statespace::after_arrival_at_head(m, g.head);
-    if (statespace::gap(target) <= threshold_) {
-      add(std::move(target), rate);
-    } else if (kind_ == BoundKind::Lower) {
-      // Join the shortest queue instead: increment the bottom group's head.
-      add(statespace::after_arrival_at_head(m, groups.back().head), rate);
-    } else if (upper_rule_ == UpperArrivalRule::AllServers) {
-      // Ablation variant: one job to every server (m + 1). Precedence-valid
-      // but much looser for larger N.
-      add(statespace::plus_one_everywhere(m), rate);
-    } else {
-      // Upper bound: the job joins the longest queue anyway, and phantom
-      // jobs join every shortest-queue server so the gap stays at T. This
-      // is the minimal less-preferable target in S(T): the new maximum is
-      // m1 + 1, so every server at the old minimum must rise to mN + 1.
-      // Partial sums dominate those of m + e_1, the jump size
-      // 1 + |bottom group| <= N preserves QBD adjacency, and the rule
-      // depends only on the shape (shift-invariant).
-      State target = m;
-      target[g.head] += 1;
-      const statespace::TieGroup& bottom = groups.back();
-      for (int k = bottom.head; k <= bottom.tail; ++k) target[k] += 1;
-      RLB_ASSERT(statespace::is_valid_state(target) &&
-                     statespace::gap(target) <= threshold_,
-                 "upper redirect left S(T)");
-      add(std::move(target), rate);
-    }
+    add(arrival_target(m, groups, g), rate);
   }
 
-  // Departures. Only a departure from the bottom group can violate the gap.
   for (const TieGroup& g : groups) {
     if (g.value == 0) continue;
     double speed = static_cast<double>(g.size());
@@ -91,23 +63,45 @@ std::vector<Transition> BoundModel::transitions(const State& m) const {
       speed = 0.0;
       for (int k = g.head; k <= g.tail; ++k) speed += rank_speeds_[k];
     }
-    const double rate = speed * params_.mu;
-    State target = statespace::after_departure_at_tail(m, g.tail);
-    if (statespace::gap(target) <= threshold_) {
-      add(std::move(target), rate);
-    } else if (kind_ == BoundKind::Lower) {
-      // Jockeying: take the departure from the longest queue instead.
-      RLB_ASSERT(groups.front().value > 0, "top group empty at positive gap");
-      add(statespace::after_departure_at_tail(m, groups.front().tail), rate);
-    }
-    // Upper bound: the departure is suppressed (server pauses); the rate
-    // simply leaves the outflow, which the generator diagonal absorbs.
+    // A paused departure (upper model) leaves the outflow; the generator
+    // diagonal absorbs its rate.
+    State target = departure_target(m, groups, g);
+    if (target != m) add(std::move(target), speed * params_.mu);
   }
 
   std::vector<Transition> out;
   out.reserve(merged.size());
   for (auto& [to, rate] : merged) out.push_back({to, rate});
   return out;
+}
+
+State BoundModel::arrival_target(State m, const std::vector<TieGroup>& groups,
+                                 const TieGroup& g) const {
+  m[g.head] += 1;
+  if (statespace::gap(m) <= threshold_) return m;
+  const TieGroup& bottom = groups.back();
+  if (kind_ == BoundKind::Lower) {
+    m[g.head] -= 1;
+    m[bottom.head] += 1;
+  } else if (upper_rule_ == UpperArrivalRule::AllServers) {
+    m[g.head] -= 1;
+    m = statespace::plus_one_everywhere(m);
+  } else {
+    for (int k = bottom.head; k <= bottom.tail; ++k) m[k] += 1;
+  }
+  RLB_ASSERT(statespace::is_valid_state(m) &&
+                 statespace::gap(m) <= threshold_,
+             "arrival redirect left S(T)");
+  return m;
+}
+
+State BoundModel::departure_target(State m, const std::vector<TieGroup>& groups,
+                                   const TieGroup& g) const {
+  m[g.tail] -= 1;
+  if (statespace::gap(m) <= threshold_) return m;
+  m[g.tail] += 1;
+  if (kind_ == BoundKind::Lower) m[groups.front().tail] -= 1;
+  return m;
 }
 
 }  // namespace rlb::sqd

@@ -24,8 +24,11 @@
 //     Capacity is wasted, so stability needs Neuts' drift condition; the
 //     stability region shrinks as T decreases (Figure 10(a)).
 //
-// See DESIGN.md for why these rules are a reconstruction and for the
-// precedence-monotonicity argument of each redirect.
+// The paper's text does not spell these redirects out, so they are a
+// reconstruction. BoundModel::arrival_target and departure_target are
+// their one home: the CTMC generator (transitions()), the GI simulator
+// and the waiting-time profile all call them, and the precedence argument
+// for each rule sits next to their declarations below.
 #pragma once
 
 #include <vector>
@@ -74,6 +77,44 @@ class BoundModel {
   /// returned target is again in S(T).
   [[nodiscard]] std::vector<Transition> transitions(
       const statespace::State& m) const;
+
+  /// Where an arrival into tie group `g` of m (in S(T), with `groups` =
+  /// statespace::tie_groups(m)) lands: at g's head, unless that breaks
+  /// gap T. m is taken by value, so a simulator can move its state in and
+  /// out without a copy. Positions below are 1-based, as in e_1 (longest)
+  /// and e_N (shortest); S_k(x) is the k-th partial sum of a sorted state,
+  /// and x precedes y (x is more preferable) when S_k(x) <= S_k(y) for
+  /// every k.
+  /// Only an arrival into the top group at gap T breaks the gap, and its
+  /// target m + e_1 (S_k(m) + 1 for every k) follows every other one-job
+  /// arrival.
+  ///   * Lower: m + e_j with j the bottom group's first position. j > 1,
+  ///     so S_k(m + e_j) = S_k(m) + [k >= j] <= S_k(m + e_1): the redirect
+  ///     precedes the original target, and as the bottom rises the gap
+  ///     cannot grow.
+  ///   * Upper (PhantomBottom): m + e_1 plus one phantom job at every
+  ///     bottom-group server. Adding jobs only raises partial sums, so the
+  ///     target follows m + e_1. The new maximum is m1 + 1, so every server
+  ///     at the old minimum must rise to mN + 1 to stay in S(T): this is
+  ///     the minimal such target. The jump of 1 + |bottom| <= N jobs keeps
+  ///     the QBD's levels adjacent, and the rule is shift-invariant.
+  ///   * Upper (AllServers): m + 1. S_k(m + 1) = S_k(m) + k >= S_k(m + e_1),
+  ///     so it follows m + e_1 too, but loosely.
+  [[nodiscard]] statespace::State arrival_target(
+      statespace::State m, const std::vector<statespace::TieGroup>& groups,
+      const statespace::TieGroup& g) const;
+
+  /// Where a departure from busy tie group `g` of m leaves the state: one
+  /// job fewer at g's last position, unless that breaks gap T. Only a
+  /// departure from the bottom group (last position N) at gap T does.
+  ///   * Lower: jockeying, m - e_t with t the top group's last position.
+  ///     t < N, so S_k(m - e_t) = S_k(m) - [k >= t] <= S_k(m) - [k >= N]
+  ///     = S_k(m - e_N): the redirect precedes the original target.
+  ///   * Upper: m itself (service pauses; transitions() drops the self
+  ///     loop). S_k(m) >= S_k(m - e_N), so m follows the original target.
+  [[nodiscard]] statespace::State departure_target(
+      statespace::State m, const std::vector<statespace::TieGroup>& groups,
+      const statespace::TieGroup& g) const;
 
   /// True iff m is a valid state of this model.
   [[nodiscard]] bool contains(const statespace::State& m) const;

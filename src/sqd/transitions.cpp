@@ -43,12 +43,4 @@ std::vector<Transition> departure_transitions(const State& m,
   return out;
 }
 
-std::vector<Transition> all_transitions(const State& m, const Params& p) {
-  std::vector<Transition> out = arrival_transitions(m, p);
-  std::vector<Transition> dep = departure_transitions(m, p);
-  out.insert(out.end(), std::make_move_iterator(dep.begin()),
-             std::make_move_iterator(dep.end()));
-  return out;
-}
-
 }  // namespace rlb::sqd

@@ -30,10 +30,6 @@ std::vector<Transition> arrival_transitions(const statespace::State& m,
 std::vector<Transition> departure_transitions(const statespace::State& m,
                                               const Params& p);
 
-/// Both, concatenated.
-std::vector<Transition> all_transitions(const statespace::State& m,
-                                        const Params& p);
-
 /// Probability that an arrival joins the tie group whose 0-based head is
 /// `head` and size is `size` (the bracketed binomial ratio above).
 double arrival_group_probability(int head, int size, const Params& p);

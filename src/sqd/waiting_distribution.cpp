@@ -1,5 +1,6 @@
 #include "sqd/waiting_distribution.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -28,24 +29,24 @@ double erlang_ccdf(int v, double mu_t) {
 }
 
 /// Queue length the arriving job queues behind, per tie group, with the
-/// lower-model redirect applied; paired with the group's probability.
+/// model's redirect applied; paired with the group's probability.
 struct JoinOutcome {
   int queue_len = 0;
   double prob = 0.0;
 };
 
-std::vector<JoinOutcome> join_outcomes(const State& m, const Params& p,
-                                       int threshold) {
+std::vector<JoinOutcome> join_outcomes(const BoundModel& model,
+                                       const State& m) {
   std::vector<JoinOutcome> out;
   const auto groups = statespace::tie_groups(m);
   for (const TieGroup& g : groups) {
-    const double prob = arrival_group_probability(g.head, g.size(), p);
+    const double prob =
+        arrival_group_probability(g.head, g.size(), model.params());
     if (prob <= 0.0) continue;
-    // A gap-breaking top-group arrival joins the shortest queue instead.
-    const bool breaks =
-        g.head == 0 && statespace::gap(m) == threshold && m.size() > 1;
-    const int target_head = breaks ? groups.back().head : g.head;
-    out.push_back({m[target_head], prob});
+    // The job waits behind the jobs already at the one queue that grew.
+    const State target = model.arrival_target(m, groups, g);
+    out.push_back({*std::mismatch(m.begin(), m.end(), target.begin()).first,
+                   prob});
   }
   return out;
 }
@@ -71,7 +72,7 @@ WaitingProfile::WaitingProfile(const BoundModel& model, double tail_tol) {
     for (std::size_t i = 0; i < dist.size(); ++i) {
       if (dist[i] <= 0.0) continue;
       const State m = state_at(i);
-      for (const JoinOutcome& jo : join_outcomes(m, p, model.threshold())) {
+      for (const JoinOutcome& jo : join_outcomes(model, m)) {
         const int v = jo.queue_len + extra_jobs;
         if (v > 0) mixture[v] += dist[i] * jo.prob;
       }
@@ -121,21 +122,6 @@ double WaitingProfile::quantile(double q, double tol) const {
     (ccdf(mid) > target ? lo : hi) = mid;
   }
   return 0.5 * (lo + hi);
-}
-
-std::vector<double> waiting_time_ccdf(const BoundModel& model,
-                                      const std::vector<double>& ts,
-                                      double tail_tol) {
-  for (double t : ts) RLB_REQUIRE(t >= 0.0, "times must be non-negative");
-  const WaitingProfile profile(model, tail_tol);
-  std::vector<double> out;
-  out.reserve(ts.size());
-  for (double t : ts) out.push_back(profile.ccdf(t));
-  return out;
-}
-
-double waiting_time_quantile(const BoundModel& model, double q, double tol) {
-  return WaitingProfile(model).quantile(q, tol);
 }
 
 }  // namespace rlb::sqd

@@ -48,11 +48,4 @@ class WaitingProfile {
   std::vector<double> weights_;
 };
 
-/// One-shot helpers.
-std::vector<double> waiting_time_ccdf(const BoundModel& model,
-                                      const std::vector<double>& ts,
-                                      double tail_tol = 1e-10);
-double waiting_time_quantile(const BoundModel& model, double q,
-                             double tol = 1e-4);
-
 }  // namespace rlb::sqd

@@ -25,12 +25,12 @@
 
 #include <gtest/gtest.h>
 
+#include "mm_queues.h"
 #include "sim/distributions.h"
 #include "sim/fast_sqd.h"
 #include "sim/gi_bound_sim.h"
 #include "sim/replica.h"
 #include "sqd/bound_model.h"
-#include "sqd/mm_queues.h"
 #include "util/thread_budget.h"
 
 namespace {

@@ -8,7 +8,6 @@
 
 #include "sim/cluster_sim.h"
 #include "sim/stats.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 

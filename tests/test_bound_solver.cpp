@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mm_queues.h"
 #include "sqd/asymptotic.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sqd/mm_queues.h"
+#include "mm_queues.h"
 
 namespace {
 

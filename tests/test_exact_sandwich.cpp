@@ -2,13 +2,14 @@
 // solutions of the ORIGINAL SQ(d) process: lower bound <= exact <= upper
 // bound, with a remarkably tight lower bound.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
+#include "mm_queues.h"
 #include "qbd/solver.h"
 #include "sqd/bound_solver.h"
 #include "sqd/exact_reference.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 
@@ -25,6 +26,13 @@ struct Case {
   int n, d, t;
   double rho;
 };
+
+// CTest names each case by its printed value (n2_d2_T1_rho0.3). Without a
+// printer gtest dumps Case's bytes, padding included, so the names would
+// change from one build to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << 'n' << c.n << "_d" << c.d << "_T" << c.t << "_rho" << c.rho;
+}
 
 class SandwichTest : public ::testing::TestWithParam<Case> {};
 

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "mm_queues.h"
 #include "sim/cluster_sim.h"
 #include "sqd/asymptotic.h"
 #include "sqd/exact_reference.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 

@@ -7,7 +7,6 @@
 
 #include "sim/gi_bound_sim.h"
 #include "sqd/bound_solver.h"
-#include "sqd/interarrival.h"
 
 namespace {
 
@@ -115,12 +114,11 @@ TEST(GiBoundSim, ErlangTailRatioIsSigmaN) {
   const BoundModel model(p, 2, BoundKind::Lower);
   // Cluster-level Erlang-3 stream with rate rho * n.
   const auto arr = rlb::sim::make_erlang(3, 3.0 * rho * n);
-  const rlb::sqd::ErlangInterarrival analysis(3, 3.0 * rho * n);
-  // NOTE: sigma is defined against the per-job service clock; the cluster
-  // sees interarrivals at rate rho*n with mu = 1 per server... the level
-  // tail of the N-server bound model uses the AGGREGATE service rate N*mu
-  // between arrivals, which is exactly what beta_k encodes with mu -> N*mu.
-  const double sigma = rlb::sqd::solve_sigma(analysis, n * 1.0).sigma;
+  // The cluster sees interarrivals at rate rho*n with mu = 1 per server;
+  // the level tail of the N-server bound model uses the AGGREGATE service
+  // rate N*mu between arrivals, so sigma comes from the simulated law's
+  // transform at mu -> N*mu.
+  const double sigma = rlb::sim::solve_sigma(*arr, n * 1.0).sigma;
   const auto r = run_one(model, *arr, 4'000'000, 400'000, 13);
   // sigma is the per-job decay; levels span N jobs, so the level-mass
   // ratio is sigma^N (Theorem 2).

@@ -3,9 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "mm_queues.h"
+#include "sim/distributions.h"
+#include "sim/gi_bound_sim.h"
 #include "sqd/bound_solver.h"
-#include "sqd/interarrival.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 
@@ -44,8 +45,8 @@ TEST(ImprovedLower, DefaultUsesPoissonSigma) {
 
 TEST(ImprovedLower, SigmaFromTheorem2MatchesRhoForPoisson) {
   const double rho = 0.8;
-  const rlb::sqd::ExponentialInterarrival arrivals(rho);  // mu = 1
-  const double sigma = rlb::sqd::solve_sigma(arrivals, 1.0).sigma;
+  const auto arrivals = rlb::sim::make_exponential(rho);  // mu = 1
+  const double sigma = rlb::sim::solve_sigma(*arrivals, 1.0).sigma;
   const BoundModel model(Params{3, 2, rho, 1.0}, 2, BoundKind::Lower);
   const BoundResult via_sigma = rlb::sqd::solve_lower_improved(model, sigma);
   const BoundResult via_rho = rlb::sqd::solve_lower_improved(model);

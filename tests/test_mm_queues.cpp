@@ -1,4 +1,4 @@
-#include "sqd/mm_queues.h"
+#include "mm_queues.h"
 
 #include <gtest/gtest.h>
 

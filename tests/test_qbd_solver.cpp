@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "sqd/blocks_builder.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 

@@ -8,7 +8,6 @@
 #include "sim/fast_sqd.h"
 #include "sqd/asymptotic.h"
 #include "sqd/bound_solver.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 

@@ -7,7 +7,6 @@
 namespace {
 
 namespace ss = rlb::statespace;
-using rlb::sqd::all_transitions;
 using rlb::sqd::arrival_group_probability;
 using rlb::sqd::arrival_transitions;
 using rlb::sqd::departure_transitions;
@@ -120,11 +119,18 @@ TEST(Transitions, EmptySystemHasNoDepartures) {
 }
 
 TEST(Transitions, AllTransitionsConcatenates) {
+  // The original process's transitions split into the two kinds: every
+  // arrival target holds one job more, every departure target one fewer.
   const Params p{3, 2, 0.5, 1.0};
   const State m{2, 1, 0};
-  EXPECT_EQ(all_transitions(m, p).size(),
-            arrival_transitions(m, p).size() +
-                departure_transitions(m, p).size());
+  const auto arrivals = arrival_transitions(m, p);
+  const auto departures = departure_transitions(m, p);
+  EXPECT_EQ(arrivals.size(), 2u);  // the longest queue is never polled alone
+  EXPECT_EQ(departures.size(), 2u);
+  for (const auto& t : arrivals)
+    EXPECT_EQ(ss::total_jobs(t.to), ss::total_jobs(m) + 1);
+  for (const auto& t : departures)
+    EXPECT_EQ(ss::total_jobs(t.to), ss::total_jobs(m) - 1);
 }
 
 TEST(Transitions, GroupProbabilitiesFormDistribution) {
@@ -153,8 +159,10 @@ TEST(Transitions, GroupProbabilitiesFormDistribution) {
 TEST(Transitions, TargetsStaySorted) {
   const Params p{6, 3, 0.8, 1.0};
   const State m{4, 4, 3, 2, 2, 2};
-  for (const auto& t : all_transitions(m, p))
-    EXPECT_TRUE(ss::is_valid_state(t.to)) << ss::to_string(t.to);
+  for (const auto& ts :
+       {arrival_transitions(m, p), departure_transitions(m, p)})
+    for (const auto& t : ts)
+      EXPECT_TRUE(ss::is_valid_state(t.to)) << ss::to_string(t.to);
 }
 
 }  // namespace

@@ -7,15 +7,22 @@
 #include "sim/cluster_sim.h"
 #include "sqd/bound_solver.h"
 #include "sqd/exact_reference.h"
-#include "sqd/mm_queues.h"
 
 namespace {
 
 using rlb::sqd::BoundKind;
 using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
-using rlb::sqd::waiting_time_ccdf;
-using rlb::sqd::waiting_time_quantile;
+using rlb::sqd::WaitingProfile;
+
+/// P(W > t) at each of `ts`, from one profile of `model`.
+std::vector<double> ccdf_at(const BoundModel& model,
+                            const std::vector<double>& ts) {
+  const WaitingProfile profile(model);
+  std::vector<double> out;
+  for (double t : ts) out.push_back(profile.ccdf(t));
+  return out;
+}
 
 TEST(WaitingDistribution, Mm1ClosedForm) {
   // N = 1: the lower bound model IS M/M/1, whose waiting-time law is
@@ -23,7 +30,7 @@ TEST(WaitingDistribution, Mm1ClosedForm) {
   const double rho = 0.7;
   const BoundModel model(Params{1, 1, rho, 1.0}, 1, BoundKind::Lower);
   const std::vector<double> ts{0.0, 0.5, 1.0, 2.0, 5.0};
-  const auto ccdf = waiting_time_ccdf(model, ts);
+  const auto ccdf = ccdf_at(model, ts);
   for (std::size_t k = 0; k < ts.size(); ++k)
     EXPECT_NEAR(ccdf[k], rho * std::exp(-(1.0 - rho) * ts[k]), 1e-8)
         << ts[k];
@@ -32,7 +39,7 @@ TEST(WaitingDistribution, Mm1ClosedForm) {
 TEST(WaitingDistribution, BasicShapeProperties) {
   const BoundModel model(Params{3, 2, 0.8, 1.0}, 3, BoundKind::Lower);
   const std::vector<double> ts{0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
-  const auto ccdf = waiting_time_ccdf(model, ts);
+  const auto ccdf = ccdf_at(model, ts);
   for (std::size_t k = 0; k < ts.size(); ++k) {
     EXPECT_GE(ccdf[k], 0.0);
     EXPECT_LE(ccdf[k], 1.0);
@@ -57,7 +64,7 @@ TEST(WaitingDistribution, MeanIntegralApproximatesTrueWait) {
   std::vector<double> ts;
   const double dt = 0.02;
   for (double t = 0.0; t < 40.0; t += dt) ts.push_back(t);
-  const auto ccdf = waiting_time_ccdf(model, ts);
+  const auto ccdf = ccdf_at(model, ts);
   double integral = 0.0;
   for (std::size_t k = 1; k < ts.size(); ++k)
     integral += 0.5 * (ccdf[k] + ccdf[k - 1]) * dt;
@@ -73,7 +80,7 @@ TEST(WaitingDistribution, ProbPositiveWaitMatchesBusyTarget) {
   // direct computation for N = 1 (it's rho).
   const double rho = 0.55;
   const BoundModel model(Params{1, 1, rho, 1.0}, 2, BoundKind::Lower);
-  EXPECT_NEAR(waiting_time_ccdf(model, {0.0})[0], rho, 1e-9);
+  EXPECT_NEAR(ccdf_at(model, {0.0})[0], rho, 1e-9);
 }
 
 TEST(WaitingDistribution, QuantilesMatchDesSimulation) {
@@ -82,8 +89,8 @@ TEST(WaitingDistribution, QuantilesMatchDesSimulation) {
   const int n = 3;
   const double rho = 0.8;
   const BoundModel model(Params{n, 2, rho, 1.0}, 4, BoundKind::Lower);
-  const double p95 = waiting_time_quantile(model, 0.95);
-  const double p50 = waiting_time_quantile(model, 0.50);
+  const double p95 = WaitingProfile(model).quantile(0.95);
+  const double p50 = WaitingProfile(model).quantile(0.50);
 
   rlb::sim::ClusterConfig cfg;
   cfg.servers = n;
@@ -107,7 +114,7 @@ TEST(WaitingDistribution, QuantileMonotoneInQ) {
   const BoundModel model(Params{3, 2, 0.75, 1.0}, 3, BoundKind::Lower);
   double prev = 0.0;
   for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double t = waiting_time_quantile(model, q);
+    const double t = WaitingProfile(model).quantile(q);
     EXPECT_GE(t, prev);
     prev = t;
   }
@@ -116,9 +123,9 @@ TEST(WaitingDistribution, QuantileMonotoneInQ) {
 
 TEST(WaitingDistribution, HigherLoadStochasticallyLarger) {
   const std::vector<double> ts{0.5, 1.0, 2.0};
-  const auto low = waiting_time_ccdf(
+  const auto low = ccdf_at(
       BoundModel(Params{3, 2, 0.5, 1.0}, 3, BoundKind::Lower), ts);
-  const auto high = waiting_time_ccdf(
+  const auto high = ccdf_at(
       BoundModel(Params{3, 2, 0.9, 1.0}, 3, BoundKind::Lower), ts);
   for (std::size_t k = 0; k < ts.size(); ++k) EXPECT_GT(high[k], low[k]);
 }
@@ -126,13 +133,14 @@ TEST(WaitingDistribution, HigherLoadStochasticallyLarger) {
 TEST(WaitingDistribution, DomainChecks) {
   const BoundModel lower(Params{2, 2, 0.5, 1.0}, 1, BoundKind::Lower);
   const BoundModel upper(Params{2, 2, 0.5, 1.0}, 1, BoundKind::Upper);
-  EXPECT_THROW(waiting_time_ccdf(upper, {1.0}), std::invalid_argument);
-  EXPECT_THROW(waiting_time_ccdf(lower, {-1.0}), std::invalid_argument);
-  EXPECT_THROW(waiting_time_quantile(lower, 1.0), std::invalid_argument);
+  EXPECT_THROW(ccdf_at(upper, {1.0}), std::invalid_argument);
+  EXPECT_THROW(ccdf_at(lower, {-1.0}), std::invalid_argument);
+  EXPECT_THROW((void)WaitingProfile(lower).quantile(1.0),
+               std::invalid_argument);
   // The Erlang(v, mu) mixture assumes one service rate.
   const BoundModel ranked(Params{2, 2, 0.5, 1.0}, 1, BoundKind::Lower,
                           {1.5, 0.5});
-  EXPECT_THROW(waiting_time_ccdf(ranked, {1.0}), std::invalid_argument);
+  EXPECT_THROW(ccdf_at(ranked, {1.0}), std::invalid_argument);
 }
 
 }  // namespace
@@ -140,19 +148,18 @@ TEST(WaitingDistribution, DomainChecks) {
 namespace {
 
 TEST(WaitingProfile, ObjectMatchesFreeFunctions) {
+  // One profile answering many queries gives the same numbers as a fresh
+  // profile built for each query.
   const BoundModel model(Params{3, 2, 0.75, 1.0}, 3, BoundKind::Lower);
-  const rlb::sqd::WaitingProfile profile(model);
-  const std::vector<double> ts{0.0, 0.5, 1.5, 3.0};
-  const auto free_ccdf = waiting_time_ccdf(model, ts);
-  for (std::size_t k = 0; k < ts.size(); ++k)
-    EXPECT_NEAR(profile.ccdf(ts[k]), free_ccdf[k], 1e-12);
-  EXPECT_NEAR(profile.quantile(0.95), waiting_time_quantile(model, 0.95),
-              1e-3);
+  const WaitingProfile profile(model);
+  for (double t : {0.0, 0.5, 1.5, 3.0})
+    EXPECT_EQ(profile.ccdf(t), WaitingProfile(model).ccdf(t)) << t;
+  EXPECT_EQ(profile.quantile(0.95), WaitingProfile(model).quantile(0.95));
 }
 
 TEST(WaitingProfile, RepeatedQueriesAreCheap) {
   const BoundModel model(Params{6, 2, 0.8, 1.0}, 3, BoundKind::Lower);
-  const rlb::sqd::WaitingProfile profile(model);
+  const WaitingProfile profile(model);
   // Many queries after one solve; just exercise them for sanity.
   double prev = 1.0;
   for (double t = 0.0; t <= 10.0; t += 0.1) {
