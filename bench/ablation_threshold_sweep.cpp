@@ -4,15 +4,14 @@
 // C(N+T-1, T).
 //
 // Prints, per T: both bounds, the sandwich width, the lower bound's error
-// against the exact value (small N), block/boundary sizes, and wall-clock
-// solve times (which vary run to run). Each T is one sweep cell. The
-// "reference" table holds the delays the bounds bracket: the exact
-// truncated-CTMC value (N <= 3), the fast simulator's mean with its 95%
-// CI (sharded across --replicas chains), and the N -> infinity
-// approximation (Eq. 16):
+// against the exact value (small N) and the block/boundary sizes that
+// set the solve cost (perf/'s bound_sweep workload times the solves).
+// Each T is one sweep cell. The "reference" table holds the delays the
+// bounds bracket: the exact truncated-CTMC value (N <= 3), the fast
+// simulator's mean with its 95% CI (sharded across --replicas chains),
+// and the N -> infinity approximation (Eq. 16):
 //
 //   rlb_run --scenario=ablation_threshold_sweep --n=6 --rho=0.9 --tmax=3
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -24,6 +23,7 @@
 #include "sqd/asymptotic.h"
 #include "sqd/bound_solver.h"
 #include "sqd/exact_reference.h"
+#include "util/require.h"
 #include "util/table.h"
 
 namespace {
@@ -34,20 +34,12 @@ using rlb::sqd::BoundKind;
 using rlb::sqd::BoundModel;
 using rlb::sqd::Params;
 
-double seconds_since(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct CellResult {
   int block_size = 0;
   int boundary_size = 0;
   double lower = 0.0;
   std::string upper = "unstable";
   std::string width = "-";
-  double t_lower = 0.0;
-  double t_upper = 0.0;
 };
 
 ScenarioOutput run(ScenarioContext& ctx) {
@@ -57,6 +49,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const auto t_max = ctx.cli().get_int<std::size_t>("tmax", 6);
   const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 1'000'000);
   const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 1);
+  RLB_REQUIRE(t_max >= 1, "--tmax must be >= 1");
   const Params p{n, d, rho, 1.0};
 
   const double exact =
@@ -65,18 +58,14 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const auto cells = ctx.map<CellResult>(t_max, [&](std::size_t i) {
     const int t = static_cast<int>(i) + 1;
     CellResult cell;
-    auto start = std::chrono::steady_clock::now();
     const auto lower =
         rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Lower));
-    cell.t_lower = seconds_since(start);
     cell.lower = lower.mean_delay;
     cell.block_size = lower.block_size;
     cell.boundary_size = lower.boundary_size;
     try {
-      start = std::chrono::steady_clock::now();
       const auto upper =
           rlb::sqd::solve_bound(BoundModel(p, t, BoundKind::Upper));
-      cell.t_upper = seconds_since(start);
       cell.upper = rlb::util::fmt(upper.mean_delay, 5);
       cell.width = rlb::util::fmt(upper.mean_delay - lower.mean_delay, 5);
     } catch (const rlb::qbd::UnstableError&) {
@@ -99,9 +88,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
                  ", d = " + std::to_string(d) +
                  ", rho = " + rlb::util::fmt(rho, 2);
 
-  auto& table = out.add_table(
-      "main", {"T", "block", "boundary", "lower", "upper", "width",
-               "lower_err%", "t_lower(s)", "t_upper(s)"});
+  auto& table = out.add_table("main", {"T", "block", "boundary", "lower",
+                                       "upper", "width", "lower_err%"});
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     const std::string err =
@@ -111,8 +99,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
     table.add_row({std::to_string(i + 1), std::to_string(cell.block_size),
                    std::to_string(cell.boundary_size),
                    rlb::util::fmt(cell.lower, 5), cell.upper, cell.width,
-                   err, rlb::util::fmt(cell.t_lower, 3),
-                   rlb::util::fmt(cell.t_upper, 3)});
+                   err});
   }
 
   auto& reference = out.add_table("reference", {"quantity", "mean delay"});
@@ -130,8 +117,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
 const rlb::engine::ScenarioRegistrar reg{{
     "ablation_threshold_sweep",
     "§V: accuracy/complexity tradeoff in the threshold T — bound width vs "
-    "block size and solve time, against exact, simulated and asymptotic "
-    "delays",
+    "block size, against exact, simulated and asymptotic delays",
     {{"n", "number of servers", "3"},
      {"d", "polled servers per arrival", "2"},
      {"rho", "utilization", "0.7"},

@@ -35,10 +35,7 @@ void add_structure_mismatch(BaselineReport& report, const std::string& table,
       table, "", std::numeric_limits<std::size_t>::max(), expected, actual});
 }
 
-/// Split on commas, dropping empty parts; parts are returned verbatim
-/// (callers trim or parse as their own grammar requires). Shared by the
-/// two comma-list flag grammars in this file (--rtol/--atol column lists
-/// and --baseline-ignore).
+/// Split on commas, dropping empty parts; parts are returned verbatim.
 std::vector<std::string> comma_parts(const std::string& spec) {
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -55,16 +52,6 @@ std::vector<std::string> comma_parts(const std::string& spec) {
 }
 
 }  // namespace
-
-std::set<std::string> parse_ignore_columns(const std::string& spec) {
-  std::set<std::string> out;
-  for (std::string part : comma_parts(spec)) {
-    const auto first = part.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    out.insert(part.substr(first, part.find_last_not_of(" \t") - first + 1));
-  }
-  return out;
-}
 
 double ToleranceSpec::for_column(const std::string& column) const {
   const auto it = by_column.find(column);
@@ -176,7 +163,6 @@ BaselineReport compare_to_baseline(const ScenarioOutput& out,
                   "baseline JSON: row arity drift in '" + actual.name + "'");
       for (std::size_t c = 0; c < actual_rows[r].size(); ++c) {
         const std::string& column = actual_header[c];
-        if (opts.ignore_columns.count(column)) continue;
         const json::Value& ref_cell = ref_row.items[c];
         const std::string& actual_cell = actual_rows[r][c];
         ++report.cells_compared;

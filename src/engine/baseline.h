@@ -4,13 +4,13 @@
 // diffs its tables against a committed reference produced earlier with
 // `--json=ref.json`. Numeric cells compare within per-column absolute /
 // relative tolerances, string cells must match exactly, and any drift is
-// reported cell by cell with a non-zero exit — CI uses this to pin two
-// fast scenarios to committed reference tables.
+// reported cell by cell with a non-zero exit — CI uses this to pin
+// scenario runs to the committed reference tables in baselines/. Every
+// column is compared: a round-off-sized column gets a per-column --atol.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,16 +33,7 @@ struct ToleranceSpec {
 struct BaselineOptions {
   ToleranceSpec rtol;  ///< relative tolerance (vs the baseline magnitude)
   ToleranceSpec atol;  ///< absolute tolerance
-  std::set<std::string> ignore_columns;  ///< e.g. wall-clock timing columns
 };
-
-/// Parse a --baseline-ignore value: a comma-separated list of column
-/// names (adaptive baselines typically skip several, e.g.
-/// "jobs_used,rounds"). Empty parts are dropped, surrounding whitespace
-/// is trimmed, and a name may match columns of any table — ignoring a
-/// column no table has is not an error (the flag is shared across
-/// scenarios with different schemas).
-std::set<std::string> parse_ignore_columns(const std::string& spec);
 
 struct BaselineMismatch {
   std::string table;

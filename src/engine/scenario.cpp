@@ -203,8 +203,6 @@ constexpr CommonFlag kCommonFlags[] = {
     {"rtol", "1e-9",
      "baseline relative tolerance (plain number or col=tol list)"},
     {"atol", "0", "baseline absolute tolerance"},
-    {"baseline-ignore", "(none)",
-     "comma-separated baseline columns to skip (e.g. timings, jobs_used)"},
     {"target-ci", "(off)",
      "adaptive precision target: grow the budget in rounds until the "
      "pooled CI half-width of the cell's target statistic falls below "

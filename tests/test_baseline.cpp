@@ -91,53 +91,6 @@ TEST(Baseline, StringCellsCompareExactly) {
   EXPECT_EQ(report.mismatches[0].column, "status");
 }
 
-TEST(Baseline, IgnoredColumnsAreSkipped) {
-  const ScenarioOutput ref = sample_output();
-  ScenarioOutput changed = sample_output();
-  changed.tables[0].table = rlb::util::Table({"rho", "delay", "status"});
-  changed.tables[0].table.add_row({"0.50", "9.9999", "ok"});
-  changed.tables[0].table.add_row({"0.90", "9.9999", "unstable"});
-  BaselineOptions opts;
-  opts.ignore_columns.insert("delay");
-  const BaselineReport report =
-      compare_to_baseline(changed, to_json(ref, "x"), opts);
-  EXPECT_TRUE(report.ok);
-  EXPECT_EQ(report.cells_compared, 6u);  // delay column skipped
-}
-
-TEST(Baseline, IgnoreListParsesCommaSeparatedColumns) {
-  // The adaptive baselines skip several columns at once
-  // (--baseline-ignore=jobs_used,rounds); the parser must split on
-  // commas, trim whitespace, and drop empty parts.
-  using rlb::engine::parse_ignore_columns;
-  EXPECT_TRUE(parse_ignore_columns("").empty());
-  EXPECT_EQ(parse_ignore_columns("jobs_used"),
-            (std::set<std::string>{"jobs_used"}));
-  EXPECT_EQ(parse_ignore_columns("jobs_used,rounds"),
-            (std::set<std::string>{"jobs_used", "rounds"}));
-  EXPECT_EQ(parse_ignore_columns(" jobs_used , rounds ,"),
-            (std::set<std::string>{"jobs_used", "rounds"}));
-  EXPECT_EQ(parse_ignore_columns(",,delay"),
-            (std::set<std::string>{"delay"}));
-}
-
-TEST(Baseline, MultipleIgnoredColumnsAreAllSkipped) {
-  const ScenarioOutput ref = sample_output();
-  ScenarioOutput changed = sample_output();
-  changed.tables[0].table = rlb::util::Table({"rho", "delay", "status"});
-  changed.tables[0].table.add_row({"0.50", "9.9999", "drifted"});
-  changed.tables[0].table.add_row({"0.90", "9.9999", "drifted"});
-  BaselineOptions opts;
-  // Ignoring a column no table has ("rounds") must be harmless: the flag
-  // is shared across scenarios with different schemas.
-  opts.ignore_columns =
-      rlb::engine::parse_ignore_columns("delay,status,rounds");
-  const BaselineReport report =
-      compare_to_baseline(changed, to_json(ref, "x"), opts);
-  EXPECT_TRUE(report.ok);
-  EXPECT_EQ(report.cells_compared, 4u);  // only rho and the extra table
-}
-
 TEST(Baseline, StructureDriftIsReportedNotThrown) {
   const ScenarioOutput ref = sample_output();
   ScenarioOutput fewer_rows = sample_output();

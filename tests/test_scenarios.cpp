@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/baseline.h"
 #include "engine/scenario.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
@@ -89,8 +88,6 @@ struct SmokeRow {
   /// Flags that make the run adaptive on top of `flags`; empty when the
   /// scenario ignores --target-ci.
   std::vector<std::string> adaptive = {};
-  /// Columns that report wall-clock time, exempt from byte equality.
-  std::set<std::string> wall_clock = {};
   /// Test-name suffix: the scenario name, numbered from its second row
   /// (filled in by smoke_rows()).
   std::string label = {};
@@ -106,25 +103,17 @@ std::vector<SmokeRow> smoke_rows() {
                                           "--max-jobs=60000"};
   const std::vector<std::string> rack_adaptive{"--target-ci=0.25",
                                                "--max-jobs=24000"};
-  const std::vector<std::string> fleet{"--nmin=32", "--nmax=128",
-                                       "--nstep=2", "--jobs-per-server=200"};
-  auto fleet_timed = fleet;
-  fleet_timed.push_back("--time");
   // A 12-server tier under bursty arrivals and heavy-tailed service.
   const std::vector<std::string> bursty_lognormal{
       "--jobs=20000", "--n=12", "--d=3", "--service=lognormal:mean=1,cv=2",
       "--arrival-scv=4"};
-  const std::set<std::string> improved_times{"t_generic(s)", "t_improved(s)",
-                                             "speedup"};
-  const std::set<std::string> solve_times{"t_lower(s)", "t_upper(s)"};
   std::vector<SmokeRow> rows{
-      {"ablation_improved_lower", false, {}, {}, improved_times},
+      {"ablation_improved_lower", false},
       {"ablation_redirect_rules", false},
-      {"ablation_threshold_sweep", true, {"--tmax=3", "--jobs=20000"}, {},
-       solve_times},
+      {"ablation_threshold_sweep", true, {"--tmax=3", "--jobs=20000"}},
       // N > 3: no exact reference, the simulated one only.
       {"ablation_threshold_sweep", true,
-       {"--n=6", "--rho=0.9", "--tmax=3", "--jobs=20000"}, {}, solve_times},
+       {"--n=6", "--rho=0.9", "--tmax=3", "--jobs=20000"}},
       {"batch_arrivals", true, {"--jobs=20000"}, adaptive},
       {"capacity_planning", false, {"--T=2"}},
       {"diurnal_surge", true, {"--jobs=20000", "--ns=10,14"}},
@@ -133,9 +122,8 @@ std::vector<SmokeRow> smoke_rows() {
       {"fig09_relative_error", true, {"--jobs=10000"}, adaptive},  // both rho
       {"fig10_delay_vs_utilization", true, {"--jobs=20000", "--panel=a"},
        adaptive},
-      {"fleet_scaling", true, fleet},
-      {"fleet_scaling", true, fleet_timed, {},
-       {"sq(2) ns/job", "jiq ns/job", "jsq-h ns/job"}},
+      {"fleet_scaling", true,
+       {"--nmin=32", "--nmax=128", "--nstep=2", "--jobs-per-server=200"}},
       {"heavy_tail_service", true, {"--jobs=15000"}},
       {"hetero_fleet_bounds", true, {"--arrivals=60000"},
        {"--target-ci=0.2", "--max-jobs=240000"}},
@@ -181,25 +169,15 @@ std::string first_difference(const std::string& a, const std::string& b) {
          a.substr(from, 80) + "\n  " + b.substr(from, 80);
 }
 
-/// Whether two runs of `row` rendered the same output: byte-identical
-/// JSON and text, or, for rows with wall-clock columns, the same tables
-/// outside those columns.
-::testing::AssertionResult same_output(const SmokeRow& row, const Rendered& a,
-                                       const Rendered& b) {
-  if (row.wall_clock.empty()) {
-    if (a.json != b.json)
-      return ::testing::AssertionFailure()
-             << "JSON differs, " << first_difference(a.json, b.json);
-    if (a.text != b.text)
-      return ::testing::AssertionFailure()
-             << "text differs, " << first_difference(a.text, b.text);
-    return ::testing::AssertionSuccess();
-  }
-  rlb::engine::BaselineOptions exact;  // rtol = atol = 0
-  exact.ignore_columns = row.wall_clock;
-  const auto report = rlb::engine::compare_to_baseline(a.out, b.json, exact);
-  if (report.ok) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure() << report.describe();
+/// Whether two runs rendered the same output: byte-identical JSON and text.
+::testing::AssertionResult same_output(const Rendered& a, const Rendered& b) {
+  if (a.json != b.json)
+    return ::testing::AssertionFailure()
+           << "JSON differs, " << first_difference(a.json, b.json);
+  if (a.text != b.text)
+    return ::testing::AssertionFailure()
+           << "text differs, " << first_difference(a.text, b.text);
+  return ::testing::AssertionSuccess();
 }
 
 class ScenarioSmoke : public ::testing::TestWithParam<SmokeRow> {
@@ -215,7 +193,7 @@ TEST_P(ScenarioSmoke, ThreadCountNeverChangesOutput) {
   for (int replicas : {1, 2, 8}) {
     const Rendered one = run(row.flags, 1, replicas);
     const Rendered four = run(row.flags, 4, replicas);
-    EXPECT_TRUE(same_output(row, one, four)) << "replicas=" << replicas;
+    EXPECT_TRUE(same_output(one, four)) << "replicas=" << replicas;
   }
 }
 
@@ -227,9 +205,9 @@ TEST_P(ScenarioSmoke, ReplicaCountChangesOnlySimulatedOutput) {
   const Rendered r1 = run(row.flags, 2, 1);
   const Rendered r2 = run(row.flags, 2, 2);
   if (row.simulates)
-    EXPECT_FALSE(same_output(row, r1, r2)) << "--replicas=2 changed nothing";
+    EXPECT_FALSE(same_output(r1, r2)) << "--replicas=2 changed nothing";
   else
-    EXPECT_TRUE(same_output(row, r1, r2));
+    EXPECT_TRUE(same_output(r1, r2));
 }
 
 TEST_P(ScenarioSmoke, AdaptiveModeIsThreadCountInvariantOrIgnored) {
@@ -241,15 +219,14 @@ TEST_P(ScenarioSmoke, AdaptiveModeIsThreadCountInvariantOrIgnored) {
   if (row.adaptive.empty()) {
     auto with_target = row.flags;
     with_target.push_back("--target-ci=0.1");
-    EXPECT_TRUE(
-        same_output(row, run(row.flags, 2, 2), run(with_target, 2, 2)));
+    EXPECT_TRUE(same_output(run(row.flags, 2, 2), run(with_target, 2, 2)));
     return;
   }
   auto flags = row.flags;
   flags.insert(flags.end(), row.adaptive.begin(), row.adaptive.end());
   const Rendered one = run(flags, 1, 2);
   const Rendered four = run(flags, 4, 2);
-  EXPECT_TRUE(same_output(row, one, four));
+  EXPECT_TRUE(same_output(one, four));
   for (const char* column : {"half_width", "jobs_used", "converged"})
     EXPECT_NE(one.json.find(column), std::string::npos) << "lacks " << column;
 }
@@ -272,8 +249,8 @@ TEST_P(ScenarioSmoke, WarmCacheRerunIsByteIdenticalToCold) {
   const Rendered warm = run(row.flags, 1, 1, &warm_cache);
   std::filesystem::remove_all(dir);
 
-  EXPECT_TRUE(same_output(row, uncached, cold)) << "caching changed output";
-  EXPECT_TRUE(same_output(row, cold, warm)) << "warm re-run drifted";
+  EXPECT_TRUE(same_output(uncached, cold)) << "caching changed output";
+  EXPECT_TRUE(same_output(cold, warm)) << "warm re-run drifted";
   EXPECT_EQ(cold_cache.hits(), 0u);
   EXPECT_EQ(warm_cache.misses(), 0u);
   EXPECT_EQ(warm_cache.hits(), cold_cache.stored());
@@ -286,12 +263,14 @@ INSTANTIATE_TEST_SUITE_P(Registry, ScenarioSmoke,
 TEST(Scenarios, InvalidFlagValuesFailNamingTheFlag) {
   // Each of these used to run something else: --jobs=-1 wrapped to
   // 2^64 - 1 jobs (a run that never ends), --jobs=1e6 stopped parsing at
-  // the 'e' (one job per cell) and --panel=z printed the preamble alone.
+  // the 'e' (one job per cell), --panel=z printed the preamble alone and
+  // --tmax=0 an empty bound table.
   const std::vector<std::pair<std::string, std::string>> cases{
       {"power_of_d", "--jobs=-1"},
       {"power_of_d", "--jobs=1e6"},
       {"fig10_delay_vs_utilization", "--panel=z"},
-      {"policy_comparison", "--arrival-scv=0.5"}};
+      {"policy_comparison", "--arrival-scv=0.5"},
+      {"ablation_threshold_sweep", "--tmax=0"}};
   for (const auto& [scenario, flag] : cases) {
     try {
       (void)run_to_json(scenario, {flag}, 1, 1);
@@ -419,7 +398,7 @@ TEST_F(ScenarioCache, RackLocalityKeysCellsOnTopologyCoordinates) {
       << "rack geometry missing from the cell key";
 }
 
-TEST_F(ScenarioCache, AdaptiveRunsHitUnderBothPlanners) {
+TEST_F(ScenarioCache, AdaptiveRunsRoundTripThroughTheCache) {
   // Adaptive cells key on the stopping knobs and must round-trip through
   // the cache byte-identically.
   const std::vector<std::string> args{"--jobs=20000", "--target-ci=0.1",
@@ -532,9 +511,11 @@ TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {
         "`--confidence`", "`--max-jobs`", "`--warmup-jobs`", "`--cache`"})
     EXPECT_NE(catalog.find(flag), std::string::npos) << flag;
   // One adaptive schedule: no planner or warmup-policy switch, and the
-  // cache refines without being asked.
-  for (const char* gone : {"`--planner`", "`--warmup-policy`",
-                           "`--warmup-fraction`", "`--refine`"})
+  // cache refines without being asked. No table holds a clock reading,
+  // so no timing flag and no baseline column is exempt.
+  for (const char* gone :
+       {"`--planner`", "`--warmup-policy`", "`--warmup-fraction`",
+        "`--refine`", "`--time`", "`--time-reps`", "`--baseline-ignore`"})
     EXPECT_EQ(catalog.find(gone), std::string::npos) << gone;
 }
 

@@ -9,18 +9,17 @@
 //           [--threads=8] [--replicas=4] [--csv=out.csv] [--json=out.json]
 //           [--target-ci=0.01 [--confidence=0.95] [--initial-jobs=N]
 //            [--max-jobs=N] [--growth-factor=2] [--warmup-jobs=N]]
-//           [--baseline=ref.json [--rtol=...] [--atol=...]
-//            [--baseline-ignore=col,col]]
+//           [--baseline=ref.json [--rtol=...] [--atol=...]]
 //           [--cache=dir [--cache-mode=readwrite|readonly|refresh]]
 //           [scenario-specific flags, e.g. --n=12 --jobs=500000]
 //
 // Every scenario derives its randomness from fixed per-cell (and, with
 // --replicas, per-replica) seeds, so --threads changes wall-clock time
-// only: parallel and serial runs emit bit-identical tables (timing
-// columns, where a scenario reports them, are measured wall-clock and
-// naturally vary). --replicas=R shards each big simulation cell into R
-// parallel chains with merged statistics; it changes the output (R
-// decorrelated streams) but the result is still thread-count invariant.
+// only: parallel and serial runs emit bit-identical tables, and no table
+// holds a clock reading (time a run from outside, e.g. with `time`).
+// --replicas=R shards each big simulation cell into R parallel chains
+// with merged statistics; it changes the output (R decorrelated streams)
+// but the result is still thread-count invariant.
 //
 // --target-ci=EPS switches wired scenarios into the adaptive
 // precision-targeted run length (docs/PRECISION.md): each cell grows its
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
                    "       [--target-ci=eps [--confidence=p] "
                    "[--initial-jobs=n] [--max-jobs=n]\n"
                    "        [--growth-factor=g] [--warmup-jobs=n]]\n"
-                   "       [--baseline=ref.json [--rtol=tol] [--atol=tol] "
-                   "[--baseline-ignore=cols]]\n"
+                   "       [--baseline=ref.json [--rtol=tol] [--atol=tol]]\n"
                    "       [--cache=dir "
                    "[--cache-mode=readwrite|readonly|refresh]]\n"
                    "       [scenario flags]\n"
@@ -125,18 +123,19 @@ int main(int argc, char** argv) {
     const std::string csv = cli.get("csv", "");
     const std::string json = cli.get("json", "");
 
+    // The tolerances are read only with --baseline, so finish() rejects
+    // them on any other run instead of ignoring them. Read the baseline
+    // before the run so a bad path fails fast.
     const std::string baseline_path = cli.get("baseline", "");
     rlb::engine::BaselineOptions baseline_opts;
-    baseline_opts.rtol =
-        rlb::engine::ToleranceSpec::parse(cli.get("rtol", ""), 1e-9);
-    baseline_opts.atol =
-        rlb::engine::ToleranceSpec::parse(cli.get("atol", ""), 0.0);
-    baseline_opts.ignore_columns =
-        rlb::engine::parse_ignore_columns(cli.get("baseline-ignore", ""));
-    // Read the baseline before the run so a bad path fails fast.
     std::string baseline_json;
-    if (!baseline_path.empty())
+    if (!baseline_path.empty()) {
+      baseline_opts.rtol =
+          rlb::engine::ToleranceSpec::parse(cli.get("rtol", ""), 1e-9);
+      baseline_opts.atol =
+          rlb::engine::ToleranceSpec::parse(cli.get("atol", ""), 0.0);
       baseline_json = rlb::engine::read_text_file(baseline_path);
+    }
 
     const std::string cache_dir = cli.get("cache", "");
     // --cache-mode without --cache used to be consumed (so the typo check
