@@ -64,7 +64,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
         key.set("task", static_cast<std::uint64_t>(i % kTasks));
         return key;
       },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
+      [&](std::size_t i) {
         const double rho = rhos[i / kTasks];
         const std::size_t task = i % kTasks;
         rlb::engine::CellRecord rec;
@@ -88,17 +88,10 @@ ScenarioOutput run(ScenarioContext& ctx) {
         const auto plan =
             ctx.plan(rlb::engine::cell_seed(seed, i / kTasks), jobs,
                      jobs / 10);
-        ClusterRoundState state;
-        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
-        const ClusterResult res = simulate_cluster(
-            cfg, *policy, arrivals, *svc, plan, ctx.budget(), checkpoint,
-            refine_from != nullptr ? &refine_from->round_state : nullptr);
+        const ClusterResult res =
+            simulate_cluster(cfg, *policy, arrivals, *svc, plan, ctx.budget());
         rec.values = {res.mean_sojourn};
-        if (adaptive) {
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-        }
+        if (adaptive) rec.report = res.adaptive;
         return rec;
       });
 

@@ -12,6 +12,7 @@
 #include "sim/fast_sqd.h"
 #include "sqd/asymptotic.h"
 #include "sqd/tail_distribution.h"
+#include "util/require.h"
 #include "util/table.h"
 
 namespace {
@@ -28,6 +29,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const double rho = ctx.cli().get_double("rho", 0.9);
   const int t = ctx.cli().get_int<int>("T", 3);
   const int kmax = ctx.cli().get_int<int>("kmax", 8);
+  // The simulator reads tail_kmax = 0 as "no tail" and the table indexes
+  // it from 0, so the table needs at least one tail index.
+  RLB_REQUIRE(kmax >= 1, "--kmax must be >= 1");
   const auto jobs = ctx.cli().get_int<std::uint64_t>("jobs", 4'000'000);
   const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 31);
   const Params p{n, d, rho, 1.0};

@@ -15,6 +15,7 @@
 #include "engine/scenario.h"
 #include "sim/fast_sqd.h"
 #include "sqd/asymptotic.h"
+#include "util/require.h"
 #include "util/table.h"
 
 namespace {
@@ -66,6 +67,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
       ctx.cli().get_int<std::uint64_t>("jobs", full ? 100'000'000 : 4'000'000);
   const auto seed = ctx.cli().get_int<std::uint64_t>("seed", 42);
   const double only_rho = ctx.cli().get_double("rho", 0.0);
+  RLB_REQUIRE(only_rho == 0.0 || (only_rho > 0.0 && only_rho < 1.0),
+              "--rho must be 0 (both panels) or in (0, 1)");
 
   const std::vector<int> choices{2, 5, 10, 25, 50};
   const std::vector<int> servers{5, 10, 25, 50, 75, 100, 150, 200, 250};

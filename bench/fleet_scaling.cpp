@@ -68,7 +68,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
         key.set("task", static_cast<std::uint64_t>(i % kPolicies));
         return key;
       },
-      [&](std::size_t i, const rlb::engine::CellRecord*) {
+      [&](std::size_t i) {
         const std::size_t r = i / kPolicies;
         const int n = fleet_sizes[r];
         ClusterConfig cfg;

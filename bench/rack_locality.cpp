@@ -127,7 +127,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
         key.set("task", static_cast<std::uint64_t>(task));
         return key;
       },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
+      [&](std::size_t i) {
         using namespace rlb::sim;
         const bool check = i >= check_cell;
         const bool main = i < main_cells;
@@ -150,18 +150,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
         const auto policy = make_main_policy(n, racks, cell_d, task);
         const auto plan =
             ctx.plan(rlb::engine::cell_seed(seed, row_of(i)), jobs, jobs / 10);
-        ClusterRoundState state;
-        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
-        const ClusterResult res = simulate_cluster(
-            cfg, *policy, arrivals, *svc, plan, ctx.budget(), checkpoint,
-            refine_from != nullptr ? &refine_from->round_state : nullptr);
+        const ClusterResult res =
+            simulate_cluster(cfg, *policy, arrivals, *svc, plan, ctx.budget());
         rlb::engine::CellRecord rec;
         rec.values = {res.mean_sojourn, res.p99_sojourn};
-        if (adaptive) {
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-        }
+        if (adaptive) rec.report = res.adaptive;
         return rec;
       });
 

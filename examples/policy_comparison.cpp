@@ -82,7 +82,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
         key.set("task", static_cast<std::uint64_t>(i % kPolicies));
         return key;
       },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
+      [&](std::size_t i) {
         const std::size_t r = i / kPolicies;
         ClusterConfig cfg;
         cfg.servers = n;
@@ -97,18 +97,11 @@ ScenarioOutput run(ScenarioContext& ctx) {
         // (common random numbers), isolating the policy effect.
         const auto plan =
             ctx.plan(rlb::engine::cell_seed(seed, r), jobs, jobs / 10);
-        ClusterRoundState state;
-        ClusterRoundState* checkpoint = adaptive ? &state : nullptr;
-        const ClusterResult res = simulate_cluster(
-            cfg, *policy, arrivals, *svc, plan, ctx.budget(), checkpoint,
-            refine_from != nullptr ? &refine_from->round_state : nullptr);
+        const ClusterResult res =
+            simulate_cluster(cfg, *policy, arrivals, *svc, plan, ctx.budget());
         rlb::engine::CellRecord rec;
         rec.values = {res.mean_sojourn, res.p99_sojourn};
-        if (adaptive) {
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-        }
+        if (adaptive) rec.report = res.adaptive;
         return rec;
       });
 

@@ -102,17 +102,6 @@ std::string CacheKey::digest() const {
 
 namespace {
 
-json::Value encode_moments(const sim::MomentsState& s) {
-  json::Value v;
-  v.kind = json::Value::Kind::Object;
-  v.members.emplace_back("count", json::make_number(s.count));
-  v.members.emplace_back("mean", json::make_number(s.mean));
-  v.members.emplace_back("m2", json::make_number(s.m2));
-  v.members.emplace_back("min", json::make_number(s.min));
-  v.members.emplace_back("max", json::make_number(s.max));
-  return v;
-}
-
 const json::Value& member_of(const json::Value& v, const char* key) {
   const json::Value* found = v.find(key);
   if (found == nullptr)
@@ -128,100 +117,6 @@ int int_of(const json::Value& v, const char* key) {
     throw std::invalid_argument(std::string("cache record: '") + key +
                                 "' exceeds INT_MAX");
   return static_cast<int>(x);
-}
-
-sim::MomentsState parse_moments(const json::Value& v) {
-  sim::MomentsState s;
-  s.count = json::uint64_of(member_of(v, "count"));
-  s.mean = json::number_of(member_of(v, "mean"));
-  s.m2 = json::number_of(member_of(v, "m2"));
-  s.min = json::number_of(member_of(v, "min"));
-  s.max = json::number_of(member_of(v, "max"));
-  return s;
-}
-
-json::Value encode_round_state(const sim::ClusterRoundState& s) {
-  json::Value v;
-  v.kind = json::Value::Kind::Object;
-  v.members.emplace_back(
-      "rounds", json::make_number(static_cast<std::int64_t>(s.rounds)));
-  v.members.emplace_back("jobs_used", json::make_number(s.jobs_used));
-  v.members.emplace_back("batch", json::make_number(s.batch));
-  v.members.emplace_back("sojourn", encode_moments(s.sojourn));
-  v.members.emplace_back("wait", encode_moments(s.wait));
-  json::Value ci;
-  ci.kind = json::Value::Kind::Object;
-  ci.members.emplace_back("batch_size",
-                          json::make_number(s.sojourn_ci.batch_size));
-  ci.members.emplace_back("in_batch",
-                          json::make_number(s.sojourn_ci.in_batch));
-  ci.members.emplace_back("batch_sum",
-                          json::make_number(s.sojourn_ci.batch_sum));
-  ci.members.emplace_back("batch_means",
-                          encode_moments(s.sojourn_ci.batch_means));
-  v.members.emplace_back("sojourn_ci", std::move(ci));
-  json::Value q;
-  q.kind = json::Value::Kind::Object;
-  q.members.emplace_back("capacity",
-                         json::make_number(s.sojourn_quantiles.capacity));
-  q.members.emplace_back("seen", json::make_number(s.sojourn_quantiles.seen));
-  q.members.emplace_back("rng_state",
-                         json::make_number(s.sojourn_quantiles.rng_state));
-  json::Value sample;
-  sample.kind = json::Value::Kind::Array;
-  sample.items.reserve(s.sojourn_quantiles.sample.size());
-  for (const double x : s.sojourn_quantiles.sample)
-    sample.items.push_back(json::make_number(x));
-  q.members.emplace_back("sample", std::move(sample));
-  v.members.emplace_back("quantiles", std::move(q));
-  v.members.emplace_back("area_jobs", json::make_number(s.area_jobs));
-  v.members.emplace_back("busy_area", json::make_number(s.busy_area));
-  v.members.emplace_back("window", json::make_number(s.window));
-  v.members.emplace_back("sim_time", json::make_number(s.sim_time));
-  v.members.emplace_back("sla_violations",
-                         json::make_number(s.sla_violations));
-  v.members.emplace_back("sla_threshold",
-                         json::make_number(s.sla_threshold));
-  return v;
-}
-
-sim::ClusterRoundState parse_round_state(const json::Value& v) {
-  sim::ClusterRoundState s;
-  s.rounds = int_of(v, "rounds");
-  s.jobs_used = json::uint64_of(member_of(v, "jobs_used"));
-  s.batch = json::uint64_of(member_of(v, "batch"));
-  s.sojourn = parse_moments(member_of(v, "sojourn"));
-  s.wait = parse_moments(member_of(v, "wait"));
-  const json::Value& ci = member_of(v, "sojourn_ci");
-  s.sojourn_ci.batch_size = json::uint64_of(member_of(ci, "batch_size"));
-  s.sojourn_ci.in_batch = json::uint64_of(member_of(ci, "in_batch"));
-  s.sojourn_ci.batch_sum = json::number_of(member_of(ci, "batch_sum"));
-  s.sojourn_ci.batch_means = parse_moments(member_of(ci, "batch_means"));
-  const json::Value& q = member_of(v, "quantiles");
-  s.sojourn_quantiles.capacity = json::uint64_of(member_of(q, "capacity"));
-  s.sojourn_quantiles.seen = json::uint64_of(member_of(q, "seen"));
-  s.sojourn_quantiles.rng_state = json::uint64_of(member_of(q, "rng_state"));
-  const json::Value& sample = member_of(q, "sample");
-  if (sample.kind != json::Value::Kind::Array)
-    throw std::invalid_argument("cache record: 'sample' is not an array");
-  s.sojourn_quantiles.sample.reserve(sample.items.size());
-  for (const json::Value& x : sample.items)
-    s.sojourn_quantiles.sample.push_back(json::number_of(x));
-  s.area_jobs = json::number_of(member_of(v, "area_jobs"));
-  s.busy_area = json::number_of(member_of(v, "busy_area"));
-  s.window = json::number_of(member_of(v, "window"));
-  s.sim_time = json::number_of(member_of(v, "sim_time"));
-  s.sla_violations = json::uint64_of(member_of(v, "sla_violations"));
-  s.sla_threshold = json::number_of(member_of(v, "sla_threshold"));
-  // Reject a state no run writes: resuming from it would abort the run
-  // instead of recomputing the cell.
-  const sim::BatchMeansState& ci_state = s.sojourn_ci;
-  const sim::ReservoirState& q_state = s.sojourn_quantiles;
-  if (s.rounds < 1 || s.batch == 0 || s.batch != ci_state.batch_size ||
-      ci_state.in_batch >= ci_state.batch_size || q_state.capacity == 0 ||
-      q_state.sample.size() != std::min(q_state.seen, q_state.capacity))
-    throw std::invalid_argument("cache record: inconsistent round state");
-  return s;
 }
 
 }  // namespace
@@ -250,9 +145,6 @@ std::string encode_record(const CacheKey& key, const CellRecord& record) {
   report.members.emplace_back("converged",
                               json::make_bool(record.report.converged));
   v.members.emplace_back("report", std::move(report));
-  if (record.has_round_state)
-    v.members.emplace_back("round_state",
-                           encode_round_state(record.round_state));
   return json::encode(v);
 }
 
@@ -285,10 +177,6 @@ std::optional<CellRecord> parse_record(const CacheKey& key,
     const json::Value& converged = member_of(report, "converged");
     if (converged.kind != json::Value::Kind::Bool) return std::nullopt;
     record.report.converged = converged.boolean;
-    if (const json::Value* rs = v.find("round_state")) {
-      record.round_state = parse_round_state(*rs);
-      record.has_round_state = true;
-    }
     return record;
   } catch (const std::exception&) {
     // Malformed, truncated, or schema-drifted records all land here: the
@@ -297,8 +185,7 @@ std::optional<CellRecord> parse_record(const CacheKey& key,
   }
 }
 
-ResultCache::ResultCache(std::string dir, CacheMode mode)
-    : dir_(std::move(dir)), mode_(mode) {
+ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   RLB_REQUIRE(!dir_.empty(), "cache directory must be non-empty");
   std::filesystem::create_directories(dir_);
 }
@@ -307,17 +194,12 @@ std::string ResultCache::path_of(const CacheKey& key) const {
   return dir_ + "/" + key.digest() + ".json";
 }
 
-ResultCache::Lookup ResultCache::lookup(const CacheKey& key,
-                                        double target_ci) {
-  Lookup out;
-  if (mode_ == CacheMode::kRefresh) {
-    ++misses_;
-    return out;
-  }
+std::optional<CellRecord> ResultCache::lookup(const CacheKey& key,
+                                              double target_ci) {
   std::ifstream f(path_of(key));
   if (!f.good()) {
     ++misses_;
-    return out;
+    return std::nullopt;
   }
   std::ostringstream text;
   text << f.rdbuf();
@@ -325,30 +207,17 @@ ResultCache::Lookup ResultCache::lookup(const CacheKey& key,
   if (!record) {
     ++discarded_;
     ++misses_;
-    return out;
+    return std::nullopt;
   }
-  if (record->target_ci == target_ci) {
-    ++hits_;
-    out.outcome = Lookup::Outcome::kHit;
-    out.record = std::move(*record);
-    return out;
+  if (record->target_ci != target_ci) {
+    ++misses_;
+    return std::nullopt;
   }
-  // A looser-target adaptive record can seed a refinement; a tighter or
-  // fixed-budget one cannot (resuming past the new stopping point would
-  // not equal a cold run).
-  if (target_ci > 0.0 && record->has_round_state &&
-      record->target_ci > target_ci) {
-    ++refined_;
-    out.outcome = Lookup::Outcome::kRefine;
-    out.record = std::move(*record);
-    return out;
-  }
-  ++misses_;
-  return out;
+  ++hits_;
+  return record;
 }
 
 void ResultCache::store(const CacheKey& key, const CellRecord& record) {
-  if (mode_ == CacheMode::kReadOnly) return;
   const std::string path = path_of(key);
   const std::string tmp = path + ".tmp";
   {
@@ -364,23 +233,8 @@ void ResultCache::store(const CacheKey& key, const CellRecord& record) {
 std::string ResultCache::summary() const {
   std::ostringstream os;
   os << "cache summary: hits=" << hits_ << " misses=" << misses_
-     << " refined=" << refined_ << " discarded=" << discarded_
-     << " stored=" << stored_;
+     << " discarded=" << discarded_ << " stored=" << stored_;
   return os.str();
-}
-
-CacheMode parse_cache_mode(const std::string& text) {
-  if (text == "readwrite") return CacheMode::kReadWrite;
-  if (text == "readonly") return CacheMode::kReadOnly;
-  if (text == "refresh") return CacheMode::kRefresh;
-  throw std::invalid_argument(
-      "--cache-mode must be 'readwrite', 'readonly', or 'refresh'");
-}
-
-std::string cache_cli_error(bool has_cache, bool has_cache_mode) {
-  if (has_cache || !has_cache_mode) return {};
-  return "--cache-mode requires --cache=DIR (it configures the result "
-         "cache and does nothing without one)";
 }
 
 }  // namespace rlb::engine

@@ -11,11 +11,9 @@
 // corrupt cache can cost time, never correctness.
 //
 // The precision target (--target-ci) is deliberately NOT part of the
-// key: a record stores the target it satisfied plus the adaptive round
-// state, so a run at a tighter target finds the looser entry at the same
-// coordinates and resumes its round schedule (sim::simulate_cluster's
-// `resume`) instead of starting over — bit-identical to a cold run,
-// because round sizes depend only on the round index.
+// key: a record stores the target it satisfied, and a lookup hits only
+// when that target equals the run's. A record at any other target is a
+// miss; the cell recomputes and the store overwrites the record.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/cluster_sim.h"
 #include "sim/replica.h"
 
 namespace rlb::engine {
@@ -67,8 +64,8 @@ class CacheKey {
   std::vector<std::pair<std::string, std::string>> params_;
 };
 
-/// One cached cell: the scenario's output columns plus everything a
-/// later, tighter run needs to resume the adaptive run.
+/// One cached cell: the scenario's output columns, the adaptive stopping
+/// report, and the precision target they satisfied.
 struct CellRecord {
   /// The cell's numeric output columns in scenario-defined order.
   std::vector<double> values;
@@ -79,11 +76,6 @@ struct CellRecord {
   /// The --target-ci this record satisfied; 0 marks a fixed-budget run.
   /// Not part of the key (see file comment) — the hit test compares it.
   double target_ci = 0.0;
-  /// Adaptive round state for refinement; absent for
-  /// fixed-budget cells and for scenarios that cannot checkpoint
-  /// (windowed statistics, non-cluster cells).
-  bool has_round_state = false;
-  sim::ClusterRoundState round_state;
 };
 
 /// Serialize a record (with its key and the engine-version stamp) to the
@@ -96,76 +88,44 @@ std::string encode_record(const CacheKey& key, const CellRecord& record);
 std::optional<CellRecord> parse_record(const CacheKey& key,
                                        const std::string& text);
 
-/// What the cache is allowed to do this run (--cache-mode).
-enum class CacheMode {
-  kReadWrite,  ///< default: serve hits, store recomputed cells
-  kReadOnly,   ///< serve hits, never write (shared/CI caches)
-  kRefresh,    ///< ignore existing entries, recompute, overwrite
-};
-
 /// One directory of cell records plus the run's hit/miss accounting.
 /// Lookups and stores are serial by design — ScenarioContext::map_cells
 /// does both outside its parallel region — so the class needs no locks.
 class ResultCache {
  public:
   /// Opens (creating if needed) the cache directory.
-  ResultCache(std::string dir, CacheMode mode);
+  explicit ResultCache(std::string dir);
 
-  [[nodiscard]] CacheMode mode() const { return mode_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  struct Lookup {
-    enum class Outcome {
-      kHit,     ///< record satisfies the current target; reuse verbatim
-      kRefine,  ///< looser-target record with round state; resume it
-      kMiss,    ///< nothing usable; compute from scratch
-    };
-    Outcome outcome = Outcome::kMiss;
-    CellRecord record;  ///< valid for kHit and kRefine
-  };
+  /// The record for `key` when it satisfies the current run's precision
+  /// target `target_ci` (0 = fixed budget): a HIT needs the stored target
+  /// to equal it. A missing record, or one at any other target, is a
+  /// miss; an unusable record also counts as discarded.
+  std::optional<CellRecord> lookup(const CacheKey& key, double target_ci);
 
-  /// Decide what a cell can reuse. `target_ci` is the current run's
-  /// precision target (0 = fixed budget); a record is a HIT when its
-  /// stored target equals it, and a REFINE when the record's target is
-  /// looser and it carries round state. kRefresh mode skips the read
-  /// entirely (every cell recomputes); unusable records count as
-  /// discarded and fall through to kMiss.
-  Lookup lookup(const CacheKey& key, double target_ci);
-
-  /// Persist a computed cell (no-op in kReadOnly mode). Writes to a temp
-  /// file then renames, so a crashed run leaves no truncated record.
+  /// Persist a computed cell, overwriting any record at its key. Writes
+  /// to a temp file then renames, so a crashed run leaves no truncated
+  /// record.
   void store(const CacheKey& key, const CellRecord& record);
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t refined() const { return refined_; }
   [[nodiscard]] std::uint64_t discarded() const { return discarded_; }
   [[nodiscard]] std::uint64_t stored() const { return stored_; }
 
   /// The run-summary line rlb_run prints:
-  /// "cache summary: hits=H misses=M refined=R discarded=D stored=S".
+  /// "cache summary: hits=H misses=M discarded=D stored=S".
   [[nodiscard]] std::string summary() const;
 
  private:
   [[nodiscard]] std::string path_of(const CacheKey& key) const;
 
   std::string dir_;
-  CacheMode mode_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t refined_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t stored_ = 0;
 };
-
-/// Parse a --cache-mode value; throws std::invalid_argument on anything
-/// but "readwrite" / "readonly" / "refresh".
-CacheMode parse_cache_mode(const std::string& text);
-
-/// Coherence check for the cache flag family: --cache-mode only
-/// configures the result cache, so without --cache=DIR it used to be
-/// consumed silently and do nothing. Returns the error message for that
-/// misuse, or an empty string when the combination is coherent.
-std::string cache_cli_error(bool has_cache, bool has_cache_mode);
 
 }  // namespace rlb::engine

@@ -1,6 +1,7 @@
 #include "engine/scenario.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace rlb::engine {
 
@@ -81,40 +82,31 @@ std::vector<CellRecord> ScenarioContext::map_cells(
     std::size_t count, const CellKeyFn& key_of,
     const CellComputeFn& compute) const {
   const double target = adaptive_.target_ci;
-  if (cache_ == nullptr) {
-    return parallel_map<CellRecord>(count, budget_, [&](std::size_t i) {
-      CellRecord record = compute(i, nullptr);
-      record.target_ci = target;
-      return record;
-    });
-  }
+  const auto compute_at_target = [&](std::size_t i) {
+    CellRecord record = compute(i);
+    record.target_ci = target;
+    return record;
+  };
+  if (cache_ == nullptr)
+    return parallel_map<CellRecord>(count, budget_, compute_at_target);
   // Serial lookup pre-pass: the cache does unsynchronized IO and
   // counter updates, so all of it stays outside the parallel region.
   std::vector<CacheKey> keys;
   keys.reserve(count);
-  std::vector<ResultCache::Lookup> lookups;
-  lookups.reserve(count);
+  std::vector<std::optional<CellRecord>> hits;
+  hits.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     keys.push_back(key_of(i));
-    lookups.push_back(cache_->lookup(keys.back(), target));
+    hits.push_back(cache_->lookup(keys.back(), target));
   }
   std::vector<CellRecord> results =
       parallel_map<CellRecord>(count, budget_, [&](std::size_t i) {
-        const ResultCache::Lookup& l = lookups[i];
-        if (l.outcome == ResultCache::Lookup::Outcome::kHit)
-          return l.record;
-        CellRecord record = compute(
-            i, l.outcome == ResultCache::Lookup::Outcome::kRefine
-                   ? &l.record
-                   : nullptr);
-        record.target_ci = target;
-        return record;
+        return hits[i] ? *hits[i] : compute_at_target(i);
       });
-  // Serial store pass: hits are already on disk; everything computed
-  // (misses and refinements) persists at the now-satisfied target.
+  // Serial store pass: hits are already on disk; every computed cell
+  // persists at the current target.
   for (std::size_t i = 0; i < count; ++i)
-    if (lookups[i].outcome != ResultCache::Lookup::Outcome::kHit)
-      cache_->store(keys[i], results[i]);
+    if (!hits[i]) cache_->store(keys[i], results[i]);
   return results;
 }
 
@@ -218,12 +210,8 @@ constexpr CommonFlag kCommonFlags[] = {
      "leading jobs every replica of every adaptive round discards"},
     {"cache", "(off)",
      "persistent result-cache directory (docs/CACHING.md): sweep cells "
-     "load from matching records instead of simulating, and a tighter "
-     "--target-ci resumes a looser record's rounds; a warm re-run is "
-     "byte-identical to the cold run"},
-    {"cache-mode", "readwrite",
-     "'readwrite' serves hits and stores recomputed cells, 'readonly' "
-     "never writes, 'refresh' recomputes everything and overwrites"},
+     "load from records at the same coordinates and --target-ci instead "
+     "of simulating; a warm re-run is byte-identical to the cold run"},
 };
 
 }  // namespace

@@ -143,25 +143,22 @@ class ScenarioContext {
 
   /// A CacheKey pre-filled with the run-level coordinates every cell
   /// shares — replicas and the --target-ci family EXCEPT target-ci
-  /// itself (stored in the record instead, so a tighter run can find and
-  /// refine looser-target entries; docs/CACHING.md). The scenario adds
-  /// its own parameters (and the cell seed) on top.
+  /// itself (stored in the record instead, so a run at another target
+  /// overwrites the record at the same coordinates; docs/CACHING.md).
+  /// The scenario adds its own parameters (and the cell seed) on top.
   [[nodiscard]] CacheKey cell_key(const std::string& scenario,
                                   std::uint64_t seed) const;
 
   using CellKeyFn = std::function<CacheKey(std::size_t)>;
-  /// Computes cell `i` from scratch (refine_from == nullptr) or by
-  /// resuming the given looser-target record's round state. The returned
-  /// record's target_ci is stamped by map_cells.
-  using CellComputeFn =
-      std::function<CellRecord(std::size_t, const CellRecord* refine_from)>;
+  /// Computes cell `i`. The returned record's target_ci is stamped by
+  /// map_cells.
+  using CellComputeFn = std::function<CellRecord(std::size_t)>;
 
   /// The cache-aware sweep: results[i] comes from the cache when its
-  /// record satisfies the current precision target, from resuming the
-  /// round state of a looser-target record, and from `compute` otherwise
-  /// — computed on the same worker budget as map(), with lookups and
-  /// stores serial around the parallel region, so the table stays
-  /// invariant under the thread count AND under cache warmth.
+  /// record satisfies the current precision target and from `compute`
+  /// otherwise — computed on the same worker budget as map(), with
+  /// lookups and stores serial around the parallel region, so the table
+  /// stays invariant under the thread count AND under cache warmth.
   std::vector<CellRecord> map_cells(std::size_t count,
                                     const CellKeyFn& key_of,
                                     const CellComputeFn& compute) const;

@@ -1,5 +1,7 @@
 #include "engine/sweep.h"
 
+#include <stdexcept>
+
 #include "util/splitmix.h"
 
 namespace rlb::engine {
@@ -12,6 +14,9 @@ std::uint64_t cell_seed(std::uint64_t base, std::uint64_t index) {
 }
 
 int resolve_threads(int requested) {
+  if (requested < 0)
+    throw std::invalid_argument(
+        "--threads must be >= 0 (0 = hardware concurrency)");
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -21,8 +21,9 @@ namespace rlb::engine {
 /// across platforms and independent of thread scheduling.
 std::uint64_t cell_seed(std::uint64_t base, std::uint64_t index);
 
-/// Number of workers actually used for `count` cells with a requested
-/// thread count (0 means "hardware concurrency").
+/// Number of workers for a requested thread count (0 means "hardware
+/// concurrency"). Throws std::invalid_argument, naming --threads, on a
+/// negative count.
 int resolve_threads(int requested);
 
 /// results[i] = fn(i) for i in [0, count), computed by the calling thread

@@ -1,7 +1,6 @@
 #include "sim/cluster_sim.h"
 
 #include <cmath>
-#include <optional>
 #include <string>
 
 #include "sim/cluster_accum.h"
@@ -92,72 +91,16 @@ ClusterResult assemble(const ClusterConfig& cfg, const ClusterAccum& acc) {
   return out;
 }
 
-/// Checkpoint the merged accumulator + stopping report into a
-/// ClusterRoundState (see cluster_sim.h). Windowed recorders cannot be
-/// checkpointed; simulate_cluster refuses a checkpoint when they are
-/// armed.
-ClusterRoundState snapshot_round_state(const ClusterAccum& acc,
-                                       const AdaptiveReport& report,
-                                       std::uint64_t batch) {
-  ClusterRoundState s;
-  s.rounds = report.rounds;
-  s.jobs_used = report.jobs_used;
-  s.batch = batch;
-  s.sojourn = acc.sojourn_stats.state();
-  s.wait = acc.wait_stats.state();
-  s.sojourn_ci = acc.sojourn_ci.state();
-  s.sojourn_quantiles = acc.sojourn_quantiles.state();
-  s.area_jobs = acc.area_jobs;
-  s.busy_area = acc.busy_area;
-  s.window = acc.window;
-  s.sim_time = acc.sim_time;
-  s.sla_violations = acc.sla_violations;
-  s.sla_threshold = acc.sla_threshold;
-  return s;
-}
-
-/// Rebuild the merged accumulator a checkpoint describes, bit-for-bit.
-ClusterAccum restore_round_state(const ClusterRoundState& s) {
-  ClusterAccum acc;
-  acc.sojourn_stats = StreamingMoments::from_state(s.sojourn);
-  acc.wait_stats = StreamingMoments::from_state(s.wait);
-  acc.sojourn_ci = BatchMeans::from_state(s.sojourn_ci);
-  acc.sojourn_quantiles = ReservoirQuantiles::from_state(s.sojourn_quantiles);
-  acc.area_jobs = s.area_jobs;
-  acc.busy_area = s.busy_area;
-  acc.window = s.window;
-  acc.sim_time = s.sim_time;
-  acc.sla_violations = s.sla_violations;
-  acc.sla_threshold = s.sla_threshold;
-  return acc;
-}
-
 }  // namespace
 
 ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
                                ArrivalProcess& arrivals,
                                const Distribution& service,
                                const AdaptivePlan& plan,
-                               util::ThreadBudget& budget,
-                               ClusterRoundState* checkpoint,
-                               const ClusterRoundState* resume) {
+                               util::ThreadBudget& budget) {
   validate_config(cfg, policy);
   plan.validate();
-  RLB_REQUIRE((resume == nullptr && checkpoint == nullptr) ||
-                  cfg.window_width == 0.0,
-              "round-state checkpoints require windowed statistics off");
   const std::uint64_t batch = plan.batch_size();
-  std::optional<ResumeState<ClusterAccum>> from;
-  if (resume != nullptr) {
-    // The checkpointed statistics were batched at the original run's
-    // batch size; resuming with a different one would mix batch
-    // granularities and break the cold-run equivalence.
-    RLB_REQUIRE(batch == resume->batch,
-                "refine plan derives a different batch size than the "
-                "checkpointed run used");
-    from = ResumeState<ClusterAccum>{resume->rounds, resume->jobs_used,
-                                     restore_round_state(*resume)};
-  }
 
   AdaptiveReport report;
   const ClusterAccum acc = run_replicas<ClusterAccum>(
@@ -171,10 +114,8 @@ ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
       [&](const ClusterAccum& merged) {
         return merged.sojourn_ci.half_width_or_infinity(plan.confidence);
       },
-      report, std::move(from));
+      report);
 
-  if (checkpoint != nullptr)
-    *checkpoint = snapshot_round_state(acc, report, batch);
   ClusterResult out = assemble(cfg, acc);
   out.adaptive = report;
   return out;

@@ -13,7 +13,6 @@
 #include "sim/distributions.h"
 #include "sim/policy.h"
 #include "sim/replica.h"
-#include "sim/stats.h"
 #include "sim/topology.h"
 #include "util/thread_budget.h"
 
@@ -110,32 +109,6 @@ struct ClusterResult {
   AdaptiveReport adaptive;
 };
 
-/// Exact checkpoint of an adaptive run's merged statistics after its
-/// last completed round — the "round state" a result-cache entry stores
-/// so a later run at a tighter target can resume the round schedule
-/// instead of starting over (docs/CACHING.md). Restoring this state and
-/// resuming run_replicas from it reproduces the exact rounds a cold run
-/// at the tighter target would execute.
-///
-/// Windowed recorders are NOT checkpointable (they hold per-window
-/// reservoirs with independent streams); capture and resume both require
-/// cfg.window_width == 0.
-struct ClusterRoundState {
-  int rounds = 0;               ///< completed rounds
-  std::uint64_t jobs_used = 0;  ///< cumulative budget, warmup included
-  std::uint64_t batch = 1;      ///< CI batch size the run was built with
-  MomentsState sojourn;
-  MomentsState wait;
-  BatchMeansState sojourn_ci;
-  ReservoirState sojourn_quantiles;
-  double area_jobs = 0.0;
-  double busy_area = 0.0;
-  double window = 0.0;
-  double sim_time = 0.0;
-  std::uint64_t sla_violations = 0;
-  double sla_threshold = 0.0;
-};
-
 /// Run `plan` (sim/replica.h): rounds of plan.replicas replicas, each
 /// with fresh clones of the policy and arrival process, seeded
 /// replica_seed(plan.base_seed, r). AdaptivePlan::fixed is one round of a
@@ -146,30 +119,16 @@ struct ClusterRoundState {
 /// reports the stopping outcome. Bit-identical for every budget. Wrap a
 /// renewal interarrival law in RenewalArrivals; pass
 /// util::ThreadBudget::serial() to run on the calling thread only.
-///
-/// When `checkpoint` is non-null the merged statistics are checkpointed
-/// into it after the run stops; the checkpoint changes no output bit.
-///
-/// When `resume` is non-null the run continues from that checkpoint at a
-/// (typically tighter) plan.target_ci — the result cache's refinement.
-/// `resume` must be the checkpoint of a run with the same cfg and the
-/// same plan apart from target_ci; the round schedule continues from
-/// resume->rounds with fresh replica streams, so no randomness is ever
-/// reused and the result is bit-identical to a cold run at the new
-/// target. `resume` comes last so that a `ClusterRoundState*` passed as
-/// `checkpoint` can never bind to it. Both require cfg.window_width == 0.
 ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
                                ArrivalProcess& arrivals,
                                const Distribution& service,
                                const AdaptivePlan& plan,
-                               util::ThreadBudget& budget,
-                               ClusterRoundState* checkpoint = nullptr,
-                               const ClusterRoundState* resume = nullptr);
+                               util::ThreadBudget& budget);
 
 /// Forwarders kept because perf/ still calls them; no scenario does.
 /// The first runs AdaptivePlan::fixed(cfg.replicas, cfg.jobs, cfg.warmup,
 /// cfg.seed) and leaves result.adaptive default-initialized; the second
-/// is the plan entry without a checkpoint.
+/// is the plan entry under its former name.
 ClusterResult simulate_cluster(const ClusterConfig& cfg, Policy& policy,
                                ArrivalProcess& arrivals,
                                const Distribution& service,

@@ -129,18 +129,6 @@ struct AdaptiveReport {
   }
 };
 
-/// Where a stopped run left off, to resume it (the result cache's
-/// refinement, docs/CACHING.md): the rounds it completed, the budget (warmup
-/// included) they burned, and the EXACT merged Result after them — a
-/// bit-exact checkpoint restore, e.g. ClusterRoundState for the cluster
-/// simulator.
-template <typename Result>
-struct ResumeState {
-  int rounds = 0;
-  std::uint64_t jobs_used = 0;
-  Result merged;
-};
-
 /// The replica runner. Rounds of plan.replicas fresh replicas run until
 /// half_width(merged) <= plan.target_ci or the cumulative job budget hits
 /// plan.max_jobs (then report.converged is false — the estimate is still
@@ -168,34 +156,17 @@ struct ResumeState {
 /// bit-identical for every `budget`. A replica that throws stops the
 /// remaining replicas and the first exception is rethrown on the calling
 /// thread after all helpers retire.
-///
-/// With `resume` the run continues a stopped one, typically at a tighter
-/// plan.target_ci; the plan must match the original in every other
-/// field. Replica numbering continues globally, so no stream is reused,
-/// and round sizes depend only on the round index, so the result is
-/// bit-identical to a cold run at the new target. The report covers the
-/// WHOLE run:
-/// `report.jobs_used - resume->jobs_used` is the budget the resumption
-/// actually simulated.
 template <typename Result, typename RunFn, typename MergeFn,
           typename HalfWidthFn>
 Result run_replicas(const AdaptivePlan& plan, util::ThreadBudget& budget,
                     RunFn&& run, MergeFn&& merge, HalfWidthFn&& half_width,
-                    AdaptiveReport& report,
-                    std::optional<ResumeState<Result>> resume = {}) {
+                    AdaptiveReport& report) {
   plan.validate();
   const auto count = static_cast<std::size_t>(plan.replicas);
   const auto replicas64 = static_cast<std::uint64_t>(plan.replicas);
   report = AdaptiveReport{};
   std::optional<Result> merged;
-  if (resume) {
-    RLB_REQUIRE(resume->rounds >= 1,
-                "resume requires at least one completed round");
-    report.rounds = resume->rounds;
-    report.jobs_used = resume->jobs_used;
-    merged = std::move(resume->merged);
-  }
-  for (int round = report.rounds;; ++round) {
+  for (int round = 0;; ++round) {
     if (merged) {
       report.half_width = half_width(*merged);
       if (report.half_width <= plan.target_ci) {

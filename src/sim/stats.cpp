@@ -50,16 +50,6 @@ MomentsState StreamingMoments::state() const {
   return MomentsState{count_, mean_, m2_, min_, max_};
 }
 
-StreamingMoments StreamingMoments::from_state(const MomentsState& s) {
-  StreamingMoments out;
-  out.count_ = s.count;
-  out.mean_ = s.mean;
-  out.m2_ = s.m2;
-  out.min_ = s.min;
-  out.max_ = s.max;
-  return out;
-}
-
 BatchMeans::BatchMeans(std::uint64_t batch_size) : batch_size_(batch_size) {
   RLB_REQUIRE(batch_size >= 1, "batch size must be positive");
 }
@@ -101,14 +91,6 @@ double BatchMeans::half_width_or_infinity(double confidence) const {
 BatchMeansState BatchMeans::state() const {
   return BatchMeansState{batch_size_, in_batch_, batch_sum_,
                          batch_means_.state()};
-}
-
-BatchMeans BatchMeans::from_state(const BatchMeansState& s) {
-  BatchMeans out(s.batch_size);
-  out.in_batch_ = s.in_batch;
-  out.batch_sum_ = s.batch_sum;
-  out.batch_means_ = StreamingMoments::from_state(s.batch_means);
-  return out;
 }
 
 WeightedBatchMeans::WeightedBatchMeans(std::uint64_t batch_size)
@@ -227,16 +209,6 @@ void ReservoirQuantiles::merge(const ReservoirQuantiles& other) {
 ReservoirState ReservoirQuantiles::state() const {
   return ReservoirState{static_cast<std::uint64_t>(capacity_), seen_,
                         rng_state_, sample_};
-}
-
-ReservoirQuantiles ReservoirQuantiles::from_state(const ReservoirState& s) {
-  ReservoirQuantiles out(static_cast<std::size_t>(s.capacity));
-  RLB_REQUIRE(s.sample.size() <= s.capacity,
-              "reservoir state holds more samples than its capacity");
-  out.seen_ = s.seen;
-  out.rng_state_ = s.rng_state;  // overwrite the seed-derived default
-  out.sample_ = s.sample;
-  return out;
 }
 
 double ReservoirQuantiles::quantile(double q) const {

@@ -9,11 +9,9 @@
 
 namespace rlb::sim {
 
-/// The full internal state of a StreamingMoments, exposed so merged
-/// statistics can be checkpointed (the result cache's refinement round
-/// state) and restored bit-for-bit: from_state(state()) is the identical
-/// estimator, so a resumed run continues exactly where the checkpointed
-/// run stopped.
+/// The full internal state of a StreamingMoments, exposed so tests can
+/// compare two estimators bit for bit (the compact engine against its
+/// per-server oracle in tests/test_compact_cluster.cpp).
 struct MomentsState {
   std::uint64_t count = 0;
   double mean = 0.0;
@@ -40,9 +38,8 @@ class StreamingMoments {
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
 
-  /// Checkpoint / restore (exact round trip; see MomentsState).
+  /// The exact internal state (see MomentsState).
   [[nodiscard]] MomentsState state() const;
-  static StreamingMoments from_state(const MomentsState& s);
 
  private:
   std::uint64_t count_ = 0;
@@ -52,9 +49,8 @@ class StreamingMoments {
   double max_ = 0.0;
 };
 
-/// Checkpoint of a BatchMeans, including the open partial batch, so a
-/// restored estimator continues the same batch exactly where the
-/// checkpointed one left off.
+/// The full internal state of a BatchMeans, including the open partial
+/// batch, for bit-for-bit comparison in tests (see MomentsState).
 struct BatchMeansState {
   std::uint64_t batch_size = 1;
   std::uint64_t in_batch = 0;
@@ -94,9 +90,8 @@ class BatchMeans {
   /// stop a run that has no interval yet.
   [[nodiscard]] double half_width_or_infinity(double confidence) const;
 
-  /// Checkpoint / restore (exact round trip; see BatchMeansState).
+  /// The exact internal state (see BatchMeansState).
   [[nodiscard]] BatchMeansState state() const;
-  static BatchMeans from_state(const BatchMeansState& s);
 
  private:
   std::uint64_t batch_size_;
@@ -149,9 +144,9 @@ class WeightedBatchMeans {
 /// (docs/PRECISION.md), not an approximation surface.
 double t_quantile(double confidence, std::uint64_t df);
 
-/// Checkpoint of a ReservoirQuantiles: the retained sample, the stream
-/// count it represents, and the sampler's RNG state, so a restored
-/// reservoir continues the identical random stream.
+/// The full internal state of a ReservoirQuantiles: the retained sample,
+/// the stream count it represents, and the sampler's RNG state, for
+/// bit-for-bit comparison in tests (see MomentsState).
 struct ReservoirState {
   std::uint64_t capacity = 1;
   std::uint64_t seen = 0;
@@ -184,9 +179,8 @@ class ReservoirQuantiles {
   /// Requires at least one observation.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Checkpoint / restore (exact round trip; see ReservoirState).
+  /// The exact internal state (see ReservoirState).
   [[nodiscard]] ReservoirState state() const;
-  static ReservoirQuantiles from_state(const ReservoirState& s);
 
  private:
   std::uint64_t next_random();

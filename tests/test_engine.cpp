@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/result_cache.h"
 #include "engine/scenario.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
@@ -189,6 +188,23 @@ TEST(Sweep, ContextMapUsesConfiguredThreads) {
   EXPECT_EQ(values, expected);
 }
 
+TEST(Sweep, NegativeThreadCountIsRejectedNamingTheFlag) {
+  // --threads=-3 used to run on every core, as 0 (hardware concurrency)
+  // still does.
+  EXPECT_GE(rlb::engine::resolve_threads(0), 1);
+  try {
+    (void)rlb::engine::resolve_threads(-3);
+    ADD_FAILURE() << "--threads=-3 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+        << e.what();
+  }
+  char prog[] = "test";
+  char* argv[] = {prog};
+  const rlb::util::Cli cli(1, argv);
+  EXPECT_THROW(ScenarioContext(cli, -1), std::invalid_argument);
+}
+
 TEST(Sweep, ContextCarriesReplicaCountAndBudget) {
   char prog[] = "test";
   char* argv[] = {prog};
@@ -327,27 +343,6 @@ ScenarioOutput small_grid_output() {
   table.add_row({"0.90", "4", "3.5", "unstable"});
   out.note("note under grid");
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Cache CLI coherence (the rlb_run guard for --cache-mode)
-// ---------------------------------------------------------------------------
-
-TEST(CacheCliError, FlagsWithoutCacheAreRejectedWithSpecificMessages) {
-  using rlb::engine::cache_cli_error;
-  // The incoherent combination names the flag and the missing
-  // --cache=DIR, so the error is actionable.
-  const std::string mode_only = cache_cli_error(false, true);
-  EXPECT_NE(mode_only.find("--cache-mode"), std::string::npos);
-  EXPECT_NE(mode_only.find("--cache=DIR"), std::string::npos);
-}
-
-TEST(CacheCliError, CoherentCombinationsPass) {
-  using rlb::engine::cache_cli_error;
-  // No cache flags at all, or --cache with or without --cache-mode.
-  EXPECT_TRUE(cache_cli_error(false, false).empty());
-  EXPECT_TRUE(cache_cli_error(true, false).empty());
-  EXPECT_TRUE(cache_cli_error(true, true).empty());
 }
 
 std::vector<std::vector<std::string>> parse_csv(const std::string& path) {

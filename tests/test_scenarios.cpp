@@ -10,7 +10,6 @@
 // adaptive and cache checks of the ScenarioSmoke suite below.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
@@ -243,9 +242,9 @@ TEST_P(ScenarioSmoke, WarmCacheRerunIsByteIdenticalToCold) {
       ::testing::TempDir() + "rlb_smoke_cache_" + row.label;
   std::filesystem::remove_all(dir);
   const Rendered uncached = run(row.flags, 2, 1);
-  rlb::engine::ResultCache cold_cache(dir, rlb::engine::CacheMode::kReadWrite);
+  rlb::engine::ResultCache cold_cache(dir);
   const Rendered cold = run(row.flags, 4, 1, &cold_cache);
-  rlb::engine::ResultCache warm_cache(dir, rlb::engine::CacheMode::kReadWrite);
+  rlb::engine::ResultCache warm_cache(dir);
   const Rendered warm = run(row.flags, 1, 1, &warm_cache);
   std::filesystem::remove_all(dir);
 
@@ -263,14 +262,20 @@ INSTANTIATE_TEST_SUITE_P(Registry, ScenarioSmoke,
 TEST(Scenarios, InvalidFlagValuesFailNamingTheFlag) {
   // Each of these used to run something else: --jobs=-1 wrapped to
   // 2^64 - 1 jobs (a run that never ends), --jobs=1e6 stopped parsing at
-  // the 'e' (one job per cell), --panel=z printed the preamble alone and
-  // --tmax=0 an empty bound table.
+  // the 'e' (one job per cell), --panel=z printed the preamble alone,
+  // --tmax=0 an empty bound table, --kmax=0 read past an empty tail,
+  // --rho=-0.5 printed both panels and --rho=1.5 failed only after
+  // simulating every cell.
   const std::vector<std::pair<std::string, std::string>> cases{
       {"power_of_d", "--jobs=-1"},
       {"power_of_d", "--jobs=1e6"},
       {"fig10_delay_vs_utilization", "--panel=z"},
       {"policy_comparison", "--arrival-scv=0.5"},
-      {"ablation_threshold_sweep", "--tmax=0"}};
+      {"ablation_threshold_sweep", "--tmax=0"},
+      {"tail_distribution", "--kmax=0"},
+      {"tail_distribution", "--kmax=-1"},
+      {"fig09_relative_error", "--rho=-0.5"},
+      {"fig09_relative_error", "--rho=1.5"}};
   for (const auto& [scenario, flag] : cases) {
     try {
       (void)run_to_json(scenario, {flag}, 1, 1);
@@ -357,9 +362,8 @@ class ScenarioCache : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  rlb::engine::ResultCache make_cache(
-      rlb::engine::CacheMode mode = rlb::engine::CacheMode::kReadWrite) {
-    return rlb::engine::ResultCache(dir_, mode);
+  rlb::engine::ResultCache make_cache() {
+    return rlb::engine::ResultCache(dir_);
   }
 
   std::string dir_;
@@ -412,12 +416,12 @@ TEST_F(ScenarioCache, AdaptiveRunsRoundTripThroughTheCache) {
   EXPECT_GT(warm_cache.hits(), 0u);
 }
 
-TEST_F(ScenarioCache, RefineFromCachedStateEqualsColdRunAtTighterTarget) {
-  // The refinement contract end to end: seed the cache at a loose
+TEST_F(ScenarioCache, OtherTargetRecomputesAndEqualsColdRun) {
+  // A record answers only its own --target-ci: seed the cache at a loose
   // target, re-run at a tighter one, and compare against an uncached cold
-  // run at the tight target — byte-identical, and cheaper (only solver
-  // cells recompute from scratch; every simulated cell resumes its round
-  // schedule). No flag asks for it: a looser record always refines.
+  // run at the tight target. Every cell misses and recomputes, the output
+  // is byte-identical, and the overwritten records then serve the tight
+  // target.
   const std::vector<std::string> base{"--jobs=20000", "--max-jobs=160000"};
   auto loose_args = base;
   loose_args.push_back("--target-ci=0.2");
@@ -428,62 +432,19 @@ TEST_F(ScenarioCache, RefineFromCachedStateEqualsColdRunAtTighterTarget) {
   tight_args.push_back("--target-ci=0.1");
   const std::string cold = run_to_json("power_of_d", tight_args, 2, 1);
 
-  auto refine_cache = make_cache();
-  const std::string refined =
-      run_to_json("power_of_d", tight_args, 1, 1, &refine_cache);
-  EXPECT_EQ(refined, cold);
-  EXPECT_GT(refine_cache.refined(), 0u);
-  EXPECT_EQ(refine_cache.hits(), 0u);
+  auto tight_cache = make_cache();
+  const std::string recomputed =
+      run_to_json("power_of_d", tight_args, 1, 1, &tight_cache);
+  EXPECT_EQ(recomputed, cold);
+  EXPECT_EQ(tight_cache.hits(), 0u);
+  EXPECT_EQ(tight_cache.discarded(), 0u);
+  EXPECT_EQ(tight_cache.stored(), cache.stored());
 
-  // The refined records now satisfy the tight target: a plain warm
-  // re-run at --target-ci=0.1 is all hits.
   auto warm_cache = make_cache();
   const std::string warm =
       run_to_json("power_of_d", tight_args, 4, 1, &warm_cache);
   EXPECT_EQ(warm, cold);
   EXPECT_EQ(warm_cache.misses(), 0u);
-}
-
-TEST_F(ScenarioCache, InconsistentRoundStateIsDiscardedAndRecomputed) {
-  // A record that parses but holds a round state no run writes is
-  // discarded and its cell recomputed, like any corrupt record; resuming
-  // from it would abort the whole run.
-  const std::vector<std::string> base{"--jobs=20000", "--max-jobs=160000"};
-  auto loose_args = base;
-  loose_args.push_back("--target-ci=0.2");
-  auto cache = make_cache();
-  (void)run_to_json("power_of_d", loose_args, 4, 1, &cache);
-
-  // Zero the completed-round count of one record on disk.
-  std::vector<std::filesystem::path> records;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_))
-    records.push_back(entry.path());
-  std::sort(records.begin(), records.end());
-  const std::string field = "\"round_state\":{\"rounds\":";
-  bool edited = false;
-  for (const auto& path : records) {
-    std::stringstream text;
-    text << std::ifstream(path).rdbuf();
-    std::string record = text.str();
-    const auto at = record.find(field);
-    if (at == std::string::npos) continue;
-    const auto begin = at + field.size();
-    record.replace(begin, record.find(',', begin) - begin, "0");
-    std::ofstream(path) << record;
-    edited = true;
-    break;
-  }
-  ASSERT_TRUE(edited);
-
-  auto tight_args = base;
-  tight_args.push_back("--target-ci=0.1");
-  const std::string cold = run_to_json("power_of_d", tight_args, 2, 1);
-  auto refine_cache = make_cache();
-  std::string refined;
-  ASSERT_NO_THROW(
-      refined = run_to_json("power_of_d", tight_args, 1, 1, &refine_cache));
-  EXPECT_EQ(refined, cold);
-  EXPECT_EQ(refine_cache.discarded(), 1u);
 }
 
 TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {
@@ -510,12 +471,14 @@ TEST(Scenarios, MarkdownCatalogCoversEveryScenario) {
        {"`--threads`", "`--replicas`", "`--baseline`", "`--target-ci`",
         "`--confidence`", "`--max-jobs`", "`--warmup-jobs`", "`--cache`"})
     EXPECT_NE(catalog.find(flag), std::string::npos) << flag;
-  // One adaptive schedule: no planner or warmup-policy switch, and the
-  // cache refines without being asked. No table holds a clock reading,
-  // so no timing flag and no baseline column is exempt.
+  // One adaptive schedule: no planner or warmup-policy switch, and a
+  // cache record answers only its own target, in one mode. No table
+  // holds a clock reading, so no timing flag and no baseline column is
+  // exempt.
   for (const char* gone :
        {"`--planner`", "`--warmup-policy`", "`--warmup-fraction`",
-        "`--refine`", "`--time`", "`--time-reps`", "`--baseline-ignore`"})
+        "`--refine`", "`--time`", "`--time-reps`", "`--baseline-ignore`",
+        "`--cache-mode`"})
     EXPECT_EQ(catalog.find(gone), std::string::npos) << gone;
 }
 

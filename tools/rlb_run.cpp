@@ -10,7 +10,7 @@
 //           [--target-ci=0.01 [--confidence=0.95] [--initial-jobs=N]
 //            [--max-jobs=N] [--growth-factor=2] [--warmup-jobs=N]]
 //           [--baseline=ref.json [--rtol=...] [--atol=...]]
-//           [--cache=dir [--cache-mode=readwrite|readonly|refresh]]
+//           [--cache=dir]
 //           [scenario-specific flags, e.g. --n=12 --jobs=500000]
 //
 // Every scenario derives its randomness from fixed per-cell (and, with
@@ -36,11 +36,10 @@
 //
 // --cache=DIR gives sweep scenarios a persistent result cache
 // (docs/CACHING.md): cells whose record matches the run's semantic
-// coordinates load instead of simulating, and a warm re-run's output is
-// byte-identical to the cold run's at any --threads, and a tighter
-// --target-ci resumes a looser record's adaptive round state, exactly.
-// --cache-mode chooses readwrite/readonly/refresh. The run ends with a
-// "cache summary: hits=... misses=..." line.
+// coordinates and --target-ci load instead of simulating, and a warm
+// re-run's output is byte-identical to the cold run's at any --threads.
+// A record at another --target-ci is recomputed and overwritten. The run
+// ends with a "cache summary: hits=... misses=..." line.
 #include <exception>
 #include <iostream>
 #include <optional>
@@ -103,8 +102,7 @@ int main(int argc, char** argv) {
                    "[--initial-jobs=n] [--max-jobs=n]\n"
                    "        [--growth-factor=g] [--warmup-jobs=n]]\n"
                    "       [--baseline=ref.json [--rtol=tol] [--atol=tol]]\n"
-                   "       [--cache=dir "
-                   "[--cache-mode=readwrite|readonly|refresh]]\n"
+                   "       [--cache=dir]\n"
                    "       [scenario flags]\n"
                    "       rlb_run --list [--markdown] | "
                    "--describe=<name>\n\n";
@@ -138,18 +136,8 @@ int main(int argc, char** argv) {
     }
 
     const std::string cache_dir = cli.get("cache", "");
-    // --cache-mode without --cache used to be consumed (so the typo check
-    // passed) but silently did nothing; reject it before anything runs.
-    const std::string cache_err = rlb::engine::cache_cli_error(
-        !cache_dir.empty(), cli.has("cache-mode"));
-    if (!cache_err.empty()) {
-      std::cerr << "error: " << cache_err << "\n";
-      return 2;
-    }
-    const rlb::engine::CacheMode cache_mode =
-        rlb::engine::parse_cache_mode(cli.get("cache-mode", "readwrite"));
     std::optional<rlb::engine::ResultCache> cache;
-    if (!cache_dir.empty()) cache.emplace(cache_dir, cache_mode);
+    if (!cache_dir.empty()) cache.emplace(cache_dir);
 
     // Mark the scenario's declared parameters as known; constructing the
     // context parses (and thereby marks) the global --target-ci family.
