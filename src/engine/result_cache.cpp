@@ -187,7 +187,6 @@ std::optional<CellRecord> parse_record(const CacheKey& key,
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   RLB_REQUIRE(!dir_.empty(), "cache directory must be non-empty");
-  std::filesystem::create_directories(dir_);
 }
 
 std::string ResultCache::path_of(const CacheKey& key) const {
@@ -218,6 +217,7 @@ std::optional<CellRecord> ResultCache::lookup(const CacheKey& key,
 }
 
 void ResultCache::store(const CacheKey& key, const CellRecord& record) {
+  std::filesystem::create_directories(dir_);
   const std::string path = path_of(key);
   const std::string tmp = path + ".tmp";
   {

@@ -31,7 +31,7 @@ namespace rlb::engine {
 /// streams, merge order, estimator defaults, record layout): stale
 /// records are then discarded on load instead of resurrecting old
 /// numbers.
-inline constexpr const char* kResultCacheVersion = "rlb-cache-v1";
+inline constexpr const char* kResultCacheVersion = "rlb-cache-v2";
 
 /// Semantic coordinates of one sweep cell. Parameters canonicalize by
 /// name (sorted, last set() of a name wins), so the key is stable under
@@ -93,7 +93,9 @@ std::optional<CellRecord> parse_record(const CacheKey& key,
 /// does both outside its parallel region — so the class needs no locks.
 class ResultCache {
  public:
-  /// Opens (creating if needed) the cache directory.
+  /// Opens the cache directory. Nothing touches the file system until the
+  /// first store() creates the directory, so a run refused before it
+  /// computes a cell leaves nothing behind.
   explicit ResultCache(std::string dir);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -104,9 +106,9 @@ class ResultCache {
   /// miss; an unusable record also counts as discarded.
   std::optional<CellRecord> lookup(const CacheKey& key, double target_ci);
 
-  /// Persist a computed cell, overwriting any record at its key. Writes
-  /// to a temp file then renames, so a crashed run leaves no truncated
-  /// record.
+  /// Persist a computed cell, overwriting any record at its key and
+  /// creating the directory if needed. Writes to a temp file then
+  /// renames, so a crashed run leaves no truncated record.
   void store(const CacheKey& key, const CellRecord& record);
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }

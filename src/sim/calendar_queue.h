@@ -1,5 +1,8 @@
-// The cluster engine's departure queue: a binary min-heap of (time, id)
-// events, O(log n) push and pop, O(1) top.
+// The departure queue of the cluster engine's event loop: a binary
+// min-heap of (time, id) events, O(log n) push and pop, O(1) top. Cells
+// the engine runs on its memoryless loop (exponential service; see
+// sim/compact_cluster.h) use no heap: one Exp(busy * mu) clock times
+// their departures.
 //
 // Determinism contract: pop order is the strict total order by
 // (time, id) — exactly the order std::priority_queue<std::pair<double,

@@ -2,7 +2,11 @@
 // dispatch policy, N FIFO servers with i.i.d. service times. Tracks every
 // job individually, so it supports arbitrary interarrival and service
 // distributions (unlike the fast jump-chain simulator). Each replica runs
-// on the histogram-state engine of sim/compact_cluster.h.
+// on the histogram-state engine of sim/compact_cluster.h. Cells with
+// exponential service, unit speeds, no observable cross-rack penalty and
+// a symmetric policy take its memoryless loop: one Exp(busy * mu)
+// departure clock and a uniform busy server. Every other cell takes its
+// event loop: a service time drawn per job and a departure heap.
 #pragma once
 
 #include <cstddef>

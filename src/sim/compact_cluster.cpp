@@ -1,6 +1,7 @@
 #include "sim/compact_cluster.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/prefetch.h"
 #include "util/require.h"
@@ -24,7 +25,12 @@ CompactClusterEngine::CompactClusterEngine(
                  (cfg.topology.penalized() || policy.locality_aware())),
       per_rack_(cfg.topology.servers_per_rack(cfg.servers)),
       symmetric_(policy.symmetric()),
+      service_rate_(symmetric_ && cfg.server_speeds.empty() &&
+                            !(rack_mode_ && cfg.topology.penalized())
+                        ? service.exponential_rate()
+                        : 0.0),
       dir_(cfg.servers),
+      next_departure_(std::numeric_limits<double>::infinity()),
       slot_(cfg.servers) {
   // Per-rack idle FIFOs only when a locality-aware policy will consult
   // them — at any rack count, one rack included; blind runs (even
@@ -33,6 +39,8 @@ CompactClusterEngine::CompactClusterEngine(
 }
 
 double CompactClusterEngine::remaining_work(int server) const {
+  RLB_ASSERT(service_rate_ == 0.0,
+             "the memoryless loop keeps no per-server remaining work");
   if (dir_.level_of(server) == 0) return 0.0;
   const ServerSlot& q = slot_[server];
   return (q.completion - now_) + q.queued_work;
@@ -61,6 +69,7 @@ void CompactClusterEngine::release_slot(std::int32_t slot) {
   free_head_ = slot;
 }
 
+template <bool Memoryless>
 void CompactClusterEngine::push_job(int server, const Job& job) {
   ServerSlot& q = slot_[server];
   if (dir_.level_of(server) == 0) {
@@ -69,11 +78,24 @@ void CompactClusterEngine::push_job(int server, const Job& job) {
     q.head = job;
     q.next = -1;
     q.tail = -1;
-    q.completion = now_ + job.service_time;
-    calendar_.push(q.completion, server);
+    if constexpr (Memoryless) {
+      q.start = now_;
+      // busy rises from b to b + 1: a fresh Exp(mu) clock from b = 0,
+      // else the Exp(b mu) residual scaled to Exp((b + 1) mu).
+      const int busy = busy_servers();
+      if (busy == 0)
+        next_departure_ = now_ + rng_.exponential(service_rate_);
+      else
+        next_departure_ = now_ + (next_departure_ - now_) *
+                                     (static_cast<double>(busy) /
+                                      static_cast<double>(busy + 1));
+    } else {
+      q.completion = now_ + job.service_time;
+      calendar_.push(q.completion, server);
+    }
     return;
   }
-  q.queued_work += job.service_time;
+  if constexpr (!Memoryless) q.queued_work += job.service_time;
   const std::int32_t slot = acquire_slot();
   pool_[slot].job = job;
   pool_[slot].next = -1;
@@ -84,9 +106,11 @@ void CompactClusterEngine::push_job(int server, const Job& job) {
   q.tail = slot;
 }
 
+template <bool Memoryless>
 CompactClusterEngine::Job CompactClusterEngine::pop_job(int server) {
   ServerSlot& q = slot_[server];
-  const Job done = q.head;
+  Job done = q.head;
+  if constexpr (Memoryless) done.service_time = now_ - q.start;
   if (q.next >= 0) {
     // Promote the first queued job into the inline slot and start it.
     const std::int32_t promoted = q.next;
@@ -96,21 +120,53 @@ CompactClusterEngine::Job CompactClusterEngine::pop_job(int server) {
     q.next = rec.next;
     if (rec.next < 0) q.tail = -1;
     release_slot(promoted);
-    q.queued_work -= q.head.service_time;
-    q.completion = now_ + q.head.service_time;
-    calendar_.push(q.completion, server);
+    if constexpr (Memoryless) {
+      q.start = now_;
+    } else {
+      q.queued_work -= q.head.service_time;
+      q.completion = now_ + q.head.service_time;
+      calendar_.push(q.completion, server);
+    }
   }
   return done;
 }
 
+int CompactClusterEngine::uniform_server() {
+  return static_cast<int>(
+      rng_.uniform_int(static_cast<std::uint64_t>(cfg_.servers)));
+}
+
+int CompactClusterEngine::departing_server() {
+  const int busy = busy_servers();
+  if (busy < cfg_.servers - busy) return dir_.sample_busy(rng_);
+  // At least half the fleet is busy: at most two expected draws.
+  while (dir_.level_of(candidate_) == 0) candidate_ = uniform_server();
+  return candidate_;
+}
+
+void CompactClusterEngine::rearm_departure() {
+  const int busy = busy_servers();
+  next_departure_ =
+      busy > 0 ? now_ + rng_.exponential(busy * service_rate_)
+               : std::numeric_limits<double>::infinity();
+  candidate_ = uniform_server();
+  dir_.prefetch_server(candidate_);
+  util::prefetch(&slot_[candidate_]);
+}
+
 ClusterAccum CompactClusterEngine::run() {
+  return service_rate_ > 0.0 ? run_loop<true>() : run_loop<false>();
+}
+
+template <bool Memoryless>
+ClusterAccum CompactClusterEngine::run_loop() {
   // The RNG draw order, event ordering, and statistics accumulation
-  // order below are the model's specification: the test oracle
-  // (tests/reference_cluster_engine.h) follows them statement for
-  // statement, and the equivalence tests fail if either drifts. The
-  // prefetch calls are layout hints only: they stage the cache lines the
-  // NEXT event will touch while the current one finishes, and never
-  // change any decision.
+  // order below are the model's specification (see the class comment):
+  // the test oracle (tests/reference_cluster_engine.h) follows them
+  // statement for statement, and the equivalence tests fail if either
+  // drifts. The prefetch calls are layout hints only: they stage the
+  // cache lines the NEXT event will touch while the current one
+  // finishes, and never change any decision.
   ClusterAccum acc;
   acc.sojourn_ci = BatchMeans(batch_);
   acc.sojourn_quantiles = ReservoirQuantiles(cfg_.quantile_reservoir,
@@ -122,6 +178,7 @@ ClusterAccum CompactClusterEngine::run() {
 
   const bool idle_head_hint = policy_.dispatches_to_idle_head();
   double next_arrival = arrivals_.next(rng_);
+  if constexpr (Memoryless) candidate_ = uniform_server();
   std::uint64_t arrivals = 0;
   std::uint64_t departures = 0;
 
@@ -130,7 +187,7 @@ ClusterAccum CompactClusterEngine::run() {
 
   const auto advance_to = [&](double t) {
     if (measure_start >= 0.0) {
-      const int busy = cfg_.servers - dir_.idle_count();
+      const int busy = busy_servers();
       acc.area_jobs += static_cast<double>(in_system) * (t - now_);
       acc.busy_area += static_cast<double>(busy) * (t - now_);
     }
@@ -138,10 +195,12 @@ ClusterAccum CompactClusterEngine::run() {
   };
 
   while (departures < jobs_) {
-    const bool have_arrival = arrivals < jobs_;
-    const bool arrival_next =
-        have_arrival &&
-        (calendar_.empty() || next_arrival <= calendar_.min_time());
+    bool arrival_next = arrivals < jobs_;
+    if constexpr (Memoryless)
+      arrival_next = arrival_next && next_arrival <= next_departure_;
+    else
+      arrival_next = arrival_next && (calendar_.empty() ||
+                                      next_arrival <= calendar_.min_time());
 
     if (arrival_next) {
       advance_to(next_arrival);
@@ -149,10 +208,10 @@ ClusterAccum CompactClusterEngine::run() {
       Job job;
       job.index = arrivals;
       job.arrival_time = now_;
-      job.service_time = service_.sample(rng_);
-      // Home rack: one draw per arrival, right after the service sample
-      // and before the policy's draws. Skipped entirely when the topology
-      // is unobservable, so those runs stay bit-identical to a
+      if constexpr (!Memoryless) job.service_time = service_.sample(rng_);
+      // Home rack: one draw per arrival, after any service sample and
+      // before the policy's draws. Skipped entirely when the topology is
+      // unobservable, so those runs stay bit-identical to a
       // topology-blind run.
       int home = 0;
       if (rack_mode_)
@@ -167,32 +226,45 @@ ClusterAccum CompactClusterEngine::run() {
                                    : policy_.select(*this, rng_));
       RLB_ASSERT(s >= 0 && s < cfg_.servers, "policy picked a bad server");
       util::prefetch(&slot_[s]);
-      if (!cfg_.server_speeds.empty())
-        job.service_time /= cfg_.server_speeds[s];
-      if (rack_mode_ && s / per_rack_ != home)
-        job.service_time = cfg_.topology.penalize(job.service_time);
-      push_job(s, job);
+      if constexpr (!Memoryless) {
+        if (!cfg_.server_speeds.empty())
+          job.service_time /= cfg_.server_speeds[s];
+        if (rack_mode_ && s / per_rack_ != home)
+          job.service_time = cfg_.topology.penalize(job.service_time);
+      }
+      push_job<Memoryless>(s, job);
       dir_.increment(s);
       next_arrival = now_ + arrivals_.next(rng_);
     } else {
-      RLB_ASSERT(!calendar_.empty(), "no events left");
-      const auto [t, s] = calendar_.pop();
-      advance_to(t);
-      const Job done = pop_job(s);
+      int s;
+      if constexpr (Memoryless) {
+        advance_to(next_departure_);
+        s = departing_server();
+      } else {
+        RLB_ASSERT(!calendar_.empty(), "no events left");
+        const auto [t, server] = calendar_.pop();
+        advance_to(t);
+        s = server;
+      }
+      const Job done = pop_job<Memoryless>(s);
       dir_.decrement(s);
       ++departures;
       --in_system;
       acc.record_departure(now_, done.arrival_time, done.service_time,
                            done.index >= warmup_);
+      if constexpr (Memoryless) rearm_departure();
     }
 
     // Stage the next event's state: the heap's top names the next
-    // departure's server; under JIQ the idle-FIFO head names the next
-    // arrival's server before that arrival is even drawn.
-    if (!calendar_.empty()) {
-      const std::int32_t ns = calendar_.top().second;
-      dir_.prefetch_server(ns);
-      util::prefetch(&slot_[ns]);
+    // departure's server (the memoryless candidate was staged when it
+    // was drawn); under JIQ the idle-FIFO head names the next arrival's
+    // server before that arrival is even drawn.
+    if constexpr (!Memoryless) {
+      if (!calendar_.empty()) {
+        const std::int32_t ns = calendar_.top().second;
+        dir_.prefetch_server(ns);
+        util::prefetch(&slot_[ns]);
+      }
     }
     if (idle_head_hint && dir_.idle_count() > 0) {
       const int h = dir_.idle_head();

@@ -26,6 +26,7 @@ class Exponential final : public Distribution {
   double sample(Rng& rng) const override { return rng.exponential(rate_); }
   double mean() const override { return 1.0 / rate_; }
   double lst(double s) const override { return rate_ / (rate_ + s); }
+  double exponential_rate() const override { return rate_; }
   std::string name() const override { return "exp"; }
 
  private:

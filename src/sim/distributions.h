@@ -22,6 +22,10 @@ class Distribution {
   /// Erlang, hyperexponential and deterministic laws give it in closed
   /// form; every other law throws std::invalid_argument.
   [[nodiscard]] virtual double lst(double s) const;
+  /// The rate mu of an Exp(mu) law, 0 for every other law. The cluster
+  /// engine runs cells whose service law reports a rate without its
+  /// event heap (sim/compact_cluster.h).
+  [[nodiscard]] virtual double exponential_rate() const { return 0.0; }
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

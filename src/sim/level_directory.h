@@ -77,6 +77,17 @@ class LevelDirectory final {
                          rng.uniform_int(static_cast<std::uint64_t>(c)))];
   }
 
+  /// Uniform among the busy servers, those at level >= 1 (there must be
+  /// one); exactly one uniform_int draw. Level 0's block starts at slot
+  /// 0, so the busy servers fill the slots from idle_count() on.
+  [[nodiscard]] int sample_busy(Rng& rng) const {
+    const std::int32_t busy = n_ - count_[0];
+    RLB_REQUIRE(busy > 0, "sample_busy with every server idle");
+    return by_level_[count_[0] +
+                     static_cast<std::int32_t>(
+                         rng.uniform_int(static_cast<std::uint64_t>(busy)))];
+  }
+
   /// The longest-idle server of the rack [begin, end), -1 when that rack
   /// has none; O(1). Requires arm_racks, and the slice must be exactly
   /// one armed rack. The per-rack FIFOs are maintained by the same

@@ -11,15 +11,24 @@
 // select_direct against its select. Costs O(N) per arrival that lands on
 // an idle server (ordered I-queue erase); test fleets are small.
 //
-// The RNG draw order (service sample, home rack, policy draws, next
-// interarrival), the (time, server) event order and the statistics
-// accumulation order are the engine's, statement for statement.
+// It also runs the engine's memoryless loop, under the same condition:
+// Exp(mu) service, unit speeds, no observable cross-rack penalty and a
+// symmetric policy. There one Exp(busy * mu) clock replaces the heap,
+// each server keeps its head job's service start, and the departing
+// server comes from the candidate's rejection loop, checked server by
+// server, or from a LevelDirectory the oracle feeds with its own
+// arrivals and departures and reads only as its index of busy servers.
+//
+// The RNG draw order (compact_cluster.h's class comment), the (time,
+// server) event order and the statistics accumulation order are the
+// engine's, statement for statement.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -28,6 +37,7 @@
 #include "sim/cluster_accum.h"
 #include "sim/cluster_sim.h"
 #include "sim/distributions.h"
+#include "sim/level_directory.h"
 #include "sim/policy.h"
 #include "sim/rng.h"
 #include "util/require.h"
@@ -56,9 +66,15 @@ class ReferenceClusterEngine final : public ClusterState {
         rack_mode_(cfg.topology.racks > 1 &&
                    (cfg.topology.penalized() || policy.locality_aware())),
         per_rack_(cfg.topology.servers_per_rack(cfg.servers)),
+        rate_(policy.symmetric() && cfg.server_speeds.empty() &&
+                      !(rack_mode_ && cfg.topology.penalized())
+                  ? service.exponential_rate()
+                  : 0.0),
         queues_(cfg.servers),
         completion_(cfg.servers, 0.0),
-        queued_work_(cfg.servers, 0.0) {
+        queued_work_(cfg.servers, 0.0),
+        start_(cfg.servers, 0.0),
+        busy_index_(cfg.servers) {
     // Every server starts idle; the I-queue begins in server-index order.
     idle_queue_.reserve(cfg.servers);
     for (int s = 0; s < cfg.servers; ++s) idle_queue_.push_back(s);
@@ -93,7 +109,11 @@ class ReferenceClusterEngine final : public ClusterState {
       acc.enable_windows(cfg_.window_width, cfg_.window_reservoir,
                          seed_ ^ cfg_.window_seed_salt);
 
+    const bool memoryless = rate_ > 0.0;
     double next_arrival = arrivals_.next(rng_);
+    double next_departure = std::numeric_limits<double>::infinity();
+    int candidate = 0;
+    if (memoryless) candidate = draw_server();
     std::uint64_t arrivals = 0;
     std::uint64_t departures = 0;
 
@@ -112,14 +132,15 @@ class ReferenceClusterEngine final : public ClusterState {
       const bool have_arrival = arrivals < jobs_;
       const bool arrival_next =
           have_arrival &&
-          (departure_heap_.empty() ||
-           next_arrival <= departure_heap_.top().first);
+          (memoryless ? next_arrival <= next_departure
+                      : departure_heap_.empty() ||
+                            next_arrival <= departure_heap_.top().first);
 
       if (arrival_next) {
         advance_to(next_arrival);
         if (arrivals == warmup_ && measure_start < 0.0)
           measure_start = now_;
-        Job job{arrivals, now_, service_.sample(rng_)};
+        Job job{arrivals, now_, memoryless ? 0.0 : service_.sample(rng_)};
         // Home rack: one draw per arrival, taken right after the service
         // sample. Skipped entirely when the topology is unobservable.
         int home = 0;
@@ -137,36 +158,72 @@ class ReferenceClusterEngine final : public ClusterState {
           job.service_time = cfg_.topology.penalize(job.service_time);
         auto& q = queues_[s];
         if (q.empty()) {
-          completion_[s] = now_ + job.service_time;
-          departure_heap_.emplace(completion_[s], s);
+          if (memoryless) {
+            start_[s] = now_;
+            if (busy_servers_ == 0)
+              next_departure = now_ + rng_.exponential(rate_);
+            else
+              next_departure =
+                  now_ + (next_departure - now_) *
+                             (static_cast<double>(busy_servers_) /
+                              static_cast<double>(busy_servers_ + 1));
+          } else {
+            completion_[s] = now_ + job.service_time;
+            departure_heap_.emplace(completion_[s], s);
+          }
           ++busy_servers_;
           retire_idle(s);
-        } else {
+        } else if (!memoryless) {
           queued_work_[s] += job.service_time;
         }
         q.push_back(job);
+        busy_index_.increment(s);
         next_arrival = now_ + arrivals_.next(rng_);
       } else {
-        RLB_ASSERT(!departure_heap_.empty(), "no events left");
-        const auto [t, s] = departure_heap_.top();
-        departure_heap_.pop();
-        advance_to(t);
+        int s;
+        if (memoryless) {
+          advance_to(next_departure);
+          if (busy_servers_ < cfg_.servers - busy_servers_) {
+            s = busy_index_.sample_busy(rng_);
+          } else {
+            while (queues_[candidate].empty()) candidate = draw_server();
+            s = candidate;
+          }
+        } else {
+          RLB_ASSERT(!departure_heap_.empty(), "no events left");
+          const auto [t, server] = departure_heap_.top();
+          departure_heap_.pop();
+          advance_to(t);
+          s = server;
+        }
         auto& q = queues_[s];
         RLB_ASSERT(!q.empty(), "departure from empty server");
-        const Job done = q.front();
+        Job done = q.front();
         q.pop_front();
+        busy_index_.decrement(s);
+        if (memoryless) done.service_time = now_ - start_[s];
         ++departures;
         --in_system;
         acc.record_departure(now_, done.arrival_time, done.service_time,
                              done.index >= warmup_);
         if (!q.empty()) {
-          const Job& next = q.front();
-          queued_work_[s] -= next.service_time;
-          completion_[s] = now_ + next.service_time;
-          departure_heap_.emplace(completion_[s], s);
+          if (memoryless) {
+            start_[s] = now_;
+          } else {
+            const Job& next = q.front();
+            queued_work_[s] -= next.service_time;
+            completion_[s] = now_ + next.service_time;
+            departure_heap_.emplace(completion_[s], s);
+          }
         } else {
           --busy_servers_;
           idle_queue_.push_back(s);
+        }
+        if (memoryless) {
+          next_departure = busy_servers_ > 0
+                               ? now_ + rng_.exponential(busy_servers_ * rate_)
+                               : std::numeric_limits<double>::infinity();
+          candidate = draw_server();
         }
       }
     }
@@ -183,6 +240,11 @@ class ReferenceClusterEngine final : public ClusterState {
     double service_time = 0.0;
   };
   using Event = std::pair<double, int>;  // (time, server)
+
+  int draw_server() {
+    return static_cast<int>(
+        rng_.uniform_int(static_cast<std::uint64_t>(cfg_.servers)));
+  }
 
   void retire_idle(int s) {
     // O(N) erase; N is small and JIQ-style policies take the front anyway.
@@ -203,10 +265,13 @@ class ReferenceClusterEngine final : public ClusterState {
   /// Topology observable this run (sim/topology.h gating rule).
   bool rack_mode_;
   int per_rack_;
+  double rate_;  ///< mu when the cell runs the memoryless loop, else 0
 
   std::vector<std::deque<Job>> queues_;
   std::vector<double> completion_;
   std::vector<double> queued_work_;
+  std::vector<double> start_;  ///< head job's service start (memoryless)
+  LevelDirectory busy_index_;  ///< sample_busy only (memoryless)
   std::vector<int> idle_queue_;  ///< idle servers, first-idle first
   std::priority_queue<Event, std::vector<Event>, std::greater<>>
       departure_heap_;

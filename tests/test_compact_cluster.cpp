@@ -118,6 +118,30 @@ TEST(LevelDirectory, SampleAtLevelHitsEveryMember) {
                std::invalid_argument);
 }
 
+TEST(LevelDirectory, SampleBusyHitsEveryBusyServer) {
+  // Busy servers at levels 1, 2 and 3: one draw each, uniform over all
+  // of them whatever their level; idle servers never come up.
+  LevelDirectory dir(8);
+  for (int s : {1, 3, 3, 6, 6, 6}) dir.increment(s);
+  Rng rng(13);
+  std::vector<int> hits(8, 0);
+  for (int i = 0; i < 3'000; ++i) ++hits[dir.sample_busy(rng)];
+  for (int s = 0; s < 8; ++s) {
+    if (s == 1 || s == 3 || s == 6)
+      EXPECT_GT(hits[s], 800) << s;  // ~1000 each
+    else
+      EXPECT_EQ(hits[s], 0) << s;
+  }
+  // Exactly one draw per sample.
+  Rng a(5), b(5);
+  (void)dir.sample_busy(a);
+  (void)b.uniform_int(3);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  for (int s : {1, 3, 3, 6, 6, 6}) dir.decrement(s);
+  EXPECT_THROW(static_cast<void>(dir.sample_busy(rng)),
+               std::invalid_argument);
+}
+
 TEST(LevelDirectory, RandomizedStressMatchesReferenceModel) {
   // Layout-agnostic invariant stress at a size where blocks split and
   // merge constantly: drive the directory with random level moves and
@@ -409,13 +433,42 @@ ClusterConfig base_config(int n, std::uint64_t jobs = 60'000) {
   return cfg;
 }
 
-/// Poisson arrivals at load rho, Exp(1) service, through both engines.
+/// Exp(rate) service from a law that reports no rate
+/// (Distribution::exponential_rate is 0), so both engines run it on the
+/// event loop: the same law as make_exponential's, through the heap.
+class EventLoopExponential final : public Distribution {
+ public:
+  explicit EventLoopExponential(double rate) : rate_(rate) {}
+  double sample(Rng& rng) const override { return rng.exponential(rate_); }
+  double mean() const override { return 1.0 / rate_; }
+  std::string name() const override { return "exp (event loop)"; }
+
+ private:
+  double rate_;
+};
+
+/// Exp(1) service twice: as make_exponential(1), which symmetric policies
+/// run on the memoryless loop, and as EventLoopExponential(1), which
+/// every policy runs on the event loop.
+struct ExpService {
+  const Distribution& law;
+  const char* loop;
+};
+std::vector<ExpService> exp_services() {
+  static const auto memoryless = make_exponential(1.0);
+  static const EventLoopExponential event_loop(1.0);
+  return {{*memoryless, " memoryless"}, {event_loop, " event loop"}};
+}
+
+/// Poisson arrivals at load rho and Exp(1) service, through both engines
+/// and both loops.
 void expect_engines_agree_mm(const ClusterConfig& cfg, const Policy& policy,
                              double rho, const std::string& label) {
   const auto arr = make_exponential(rho * cfg.servers);
-  const auto svc = make_exponential(1.0);
   RenewalArrivals arrivals(*arr);
-  expect_engines_agree(cfg, policy, arrivals, *svc, fixed_plan(cfg), label);
+  for (const ExpService& svc : exp_services())
+    expect_engines_agree(cfg, policy, arrivals, svc.law, fixed_plan(cfg),
+                         label + svc.loop);
 }
 
 /// The engine through the public entry point (validation, replica
@@ -510,7 +563,6 @@ TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   // agree bit for bit.
   const int n = 5;
   const auto arr = make_exponential(0.85 * n);
-  const auto svc = make_exponential(1.0);
   RenewalArrivals arrivals(*arr);
   AdaptivePlan plan;
   plan.replicas = 2;
@@ -522,8 +574,9 @@ TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   ClusterConfig cfg;
   cfg.servers = n;
   for (const auto& policy : blind_policies(n))
-    expect_engines_agree(cfg, *policy, arrivals, *svc, plan,
-                         policy->name() + " adaptive");
+    for (const ExpService& svc : exp_services())
+      expect_engines_agree(cfg, *policy, arrivals, svc.law, plan,
+                           policy->name() + " adaptive" + svc.loop);
 }
 
 TEST(CompactCluster, IdentityAwarePoliciesMatchTheOracleWithEveryFeatureOn) {
@@ -615,16 +668,18 @@ ClusterConfig topology_config(int n, const Topology& topo, int replicas = 1,
   return cfg;
 }
 
+/// Exp(1) service unless `service` names another law.
 ClusterResult run_topology(Policy& policy, int n, const Topology& topo,
                            int replicas = 1, int threads = 1,
-                           double rho = 0.9, std::uint64_t jobs = 60'000) {
+                           double rho = 0.9, std::uint64_t jobs = 60'000,
+                           const Distribution* service = nullptr) {
   const ClusterConfig cfg = topology_config(n, topo, replicas, jobs);
   const auto arr = make_exponential(rho * n);
   RenewalArrivals arrivals(*arr);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
-  return simulate_cluster(cfg, policy, arrivals, *svc, fixed_plan(cfg),
-                          budget);
+  return simulate_cluster(cfg, policy, arrivals, service ? *service : *svc,
+                          fixed_plan(cfg), budget);
 }
 
 std::vector<std::unique_ptr<Policy>> rack_policies(int n, int racks) {
@@ -751,10 +806,16 @@ TEST(RackTopology, PenaltyActuallyHurtsBlindDispatch) {
   RackLocalSqdPolicy local(n, 4, 2, 0);
   Topology racked_free;
   racked_free.racks = 4;  // zero penalty
-  const auto contained = run_topology(local, n, topo, 1, 1, 0.7);
-  const auto contained_base = run_topology(local, n, racked_free, 1, 1, 0.7);
   // Same policy, same seeds: zero penalty and huge penalty agree exactly
-  // because no dispatch ever leaves its rack.
+  // because no dispatch ever leaves its rack. Under Exp(1) service the
+  // zero-penalty run would take the memoryless loop and the penalized one
+  // the event loop, so both run Erlang-2 service of mean 1, which keeps
+  // them on the event loop.
+  const auto erlang = make_erlang(2, 2.0);
+  const auto contained =
+      run_topology(local, n, topo, 1, 1, 0.7, 60'000, erlang.get());
+  const auto contained_base =
+      run_topology(local, n, racked_free, 1, 1, 0.7, 60'000, erlang.get());
   expect_identical(contained, contained_base, "no-spill contains penalty");
 }
 
@@ -798,6 +859,76 @@ TEST(RackTopology, ValidatesConfiguration) {
   Topology two;
   two.racks = 2;
   EXPECT_NO_THROW(run_topology(rsqd, 6, two));
+}
+
+TEST(CompactCluster, MemorylessLoopAgreesInLawWithTheEventLoop) {
+  // Under Exp(1) service a symmetric policy runs the memoryless loop;
+  // EventLoopExponential runs the same law through the heap. The two
+  // loops draw different streams, so they agree in law only: each pair
+  // of mean sojourns must lie within the sum of the two CI half-widths.
+  const int n = 8, racks = 2;
+  Topology blind;
+  Topology racked;
+  racked.racks = racks;  // zero penalty: rack-sq(2) runs memoryless
+  struct Case {
+    std::unique_ptr<Policy> policy;
+    Topology topo;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<SqdPolicy>(n, 2), blind});
+  cases.push_back({std::make_unique<JiqPolicy>(n), blind});
+  cases.push_back({std::make_unique<JbtPolicy>(n, 2, 3), blind});
+  cases.push_back({std::make_unique<HistogramJsqPolicy>(), blind});
+  cases.push_back({std::make_unique<RackLocalSqdPolicy>(n, racks, 2), racked});
+  for (const Case& c : cases) {
+    std::vector<ClusterResult> runs;
+    for (const ExpService& svc : exp_services())
+      runs.push_back(run_topology(*c.policy, n, c.topo, 1, 1, 0.8,
+                                  1'000'000, &svc.law));
+    const ClusterResult& memoryless = runs[0];
+    const ClusterResult& event_loop = runs[1];
+    EXPECT_NE(bits(memoryless.mean_sojourn), bits(event_loop.mean_sojourn))
+        << c.policy->name() << ": both runs took the same loop";
+    EXPECT_NEAR(memoryless.mean_sojourn, event_loop.mean_sojourn,
+                memoryless.ci95_sojourn + event_loop.ci95_sojourn)
+        << c.policy->name();
+  }
+}
+
+TEST(CompactCluster, OtherExponentialCellsKeepTheEventLoop) {
+  // Exp(1) service takes the memoryless loop only with a symmetric
+  // policy, unit speeds and no observable penalty. Every other
+  // exponential cell must run the event loop, so make_exponential and
+  // EventLoopExponential give it the same bits.
+  const int n = 8;
+  const auto arr = make_exponential(0.8 * n);
+  RenewalArrivals arrivals(*arr);
+  const auto expect_event_loop = [&](const ClusterConfig& cfg,
+                                     Policy& policy,
+                                     const std::string& label) {
+    std::vector<ClusterResult> runs;
+    for (const ExpService& svc : exp_services()) {
+      rlb::util::ThreadBudget budget(1);
+      runs.push_back(simulate_cluster(cfg, policy, arrivals, svc.law,
+                                      fixed_plan(cfg), budget));
+    }
+    expect_identical(runs[0], runs[1], label);
+  };
+  RoundRobinPolicy rr;
+  LeastWorkLeftPolicy lw;
+  expect_event_loop(base_config(n), rr, "round-robin");
+  expect_event_loop(base_config(n), lw, "least-work");
+  SqdPolicy sqd(n, 2);
+  ClusterConfig speeds = base_config(n);
+  speeds.server_speeds.assign(n, 1.0);
+  expect_event_loop(speeds, sqd, "sq(2) with speeds");
+  Topology penalized;
+  penalized.racks = 2;
+  penalized.cross_latency = 0.5;
+  expect_event_loop(topology_config(n, penalized), sqd, "sq(2) penalized");
+  RackLocalSqdPolicy rack_sqd(n, 2, 2);
+  expect_event_loop(topology_config(n, penalized), rack_sqd,
+                    "rack-sq(2) penalized");
 }
 
 TEST(CompactCluster, HistogramJsqMatchesJsqStatistically) {

@@ -18,6 +18,7 @@ namespace {
 using rlb::engine::CacheKey;
 using rlb::engine::CellRecord;
 using rlb::engine::encode_record;
+using rlb::engine::kResultCacheVersion;
 using rlb::engine::parse_record;
 using rlb::engine::ResultCache;
 
@@ -170,9 +171,10 @@ TEST(CellRecord, CorruptEntriesAreRejectedNotThrown) {
 
   // Version-stamp mismatch: a record from a different engine version.
   std::string stale = good;
-  const auto at = stale.find("rlb-cache-v1");
+  const std::string version = kResultCacheVersion;
+  const auto at = stale.find(version);
   ASSERT_NE(at, std::string::npos);
-  stale.replace(at, 12, "rlb-cache-v0");
+  stale.replace(at, version.size(), "rlb-cache-v0");
   EXPECT_FALSE(parse_record(key, stale).has_value());
 
   // Key mismatch (digest collision / copied file): embedded canonical
@@ -249,6 +251,48 @@ TEST_F(ResultCacheDir, CorruptedFileIsDiscardedAndOverwritable) {
   // The recompute-and-store path heals the entry.
   cache.store(key, sample_record());
   EXPECT_TRUE(cache.lookup(key, 0.05).has_value());
+}
+
+TEST_F(ResultCacheDir, RecordOfThePreviousEngineVersionIsRecomputed) {
+  // rlb-cache-v1 records hold the event loop's numbers for exponential
+  // cells, which now run the memoryless loop on another stream.
+  {
+    ResultCache writer(dir_);
+    writer.store(sample_key(), sample_record());
+  }
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::string text;
+    {
+      std::ifstream in(entry.path());
+      std::getline(in, text);
+    }
+    const std::string version = kResultCacheVersion;
+    const auto at = text.find(version);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, version.size(), "rlb-cache-v1");
+    std::ofstream(entry.path(), std::ios::trunc) << text << "\n";
+    ++files;
+  }
+  ASSERT_EQ(files, 1u);
+
+  ResultCache cache(dir_);
+  EXPECT_FALSE(cache.lookup(sample_key(), 0.05).has_value());
+  EXPECT_EQ(cache.discarded(), 1u);
+  cache.store(sample_key(), sample_record());
+  EXPECT_TRUE(cache.lookup(sample_key(), 0.05).has_value());
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST_F(ResultCacheDir, OpeningAndLookingUpCreateNothing) {
+  // rlb_run opens the cache before it rejects unknown flags; a refused
+  // command line must not leave the directory behind.
+  ResultCache cache(dir_);
+  EXPECT_FALSE(cache.lookup(sample_key(), 0.05).has_value());
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  cache.store(sample_key(), sample_record());
+  EXPECT_TRUE(std::filesystem::is_directory(dir_));
+  EXPECT_TRUE(cache.lookup(sample_key(), 0.05).has_value());
 }
 
 TEST_F(ResultCacheDir, SummaryLineReportsAllCounters) {

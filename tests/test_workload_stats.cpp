@@ -1,12 +1,15 @@
 // Statistical property tests for the realistic-workload primitives
 // (ctest -L statistical): sample moments of the heavy-tailed service
 // laws against their analytic values, the nonstationary arrival
-// processes against their closed-form rates, and the windowed statistics
-// of a warm M/M/1 against the stationary sojourn law. Deterministic —
+// processes against their closed-form rates, the windowed statistics
+// of a warm M/M/1 against the stationary sojourn law, and random routing
+// over N servers (the engine's memoryless loop) against the M/M/1 closed
+// forms. Deterministic —
 // fixed seeds, fixed budgets — so a pass is reproducible and a failure
 // is a real regression, not noise.
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +175,54 @@ TEST(WindowedMm1, WindowCountsMatchThroughput) {
     EXPECT_NEAR(static_cast<double>(res.windows[w].count), expected,
                 5.0 * std::sqrt(expected))
         << w;
+}
+
+TEST(MemorylessMm1, RandomRoutingMatchesTheMm1ClosedForms) {
+  // sq(1) sends each job to a uniform server, so under Poisson arrivals
+  // at load rho and Exp(1) service each of the N servers is an M/M/1
+  // queue: sojourn ~ Exp(1 - rho), wait mean rho / (1 - rho), utilization
+  // rho, N rho / (1 - rho) jobs in system. The cell runs the engine's
+  // memoryless loop, whose service times are read off the departure
+  // clock, so every per-job output is checked, not just the mean.
+  const int n = 10;
+  const std::uint64_t jobs = 2'000'000;
+  for (const double rho : {0.5, 0.8}) {
+    SCOPED_TRACE("rho = " + std::to_string(rho));
+    const double gap = 1.0 - rho;
+    const double tau = 2.0 / gap;  // SLA fraction e^{-2}
+    ClusterConfig cfg;
+    cfg.servers = n;
+    cfg.sla_threshold = tau;
+    const auto arr = make_exponential(rho * n);
+    RenewalArrivals arrivals(*arr);
+    const auto svc = make_exponential(1.0);
+    SqdPolicy policy(n, 1);
+    const auto res = simulate_cluster(
+        cfg, policy, arrivals, *svc,
+        AdaptivePlan::fixed(1, jobs, jobs / 10, 307),
+        rlb::util::ThreadBudget::serial());
+
+    // Means within the printed 95% CI. The wait is the sojourn less a
+    // service-time mean whose own error (~1e-3) the CI dwarfs.
+    const double ci = res.ci95_sojourn;
+    EXPECT_NEAR(res.mean_sojourn, 1.0 / gap, ci);
+    EXPECT_NEAR(res.mean_wait, rho / gap, ci);
+    // Time averages: by Little's law L = N rho W, so W's interval maps
+    // onto L; the busy fraction of ~2e5 time units of 10 servers has a
+    // standard error near 2e-3.
+    EXPECT_NEAR(res.mean_jobs_in_system, n * rho / gap, n * rho * ci);
+    EXPECT_NEAR(res.utilization, rho, 0.01);
+    // p99 = ln(100) / (1 - rho). A reservoir of R samples puts the
+    // standard error of the 0.99 quantile near sqrt(0.99 * 0.01 / R) /
+    // f(p99), where the density there is 0.01 * (1 - rho); allow four.
+    const double p99 = std::log(100.0) / gap;
+    const double p99_se =
+        std::sqrt(0.99 * 0.01 / static_cast<double>(cfg.quantile_reservoir)) /
+        (0.01 * gap);
+    EXPECT_NEAR(res.p99_sojourn, p99, 4.0 * p99_se);
+    // P(sojourn > tau) = e^{-(1 - rho) tau}.
+    EXPECT_NEAR(res.sla_violation_fraction, std::exp(-gap * tau), 0.005);
+  }
 }
 
 }  // namespace
